@@ -191,10 +191,9 @@ class PathEngine {
     int cost = 0;
   };
   using FrontierT = session::Frontier<Question, PathScore, GenMemo>;
-  /// Delta queue only (deltas are candidate indices of new negatives); the
-  /// witness-bucket half is unused — the per-candidate accept test against
-  /// one word is already O(1) per candidate.
-  using PropagationT = session::PropagationIndex<size_t, size_t>;
+  /// Deltas are candidate indices of new negatives: the per-candidate
+  /// accept test against one word is already O(1) per candidate.
+  using PropagationT = session::PropagationIndex<size_t>;
 
   /// Memoized generalization of candidate `k`'s word into the current
   /// hypothesis (recomputed only after a hypothesis change).

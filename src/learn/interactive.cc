@@ -130,13 +130,13 @@ void TwigEngine::Propagate(session::SessionStats* stats) {
   if (reference_propagation_) {
     ReferencePropagate(stats);
     prop_.MarkFullPassDone();
-    prop_.InvalidateWitnesses();
+    witness_planes_valid_ = false;
   } else if (prop_.NeedsFullPass()) {
     FullPropagate(stats);
     prop_.MarkFullPassDone();
     // The witness planes were transposed from the old hypothesis' rows;
     // the next negative delta rebuilds them from the fresh rows.
-    prop_.InvalidateWitnesses();
+    witness_planes_valid_ = false;
   } else {
     ApplyNegativeDeltas(stats);
   }
@@ -243,7 +243,7 @@ void TwigEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
   // selected-set rows are still valid: each new negative settles exactly
   // the active candidates whose row holds it — active ∧ plane(neg), one
   // word-parallel sweep over the transposed witness planes.
-  if (!prop_.WitnessesValid()) RebuildWitnessPlanes();
+  if (!witness_planes_valid_) RebuildWitnessPlanes();
   for (NodeId neg : deltas) {
     store_.CopyActive(&scratch_);
     store_.AndPlanes(neg, 1, scratch_.data());
@@ -266,7 +266,7 @@ void TwigEngine::RebuildWitnessPlanes() {
     (void)present;
   }
   store_.TransposeActiveRowsToPlanes();
-  prop_.BeginWitnessRebuild();  // planes now match the current hypothesis
+  witness_planes_valid_ = true;  // planes now match the current hypothesis
 }
 
 size_t TwigEngine::WitnessBucketsForTest() const {
@@ -429,7 +429,7 @@ common::Status TwigEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   // was live before the restore — both rebuild lazily from the restored
   // one (rows are not serialized and restart stale by store contract).
   prop_.MarkFullPassDone();
-  prop_.InvalidateWitnesses();
+  witness_planes_valid_ = false;
   return Status::OK();
 }
 

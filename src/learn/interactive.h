@@ -150,7 +150,7 @@ class TwigEngine {
   /// Test/bench hook: drops the witness planes so the next negative delta
   /// pays the full rebuild cost — row materialization plus the bit-block
   /// transpose (measured by BM_Classify).
-  void InvalidateWitnessIndexForBench() { prop_.InvalidateWitnesses(); }
+  void InvalidateWitnessIndexForBench() { witness_planes_valid_ = false; }
   /// Hibernation: appends a versioned engine image (strategy, hypothesis
   /// tree, accumulated negatives, frontier states, candidate-store
   /// bit-vectors) to `writer`. Call only between answered turns (queued
@@ -164,7 +164,7 @@ class TwigEngine {
   // Test introspection of the witness planes (lazy rebuild semantics).
   // "Buckets" are the document nodes with at least one live witness bit —
   // the plane-sweep analogue of the historical bucket count.
-  bool WitnessIndexValidForTest() const { return prop_.WitnessesValid(); }
+  bool WitnessIndexValidForTest() const { return witness_planes_valid_; }
   size_t WitnessBucketsForTest() const;
   /// Test introspection of the structure-of-arrays candidate store.
   const session::CandidateStore& StoreForTest() const { return store_; }
@@ -172,12 +172,8 @@ class TwigEngine {
  private:
   using FrontierT = session::Frontier<xml::NodeId, long>;
 
-  /// Delta queue only (the witness-bucket half of PropagationIndex is
-  /// superseded by the store's transposed planes; the validity flag still
-  /// tracks whether those planes match the current hypothesis). Deltas are
-  /// the negative nodes themselves.
-  using PropagationT =
-      session::PropagationIndex<xml::NodeId, xml::NodeId>;
+  /// Deltas are the negative nodes themselves.
+  using PropagationT = session::PropagationIndex<xml::NodeId>;
 
   /// Hypothesis with doc-node `v` joined in, or nullopt if no anchored
   /// generalization exists.
@@ -223,6 +219,9 @@ class TwigEngine {
   /// mirror of negatives_ the row-intersection tests sweep against.
   std::vector<uint64_t> neg_words_;
   PropagationT prop_;
+  /// Do the store's witness planes match the current hypothesis? Cleared
+  /// by every full pass (and restore), set by RebuildWitnessPlanes.
+  bool witness_planes_valid_ = false;
   /// Sweep scratch (dense words) reused across flushes.
   std::vector<uint64_t> scratch_;
   /// Did the last positive Observe actually generalize the hypothesis?

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -111,6 +112,17 @@ Status ReadExactly(int fd, char* out, size_t n, const Deadline& deadline) {
     return Status::Internal(std::string("recv: ") + std::strerror(errno));
   }
   return Status::OK();
+}
+
+/// A wall-clock budget in the wire's whole microseconds, where 0 means
+/// unlimited: non-positive and NaN budgets are unlimited, a positive one
+/// keeps at least 1 µs (truncating it to 0 would lift the limit), and
+/// anything past the wire's range saturates at UINT64_MAX.
+uint64_t WallBudgetMicros(double seconds) {
+  if (!(seconds > 0)) return 0;
+  const double micros = seconds * 1e6;
+  if (micros >= 18446744073709551616.0) return UINT64_MAX;  // 2^64
+  return std::max<uint64_t>(1, static_cast<uint64_t>(micros));
 }
 
 }  // namespace
@@ -245,8 +257,7 @@ Result<std::string> Client::Open(const std::string& scenario,
   request.seed = options.seed;
   request.max_questions = options.budget.max_questions;
   request.max_pending = options.budget.max_pending;
-  request.max_wall_micros =
-      static_cast<uint64_t>(options.budget.max_wall_seconds * 1e6);
+  request.max_wall_micros = WallBudgetMicros(options.budget.max_wall_seconds);
   request.id = options.id;
   QLEARN_ASSIGN_OR_RETURN(const Response response, Call(request));
   if (!response.status.ok()) return response.status;

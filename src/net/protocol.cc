@@ -11,15 +11,15 @@ namespace {
 
 using common::Result;
 using common::Status;
-using service::SessionBudget;
 using service::wire::QuestionPayload;
-using Json = service::json::Value;
 using service::json::AppendEscaped;
 using service::json::CheckAllKeysKnown;
 using service::json::Find;
 using service::json::ToBool;
-using service::json::ToString;
+using service::json::ToStringView;
 using service::json::ToUInt;
+using service::json::Type;
+using View = service::json::View;
 
 const char* OpName(Request::Op op) {
   switch (op) {
@@ -60,35 +60,22 @@ void AppendLabels(const std::vector<bool>& labels, std::string* out) {
   out->push_back(']');
 }
 
-Result<std::vector<bool>> LabelsFromJson(const Json* value,
-                                         const std::string& what) {
-  if (value == nullptr || value->type != Json::Type::kArray) {
-    return ShapeError("missing or non-array \"" + what + "\"");
+/// Checks that `labels` is an array of booleans (the tell request and the
+/// oracle response).
+Status CheckLabels(const View* labels) {
+  if (labels == nullptr || labels->type != Type::kArray) {
+    return ShapeError("missing or non-array \"labels\"");
   }
-  std::vector<bool> labels;
-  labels.reserve(value->array.size());
-  for (const Json& label : value->array) {
-    if (label.type != Json::Type::kBool) {
-      return ShapeError("non-boolean entry in \"" + what + "\"");
+  for (uint32_t i = 0; i < labels->element_count; ++i) {
+    if (labels->elements[i].type != Type::kBool) {
+      return ShapeError("non-boolean entry in \"labels\"");
     }
-    labels.push_back(label.bool_value);
   }
-  return labels;
-}
-
-/// Reads an optional unsigned field into `*out` (leaves the default when
-/// the key is absent).
-Status OptionalUInt(const Json& object, const std::string& key,
-                    std::vector<bool>* seen, uint64_t* out) {
-  const Json* value = Find(object, key, seen);
-  if (value == nullptr) return Status::OK();
-  QLEARN_ASSIGN_OR_RETURN(*out, ToUInt(value, key));
   return Status::OK();
 }
 
 // Hex codec for the snapshot-handoff image: the canonical JSON subset has
-// no binary strings, so export/import carry the QLSV bytes as lowercase
-// hex. Both parse modes share the decode core for identical error wording.
+// no binary strings, so export/import carry the QLSV bytes as lowercase hex.
 
 void AppendHexQuoted(std::string_view bytes, std::string* out) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -107,49 +94,28 @@ int HexNibble(char c) {
   return -1;  // uppercase rejected: canonical bytes are lowercase
 }
 
-Status HexDecodeTo(std::string_view hex, std::string_view what, char* out) {
+/// Decodes the lowercase-hex `image` field into the arena.
+Result<std::string_view> HexDecodeIntoArena(std::string_view hex,
+                                            service::json::Arena* arena) {
+  if (hex.size() % 2 != 0) {
+    return ShapeError("\"image\" hex has odd length " +
+                      std::to_string(hex.size()));
+  }
+  char* out = static_cast<char*>(
+      arena->Allocate(hex.size() / 2 + 1, alignof(char)));
   for (size_t i = 0; i < hex.size(); i += 2) {
     const int hi = HexNibble(hex[i]);
     const int lo = HexNibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return ShapeError("\"" + std::string(what) +
-                        "\" is not lowercase hex");
-    }
+    if (hi < 0 || lo < 0) return ShapeError("\"image\" is not lowercase hex");
     out[i / 2] = static_cast<char>((hi << 4) | lo);
   }
-  return Status::OK();
-}
-
-Status CheckHexLength(std::string_view hex, std::string_view what) {
-  if (hex.size() % 2 != 0) {
-    return ShapeError("\"" + std::string(what) +
-                      "\" hex has odd length " + std::to_string(hex.size()));
-  }
-  return Status::OK();
-}
-
-Result<std::string> HexDecode(std::string_view hex, std::string_view what) {
-  QLEARN_RETURN_IF_ERROR(CheckHexLength(hex, what));
-  std::string out(hex.size() / 2, '\0');
-  QLEARN_RETURN_IF_ERROR(HexDecodeTo(hex, what, out.data()));
-  return out;
-}
-
-Result<std::string_view> HexDecodeIntoArena(std::string_view hex,
-                                            std::string_view what,
-                                            service::json::Arena* arena) {
-  QLEARN_RETURN_IF_ERROR(CheckHexLength(hex, what));
-  char* out = static_cast<char*>(
-      arena->Allocate(hex.size() / 2 + 1, alignof(char)));
-  QLEARN_RETURN_IF_ERROR(HexDecodeTo(hex, what, out));
   return std::string_view(out, hex.size() / 2);
 }
 
 // ---------------------------------------------------------------------------
-// Ok-frame writers, one appender per op, shared by the heap and arena
-// dispatch paths (so the two produce identical bytes by construction). All
-// reuse the canonical wire serializations for embedded payloads and append
-// into the caller's (pooled, on the server) buffer.
+// Ok-frame writers, one appender per op. All reuse the canonical wire
+// serializations for embedded payloads and append into the caller's
+// (pooled, on the server) buffer.
 
 void AppendUInt(uint64_t value, std::string* out) {
   service::json::AppendUInt(value, out);
@@ -301,46 +267,48 @@ void AppendErrorFrame(const common::Status& status, std::string* out) {
 // ---------------------------------------------------------------------------
 // Ok-frame body parsing, one reader per op (strict, like the wire parsers).
 
-Status LatencyFromJson(const Json* value, const std::string& what,
+Status LatencyFromJson(const View* value, const std::string& what,
                        service::LatencySnapshot* out) {
-  if (value == nullptr || value->type != Json::Type::kArray) {
+  if (value == nullptr || value->type != Type::kArray) {
     return ShapeError("missing or non-array \"" + what +
                       "\" latency histogram");
   }
-  if (value->array.size() > service::LatencySnapshot::kBuckets) {
+  if (value->element_count > service::LatencySnapshot::kBuckets) {
     return ShapeError(
         "\"" + what + "\" latency histogram has more than " +
         std::to_string(service::LatencySnapshot::kBuckets) + " buckets");
   }
-  for (size_t i = 0; i < value->array.size(); ++i) {
-    if (value->array[i].type != Json::Type::kUInt) {
+  for (uint32_t i = 0; i < value->element_count; ++i) {
+    if (value->elements[i].type != Type::kUInt) {
       return ShapeError("non-integer bucket in \"" + what +
                         "\" latency histogram");
     }
-    out->buckets[i] = value->array[i].uint_value;
+    out->buckets[i] = value->elements[i].uint_value;
   }
   return Status::OK();
 }
 
-Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
-  if (body.type != Json::Type::kObject) {
+Status ParseOkBody(Request::Op op, const View& body,
+                   service::json::Arena* arena, Response* response) {
+  if (body.type != Type::kObject) {
     return ShapeError("\"ok\" body must be an object");
   }
-  std::vector<bool> seen(body.object.size(), false);
+  uint64_t seen = 0;
   switch (op) {
     case Request::Op::kOpen: {
       QLEARN_ASSIGN_OR_RETURN(response->id,
-                              ToString(Find(body, "id", &seen), "id"));
+                              ToStringView(Find(body, "id", &seen), "id"));
       break;
     }
     case Request::Op::kAsk: {
-      const Json* questions = Find(body, "questions", &seen);
-      if (questions == nullptr || questions->type != Json::Type::kArray) {
+      const View* questions = Find(body, "questions", &seen);
+      if (questions == nullptr || questions->type != Type::kArray) {
         return ShapeError("missing or non-array \"questions\"");
       }
-      for (const Json& question : questions->array) {
-        QLEARN_ASSIGN_OR_RETURN(QuestionPayload payload,
-                                service::wire::QuestionFromJson(question));
+      for (uint32_t i = 0; i < questions->element_count; ++i) {
+        QLEARN_ASSIGN_OR_RETURN(
+            QuestionPayload payload,
+            service::wire::QuestionFromJson(questions->elements[i]));
         response->questions.push_back(std::move(payload));
       }
       break;
@@ -348,18 +316,20 @@ Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
     case Request::Op::kTell:
       break;  // empty body
     case Request::Op::kOracle: {
-      QLEARN_ASSIGN_OR_RETURN(response->labels,
-                              LabelsFromJson(Find(body, "labels", &seen),
-                                             "labels"));
+      const View* labels = Find(body, "labels", &seen);
+      QLEARN_RETURN_IF_ERROR(CheckLabels(labels));
+      for (uint32_t i = 0; i < labels->element_count; ++i) {
+        response->labels.push_back(labels->elements[i].bool_value);
+      }
       break;
     }
     case Request::Op::kStatus: {
       QLEARN_ASSIGN_OR_RETURN(response->session.id,
-                              ToString(Find(body, "id", &seen), "id"));
+                              ToStringView(Find(body, "id", &seen), "id"));
       QLEARN_ASSIGN_OR_RETURN(
           response->session.scenario,
-          ToString(Find(body, "scenario", &seen), "scenario"));
-      const Json* stats = Find(body, "stats", &seen);
+          ToStringView(Find(body, "scenario", &seen), "scenario"));
+      const View* stats = Find(body, "stats", &seen);
       if (stats == nullptr) return ShapeError("missing \"stats\"");
       QLEARN_ASSIGN_OR_RETURN(response->session.stats,
                               service::wire::StatsFromJson(*stats));
@@ -371,15 +341,15 @@ Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
                                      "budget_exhausted"));
       QLEARN_ASSIGN_OR_RETURN(
           response->session.hypothesis,
-          ToString(Find(body, "hypothesis", &seen), "hypothesis"));
+          ToStringView(Find(body, "hypothesis", &seen), "hypothesis"));
       break;
     }
     case Request::Op::kClose: {
-      const Json* hypothesis = Find(body, "hypothesis", &seen);
+      const View* hypothesis = Find(body, "hypothesis", &seen);
       if (hypothesis == nullptr) return ShapeError("missing \"hypothesis\"");
       QLEARN_ASSIGN_OR_RETURN(response->hypothesis,
                               service::wire::HypothesisFromJson(*hypothesis));
-      const Json* stats = Find(body, "stats", &seen);
+      const View* stats = Find(body, "stats", &seen);
       if (stats == nullptr) return ShapeError("missing \"stats\"");
       QLEARN_ASSIGN_OR_RETURN(response->stats,
                               service::wire::StatsFromJson(*stats));
@@ -427,11 +397,11 @@ Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
       QLEARN_ASSIGN_OR_RETURN(
           response->parked_sessions,
           ToUInt(Find(body, "parked_sessions", &seen), "parked_sessions"));
-      const Json* latency = Find(body, "latency_us", &seen);
-      if (latency == nullptr || latency->type != Json::Type::kObject) {
+      const View* latency = Find(body, "latency_us", &seen);
+      if (latency == nullptr || latency->type != Type::kObject) {
         return ShapeError("missing or non-object \"latency_us\"");
       }
-      std::vector<bool> latency_seen(latency->object.size(), false);
+      uint64_t latency_seen = 0;
       QLEARN_RETURN_IF_ERROR(LatencyFromJson(
           Find(*latency, "open", &latency_seen), "open", &c.open_latency_us));
       QLEARN_RETURN_IF_ERROR(LatencyFromJson(
@@ -452,25 +422,26 @@ Status ParseOkBody(Request::Op op, const Json& body, Response* response) {
       break;
     }
     case Request::Op::kSessions: {
-      const Json* ids = Find(body, "ids", &seen);
-      if (ids == nullptr || ids->type != Json::Type::kArray) {
+      const View* ids = Find(body, "ids", &seen);
+      if (ids == nullptr || ids->type != Type::kArray) {
         return ShapeError("missing or non-array \"ids\"");
       }
-      for (const Json& id : ids->array) {
-        if (id.type != Json::Type::kString) {
+      for (uint32_t i = 0; i < ids->element_count; ++i) {
+        if (ids->elements[i].type != Type::kString) {
           return ShapeError("non-string entry in \"ids\"");
         }
-        response->session_ids.push_back(id.string_value);
+        response->session_ids.emplace_back(ids->elements[i].string_value);
       }
       break;
     }
     case Request::Op::kExport: {
       QLEARN_ASSIGN_OR_RETURN(
           response->scenario,
-          ToString(Find(body, "scenario", &seen), "scenario"));
-      QLEARN_ASSIGN_OR_RETURN(const std::string hex,
-                              ToString(Find(body, "image", &seen), "image"));
-      QLEARN_ASSIGN_OR_RETURN(response->image, HexDecode(hex, "image"));
+          ToStringView(Find(body, "scenario", &seen), "scenario"));
+      QLEARN_ASSIGN_OR_RETURN(
+          const std::string_view hex,
+          ToStringView(Find(body, "image", &seen), "image"));
+      QLEARN_ASSIGN_OR_RETURN(response->image, HexDecodeIntoArena(hex, arena));
       break;
     }
     case Request::Op::kImport:
@@ -533,235 +504,60 @@ std::string Serialize(const Request& request) {
   return out;
 }
 
-common::Result<Request> ParseRequest(const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(const Json value, service::json::Parse(text));
-  if (value.type != Json::Type::kObject) {
-    return ShapeError("request must be an object");
-  }
-  std::vector<bool> seen(value.object.size(), false);
-  QLEARN_ASSIGN_OR_RETURN(const std::string op,
-                          ToString(Find(value, "op", &seen), "op"));
-  Request request;
-  if (op == "open") {
-    request.op = Request::Op::kOpen;
-    QLEARN_ASSIGN_OR_RETURN(
-        request.scenario, ToString(Find(value, "scenario", &seen), "scenario"));
-    QLEARN_RETURN_IF_ERROR(OptionalUInt(value, "seed", &seen, &request.seed));
-    QLEARN_RETURN_IF_ERROR(
-        OptionalUInt(value, "max_questions", &seen, &request.max_questions));
-    QLEARN_RETURN_IF_ERROR(
-        OptionalUInt(value, "max_pending", &seen, &request.max_pending));
-    QLEARN_RETURN_IF_ERROR(OptionalUInt(value, "max_wall_micros", &seen,
-                                        &request.max_wall_micros));
-    const Json* id = Find(value, "id", &seen);
-    if (id != nullptr) {
-      QLEARN_ASSIGN_OR_RETURN(request.id, ToString(id, "id"));
-    }
-  } else if (op == "ask") {
-    request.op = Request::Op::kAsk;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-    QLEARN_ASSIGN_OR_RETURN(request.k, ToUInt(Find(value, "k", &seen), "k"));
-  } else if (op == "tell") {
-    request.op = Request::Op::kTell;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-    QLEARN_ASSIGN_OR_RETURN(
-        request.labels, LabelsFromJson(Find(value, "labels", &seen),
-                                       "labels"));
-  } else if (op == "oracle" || op == "status" || op == "close" ||
-             op == "export") {
-    request.op = op == "oracle"   ? Request::Op::kOracle
-                 : op == "status" ? Request::Op::kStatus
-                 : op == "close"  ? Request::Op::kClose
-                                  : Request::Op::kExport;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-  } else if (op == "import") {
-    request.op = Request::Op::kImport;
-    QLEARN_ASSIGN_OR_RETURN(request.id,
-                            ToString(Find(value, "id", &seen), "id"));
-    QLEARN_ASSIGN_OR_RETURN(
-        request.scenario, ToString(Find(value, "scenario", &seen), "scenario"));
-    QLEARN_ASSIGN_OR_RETURN(const std::string hex,
-                            ToString(Find(value, "image", &seen), "image"));
-    QLEARN_ASSIGN_OR_RETURN(request.image, HexDecode(hex, "image"));
-  } else if (op == "counters") {
-    request.op = Request::Op::kCounters;
-  } else if (op == "sessions") {
-    request.op = Request::Op::kSessions;
-  } else {
-    return ShapeError("unknown op \"" + op + "\"");
-  }
-  QLEARN_RETURN_IF_ERROR(
-      CheckAllKeysKnown(value, seen, "\"" + op + "\" request"));
-  return request;
-}
-
 std::string SerializeError(const common::Status& status) {
   std::string out;
   AppendErrorFrame(status, &out);
   return out;
 }
 
-common::Result<Response> ParseResponse(Request::Op op,
-                                       const std::string& text) {
-  QLEARN_ASSIGN_OR_RETURN(const Json value, service::json::Parse(text));
-  if (value.type != Json::Type::kObject || value.object.size() != 1) {
+common::Result<Response> ParseResponse(Request::Op op, std::string_view text) {
+  service::json::Arena arena;
+  QLEARN_ASSIGN_OR_RETURN(const View* value,
+                          service::json::ParseInto(text, &arena));
+  if (value->type != Type::kObject || value->member_count != 1) {
     return ShapeError("response must be an object with one key");
   }
-  const auto& [tag, body] = value.object[0];
+  const std::string_view tag = value->members[0].key;
+  const View& body = value->members[0].value;
   Response response;
   if (tag == "error") {
-    if (body.type != Json::Type::kObject) {
+    if (body.type != Type::kObject) {
       return ShapeError("\"error\" body must be an object");
     }
-    std::vector<bool> seen(body.object.size(), false);
-    QLEARN_ASSIGN_OR_RETURN(const std::string code_name,
-                            ToString(Find(body, "code", &seen), "code"));
-    QLEARN_ASSIGN_OR_RETURN(const std::string message,
-                            ToString(Find(body, "message", &seen), "message"));
+    uint64_t seen = 0;
+    QLEARN_ASSIGN_OR_RETURN(const std::string_view code_view,
+                            ToStringView(Find(body, "code", &seen), "code"));
+    const std::string code_name(code_view);
+    QLEARN_ASSIGN_OR_RETURN(
+        const std::string_view message,
+        ToStringView(Find(body, "message", &seen), "message"));
     QLEARN_RETURN_IF_ERROR(CheckAllKeysKnown(body, seen, "error body"));
     common::StatusCode code;
     if (!common::StatusCodeFromName(code_name, &code) ||
         code == common::StatusCode::kOk) {
       return ShapeError("unknown error code \"" + code_name + "\"");
     }
-    response.status = common::Status(code, message);
+    response.status = common::Status(code, std::string(message));
     return response;
   }
   if (tag != "ok") {
-    return ShapeError("expected \"ok\" or \"error\", got \"" + tag + "\"");
+    return ShapeError("expected \"ok\" or \"error\", got \"" +
+                      std::string(tag) + "\"");
   }
-  QLEARN_RETURN_IF_ERROR(ParseOkBody(op, body, &response));
+  QLEARN_RETURN_IF_ERROR(ParseOkBody(op, body, &arena, &response));
   return response;
-}
-
-std::string HandleFrame(service::SessionService* service,
-                        const std::string& request_json) {
-  std::string out;
-  auto request_or = ParseRequest(request_json);
-  if (!request_or.ok()) {
-    AppendErrorFrame(request_or.status(), &out);
-    return out;
-  }
-  const Request& request = request_or.value();
-  switch (request.op) {
-    case Request::Op::kOpen: {
-      service::OpenOptions options;
-      options.seed = request.seed;
-      options.budget.max_questions = request.max_questions;
-      options.budget.max_pending =
-          static_cast<size_t>(request.max_pending);
-      options.budget.max_wall_seconds =
-          static_cast<double>(request.max_wall_micros) / 1e6;
-      options.id = request.id;
-      auto id = service->Open(request.scenario, options);
-      if (!id.ok()) {
-        AppendErrorFrame(id.status(), &out);
-      } else {
-        AppendOkOpen(id.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kAsk: {
-      auto questions = service->Ask(request.id,
-                                    static_cast<size_t>(request.k));
-      if (!questions.ok()) {
-        AppendErrorFrame(questions.status(), &out);
-      } else {
-        AppendOkAsk(questions.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kTell: {
-      const common::Status status = service->Tell(request.id, request.labels);
-      if (!status.ok()) {
-        AppendErrorFrame(status, &out);
-      } else {
-        AppendOkTell(&out);
-      }
-      return out;
-    }
-    case Request::Op::kOracle: {
-      auto labels = service->OracleLabels(request.id);
-      if (!labels.ok()) {
-        AppendErrorFrame(labels.status(), &out);
-      } else {
-        AppendOkOracle(labels.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kStatus: {
-      auto status = service->Status(request.id);
-      if (!status.ok()) {
-        AppendErrorFrame(status.status(), &out);
-      } else {
-        AppendOkStatus(status.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kClose: {
-      auto closed = service->Close(request.id);
-      if (!closed.ok()) {
-        AppendErrorFrame(closed.status(), &out);
-      } else {
-        AppendOkClose(closed.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kCounters:
-      AppendOkCounters(service->Counters(), service->OpenCount(),
-                       service->ResidentCount(), service->ParkedCount(),
-                       &out);
-      return out;
-    case Request::Op::kSessions:
-      AppendOkSessions(service->ListOpen(), &out);
-      return out;
-    case Request::Op::kExport: {
-      auto exported = service->ExportSession(request.id);
-      if (!exported.ok()) {
-        AppendErrorFrame(exported.status(), &out);
-      } else {
-        AppendOkExport(exported.value(), &out);
-      }
-      return out;
-    }
-    case Request::Op::kImport: {
-      const common::Status status =
-          service->ImportSession(request.id, request.scenario, request.image);
-      if (!status.ok()) {
-        AppendErrorFrame(status, &out);
-      } else {
-        AppendOkTell(&out);  // {"ok":{}}
-      }
-      return out;
-    }
-  }
-  AppendErrorFrame(common::Status::Internal("unhandled op in HandleFrame"),
-                   &out);
-  return out;
 }
 
 common::Result<RequestView> ParseRequestView(std::string_view text,
                                              service::json::Arena* arena) {
-  using service::json::CheckAllKeysKnown;
-  using service::json::Find;
-  using service::json::ToStringView;
-  using service::json::ToUInt;
-  using View = service::json::View;
-
   QLEARN_ASSIGN_OR_RETURN(const View* value,
                           service::json::ParseInto(text, arena));
-  if (value->type != Json::Type::kObject) {
+  if (value->type != Type::kObject) {
     return ShapeError("request must be an object");
   }
   uint64_t seen = 0;
   QLEARN_ASSIGN_OR_RETURN(const std::string_view op,
                           ToStringView(Find(*value, "op", &seen), "op"));
-  // Mirrors ParseRequest clause for clause — same accepted shapes, same
-  // error messages (the arena-vs-heap parity property test holds both
-  // parsers to that).
   RequestView request;
   if (op == "open") {
     request.op = Request::Op::kOpen;
@@ -795,15 +591,10 @@ common::Result<RequestView> ParseRequestView(std::string_view text,
     QLEARN_ASSIGN_OR_RETURN(request.id,
                             ToStringView(Find(*value, "id", &seen), "id"));
     const View* labels = Find(*value, "labels", &seen);
-    if (labels == nullptr || labels->type != Json::Type::kArray) {
-      return ShapeError("missing or non-array \"labels\"");
-    }
+    QLEARN_RETURN_IF_ERROR(CheckLabels(labels));
     bool* decoded = static_cast<bool*>(
         arena->Allocate(labels->element_count * sizeof(bool), alignof(bool)));
     for (uint32_t i = 0; i < labels->element_count; ++i) {
-      if (labels->elements[i].type != Json::Type::kBool) {
-        return ShapeError("non-boolean entry in \"labels\"");
-      }
       decoded[i] = labels->elements[i].bool_value;
     }
     request.labels = decoded;
@@ -826,8 +617,7 @@ common::Result<RequestView> ParseRequestView(std::string_view text,
     QLEARN_ASSIGN_OR_RETURN(
         const std::string_view hex,
         ToStringView(Find(*value, "image", &seen), "image"));
-    QLEARN_ASSIGN_OR_RETURN(request.image,
-                            HexDecodeIntoArena(hex, "image", arena));
+    QLEARN_ASSIGN_OR_RETURN(request.image, HexDecodeIntoArena(hex, arena));
   } else if (op == "counters") {
     request.op = Request::Op::kCounters;
   } else if (op == "sessions") {
@@ -946,11 +736,9 @@ void HandleFrameInto(service::SessionService* service,
 
 common::Result<RequestPeek> PeekRequest(std::string_view frame,
                                         service::json::Arena* arena) {
-  using service::json::ToStringView;
-  using View = service::json::View;
   QLEARN_ASSIGN_OR_RETURN(const View* value,
                           service::json::ParseInto(frame, arena));
-  if (value->type != Json::Type::kObject) {
+  if (value->type != Type::kObject) {
     return ShapeError("request must be an object");
   }
   uint64_t seen = 0;

@@ -35,6 +35,10 @@
 // hypotheses, and stats reuse the wire-format serializations byte-for-byte
 // (service/wire.h), which is what lets a load generator compare served
 // responses against golden transcripts by byte equality.
+//
+// Every frame — request, response, peek — is decoded by the one arena
+// parser (service/json.h ParseInto); the server's dispatch is
+// HandleFrameInto, writing each response into a caller-owned buffer.
 #ifndef QLEARN_NET_PROTOCOL_H_
 #define QLEARN_NET_PROTOCOL_H_
 
@@ -117,32 +121,15 @@ struct Response {
 /// Canonical serialization of a request (fixed key order, no whitespace).
 std::string Serialize(const Request& request);
 
-/// Strict parse of a request frame; unknown ops, unknown keys, and
-/// shape violations are ParseError.
-common::Result<Request> ParseRequest(const std::string& text);
-
 /// The error-frame payload for a failed operation.
 std::string SerializeError(const common::Status& status);
 
 /// Parses a response frame for the given op. A Result error means the
 /// frame itself was malformed; a parsed Response with !status.ok() means
 /// the server reported a structured error.
-common::Result<Response> ParseResponse(Request::Op op,
-                                       const std::string& text);
+common::Result<Response> ParseResponse(Request::Op op, std::string_view text);
 
-/// Executes one request frame against `service` and returns the response
-/// frame payload. Malformed request JSON yields an error frame (never
-/// throws, never asserts) — this is the whole server-side dispatch, kept
-/// transport-free so tests can drive it without sockets.
-///
-/// This is the heap reference path; the server's reactors run
-/// HandleFrameInto below, which produces byte-identical frames (pinned by
-/// tests/wire_property_test.cc and the golden replay) without the per-node
-/// tree or per-frame result strings.
-std::string HandleFrame(service::SessionService* service,
-                        const std::string& request_json);
-
-/// Arena-mode decoded request: field strings are views into the frame
+/// Decoded request: field strings are views into the frame
 /// buffer (or the arena), labels are an arena-allocated span. Valid while
 /// both the frame bytes and the arena live.
 struct RequestView {
@@ -171,16 +158,18 @@ struct RequestView {
   std::string_view image;
 };
 
-/// Strict parse of a request frame into arena storage: accepts and rejects
-/// exactly what ParseRequest does, with the same error messages. With a
-/// recycled arena a steady-state parse performs zero heap allocations.
+/// Strict parse of a request frame into arena storage; unknown ops,
+/// unknown keys, and shape violations are ParseError. With a recycled arena
+/// a steady-state parse performs zero heap allocations.
 common::Result<RequestView> ParseRequestView(std::string_view text,
                                              service::json::Arena* arena);
 
-/// Arena-mode HandleFrame: parses via `arena` (caller Resets it between
-/// frames) and appends the response frame to `*out` (a recycled buffer the
-/// caller owns). The appended bytes are exactly what HandleFrame returns
-/// for the same input — this is the request hot path of net::Server.
+/// Executes one request frame against `service`: parses via `arena`
+/// (caller Resets it between frames) and appends the response frame to
+/// `*out` (a recycled buffer the caller owns). Malformed request JSON
+/// yields an error frame (never throws, never asserts). This is the whole
+/// server-side dispatch, kept transport-free so tests can drive it without
+/// sockets, and the request hot path of net::Server.
 void HandleFrameInto(service::SessionService* service,
                      std::string_view request_json,
                      service::json::Arena* arena, std::string* out);

@@ -160,12 +160,8 @@ class ChainEngine {
   /// SelectQuestion for the two-phase hunting/splitting semantics.
   using SplitScore = std::pair<long, long>;
   using FrontierT = session::Frontier<ChainExample, SplitScore>;
-  /// Delta queue only (the witness-bucket half of PropagationIndex is
-  /// superseded by plane sweeps): queued payloads are the new negatives'
-  /// per-edge agreement vectors.
-  using PropagationT =
-      session::PropagationIndex<ChainMask, std::vector<PairMask>,
-                                session::MaskVectorHash>;
+  /// Queued payloads are the new negatives' per-edge agreement vectors.
+  using PropagationT = session::PropagationIndex<std::vector<PairMask>>;
 
   std::optional<size_t> IndexOf(const Item& item) const;
 

@@ -156,10 +156,8 @@ class JoinEngine {
 
  private:
   using FrontierT = session::Frontier<PairExample, long>;
-  /// Delta queue only (the witness-bucket half of PropagationIndex is
-  /// superseded by plane sweeps): queued payloads are the new negatives'
-  /// agreement masks.
-  using PropagationT = session::PropagationIndex<PairMask, PairMask>;
+  /// Queued payloads are the new negatives' agreement masks.
+  using PropagationT = session::PropagationIndex<PairMask>;
 
   size_t IndexOf(const Item& item) const;
 

@@ -13,210 +13,16 @@ namespace {
 using common::Result;
 using common::Status;
 
+/// RFC 8259 §7: bytes below 0x20 must be escaped inside a string.
+bool IsControl(char c) { return static_cast<unsigned char>(c) < 0x20; }
+
+/// Builds View nodes in the caller's arena and leaves string bytes in place
+/// (string_views into `text_`) unless an escape forces a decoded copy into
+/// the arena. Error messages carry the byte offset the parse stopped at;
+/// they reach clients verbatim in error frames.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  Result<Value> ParseDocument() {
-    QLEARN_ASSIGN_OR_RETURN(Value value, ParseValue());
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON value");
-    }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    return Status::ParseError("json: " + message + " at offset " +
-                              std::to_string(pos_));
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<Value> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f') return ParseBool();
-    if (c >= '0' && c <= '9') return ParseUInt();
-    return Error(std::string("unexpected character '") + c + "'");
-  }
-
-  Result<Value> ParseObject() {
-    ++pos_;  // '{'
-    Value value;
-    value.type = Value::Type::kObject;
-    SkipWhitespace();
-    if (Consume('}')) return value;
-    for (;;) {
-      SkipWhitespace();
-      QLEARN_ASSIGN_OR_RETURN(Value key, ParseString());
-      for (const auto& [existing, unused] : value.object) {
-        if (existing == key.string_value) {
-          return Error("duplicate key \"" + key.string_value + "\"");
-        }
-      }
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' after object key");
-      QLEARN_ASSIGN_OR_RETURN(Value member, ParseValue());
-      value.object.emplace_back(std::move(key.string_value),
-                                std::move(member));
-      SkipWhitespace();
-      if (Consume('}')) return value;
-      if (!Consume(',')) return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Result<Value> ParseArray() {
-    ++pos_;  // '['
-    Value value;
-    value.type = Value::Type::kArray;
-    SkipWhitespace();
-    if (Consume(']')) return value;
-    for (;;) {
-      QLEARN_ASSIGN_OR_RETURN(Value element, ParseValue());
-      value.array.push_back(std::move(element));
-      SkipWhitespace();
-      if (Consume(']')) return value;
-      if (!Consume(',')) return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Result<Value> ParseString() {
-    if (!Consume('"')) return Error("expected '\"'");
-    Value value;
-    value.type = Value::Type::kString;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c != '\\') {
-        value.string_value.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Error("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          value.string_value.push_back('"');
-          break;
-        case '\\':
-          value.string_value.push_back('\\');
-          break;
-        case '/':
-          value.string_value.push_back('/');
-          break;
-        case 'b':
-          value.string_value.push_back('\b');
-          break;
-        case 'f':
-          value.string_value.push_back('\f');
-          break;
-        case 'n':
-          value.string_value.push_back('\n');
-          break;
-        case 'r':
-          value.string_value.push_back('\r');
-          break;
-        case 't':
-          value.string_value.push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a') + 10;
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A') + 10;
-            } else {
-              return Error("invalid \\u escape digit");
-            }
-          }
-          // The canonical writers only \u-escape control characters;
-          // non-ASCII passes through as raw UTF-8 bytes.
-          if (code >= 0x80) return Error("\\u escape above 0x7f unsupported");
-          value.string_value.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return Error("invalid escape");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<Value> ParseBool() {
-    Value value;
-    value.type = Value::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.bool_value = true;
-      pos_ += 4;
-      return value;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      value.bool_value = false;
-      pos_ += 5;
-      return value;
-    }
-    return Error("expected 'true' or 'false'");
-  }
-
-  Result<Value> ParseUInt() {
-    Value value;
-    value.type = Value::Type::kUInt;
-    const size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      const unsigned digit = static_cast<unsigned>(text_[pos_] - '0');
-      if (value.uint_value > (UINT64_MAX - digit) / 10) {
-        return Error("integer overflow");
-      }
-      value.uint_value = value.uint_value * 10 + digit;
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected digits");
-    if (text_[start] == '0' && pos_ - start > 1) {
-      return Error("leading zero in integer");
-    }
-    return value;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Arena-mode parser. Mirrors Parser exactly — same grammar, same error
-// messages, same offsets — but builds View nodes in the caller's arena and
-// leaves string bytes in place (string_views into `text_`) unless an escape
-// forces a decoded copy into the arena. tests/wire_property_test.cc drives
-// the two parsers in lockstep over random and malformed inputs to keep the
-// mirror honest.
-class ArenaParser {
- public:
-  ArenaParser(std::string_view text, Arena* arena)
-      : text_(text), arena_(arena) {}
+  Parser(std::string_view text, Arena* arena) : text_(text), arena_(arena) {}
 
   Result<const View*> ParseDocument() {
     View* root = NewView();
@@ -280,7 +86,7 @@ class ArenaParser {
 
   Status ParseObject(View* out) {
     ++pos_;  // '{'
-    out->type = Value::Type::kObject;
+    out->type = Type::kObject;
     SkipWhitespace();
     if (Consume('}')) return Status::OK();
     Link* head = nullptr;
@@ -326,7 +132,7 @@ class ArenaParser {
 
   Status ParseArray(View* out) {
     ++pos_;  // '['
-    out->type = Value::Type::kArray;
+    out->type = Type::kArray;
     SkipWhitespace();
     if (Consume(']')) return Status::OK();
     Link* head = nullptr;
@@ -359,13 +165,13 @@ class ArenaParser {
 
   Status ParseString(View* out) {
     if (!Consume('"')) return Error("expected '\"'");
-    out->type = Value::Type::kString;
-    // Fast path: no escapes before the closing quote means the leaf can be
-    // a view straight into the input bytes, no copy.
+    out->type = Type::kString;
+    // Fast path: no escape or control character before the closing quote
+    // means the leaf can be a view straight into the input bytes, no copy.
     const size_t start = pos_;
     size_t scan = start;
     while (scan < text_.size() && text_[scan] != '"' &&
-           text_[scan] != '\\') {
+           text_[scan] != '\\' && !IsControl(text_[scan])) {
       ++scan;
     }
     if (scan < text_.size() && text_[scan] == '"') {
@@ -374,7 +180,7 @@ class ArenaParser {
       return Status::OK();
     }
     // Slow path: find the real end (escape-aware) to bound the decoded
-    // length, then decode into the arena with the heap parser's exact loop.
+    // length, then decode into the arena.
     size_t end = scan;
     while (end < text_.size() && text_[end] != '"') {
       end += text_[end] == '\\' ? 2 : 1;
@@ -384,6 +190,9 @@ class ArenaParser {
         static_cast<char*>(arena_->Allocate(bound, alignof(char)));
     size_t length = 0;
     while (pos_ < text_.size()) {
+      if (IsControl(text_[pos_])) {
+        return Error("unescaped control character in string");
+      }
       const char c = text_[pos_++];
       if (c == '"') {
         out->string_value = std::string_view(decoded, length);
@@ -450,7 +259,7 @@ class ArenaParser {
   }
 
   Status ParseBool(View* out) {
-    out->type = Value::Type::kBool;
+    out->type = Type::kBool;
     if (text_.compare(pos_, 4, "true") == 0) {
       out->bool_value = true;
       pos_ += 4;
@@ -465,7 +274,7 @@ class ArenaParser {
   }
 
   Status ParseUInt(View* out) {
-    out->type = Value::Type::kUInt;
+    out->type = Type::kUInt;
     const size_t start = pos_;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       const unsigned digit = static_cast<unsigned>(text_[pos_] - '0');
@@ -488,10 +297,6 @@ class ArenaParser {
 };
 
 }  // namespace
-
-common::Result<Value> Parse(const std::string& text) {
-  return Parser(text).ParseDocument();
-}
 
 Arena::Arena(size_t slab_bytes) : slab_bytes_(slab_bytes) {}
 
@@ -536,7 +341,7 @@ size_t Arena::CapacityBytes() const {
 }
 
 common::Result<const View*> ParseInto(std::string_view text, Arena* arena) {
-  return ArenaParser(text, arena).ParseDocument();
+  return Parser(text, arena).ParseDocument();
 }
 
 void AppendUInt(uint64_t value, std::string* out) {
@@ -547,16 +352,16 @@ void AppendUInt(uint64_t value, std::string* out) {
 
 void AppendView(const View& value, std::string* out) {
   switch (value.type) {
-    case Value::Type::kBool:
+    case Type::kBool:
       *out += value.bool_value ? "true" : "false";
       break;
-    case Value::Type::kUInt:
+    case Type::kUInt:
       AppendUInt(value.uint_value, out);
       break;
-    case Value::Type::kString:
+    case Type::kString:
       AppendEscaped(value.string_value, out);
       break;
-    case Value::Type::kArray:
+    case Type::kArray:
       out->push_back('[');
       for (uint32_t i = 0; i < value.element_count; ++i) {
         if (i > 0) out->push_back(',');
@@ -564,7 +369,7 @@ void AppendView(const View& value, std::string* out) {
       }
       out->push_back(']');
       break;
-    case Value::Type::kObject:
+    case Type::kObject:
       out->push_back('{');
       for (uint32_t i = 0; i < value.member_count; ++i) {
         if (i > 0) out->push_back(',');
@@ -603,7 +408,7 @@ void AppendEscaped(std::string_view text, std::string* out) {
         *out += "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
+        if (IsControl(c)) {
           char buffer[8];
           std::snprintf(buffer, sizeof(buffer), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
@@ -623,55 +428,6 @@ void AppendUInts(const std::vector<uint64_t>& ids, std::string* out) {
     AppendUInt(ids[i], out);
   }
   out->push_back(']');
-}
-
-const Value* Find(const Value& object, const std::string& key,
-                  std::vector<bool>* seen) {
-  for (size_t i = 0; i < object.object.size(); ++i) {
-    if (object.object[i].first == key) {
-      (*seen)[i] = true;
-      return &object.object[i].second;
-    }
-  }
-  return nullptr;
-}
-
-common::Status CheckAllKeysKnown(const Value& object,
-                                 const std::vector<bool>& seen,
-                                 const std::string& what) {
-  for (size_t i = 0; i < seen.size(); ++i) {
-    if (!seen[i]) {
-      return common::Status::ParseError("json: unknown key \"" +
-                                        object.object[i].first + "\" in " +
-                                        what);
-    }
-  }
-  return common::Status::OK();
-}
-
-common::Result<std::string> ToString(const Value* value,
-                                     const std::string& what) {
-  if (value == nullptr || value->type != Value::Type::kString) {
-    return common::Status::ParseError("json: missing or non-string \"" +
-                                      what + "\"");
-  }
-  return value->string_value;
-}
-
-common::Result<uint64_t> ToUInt(const Value* value, const std::string& what) {
-  if (value == nullptr || value->type != Value::Type::kUInt) {
-    return common::Status::ParseError("json: missing or non-integer \"" +
-                                      what + "\"");
-  }
-  return value->uint_value;
-}
-
-common::Result<bool> ToBool(const Value* value, const std::string& what) {
-  if (value == nullptr || value->type != Value::Type::kBool) {
-    return common::Status::ParseError("json: missing or non-boolean \"" +
-                                      what + "\"");
-  }
-  return value->bool_value;
 }
 
 const View* Find(const View& object, std::string_view key, uint64_t* seen) {
@@ -703,7 +459,7 @@ common::Status CheckAllKeysKnown(const View& object, uint64_t seen,
 
 common::Result<std::string_view> ToStringView(const View* value,
                                               std::string_view what) {
-  if (value == nullptr || value->type != Value::Type::kString) {
+  if (value == nullptr || value->type != Type::kString) {
     return common::Status::ParseError("json: missing or non-string \"" +
                                       std::string(what) + "\"");
   }
@@ -711,7 +467,7 @@ common::Result<std::string_view> ToStringView(const View* value,
 }
 
 common::Result<uint64_t> ToUInt(const View* value, std::string_view what) {
-  if (value == nullptr || value->type != Value::Type::kUInt) {
+  if (value == nullptr || value->type != Type::kUInt) {
     return common::Status::ParseError("json: missing or non-integer \"" +
                                       std::string(what) + "\"");
   }
@@ -719,7 +475,7 @@ common::Result<uint64_t> ToUInt(const View* value, std::string_view what) {
 }
 
 common::Result<bool> ToBool(const View* value, std::string_view what) {
-  if (value == nullptr || value->type != Value::Type::kBool) {
+  if (value == nullptr || value->type != Type::kBool) {
     return common::Status::ParseError("json: missing or non-boolean \"" +
                                       std::string(what) + "\"");
   }

@@ -3,21 +3,19 @@
 //
 // The subset is deliberately small: objects, arrays, strings with escapes,
 // unsigned decimal integers, and booleans — exactly what the canonical
-// writers emit. Anything else (null, floats, negatives, duplicate keys)
-// is a ParseError, so every value that parses can be re-serialized
-// canonically and byte equality stays semantic equality.
+// writers emit. Anything else (null, floats, negatives, duplicate keys,
+// unescaped control characters inside strings) is a ParseError of the form
+// "json: <what> at offset <N>", so every value that parses can be
+// re-serialized canonically and byte equality stays semantic equality.
 //
-// Two parse modes share one grammar:
-//   Parse(text)            -> Value   heap tree (strings/vectors per node)
-//   ParseInto(text, arena) -> View*   arena-backed tree whose string leaves
-//                                     are string_views into `text` (or into
-//                                     the arena when unescaping was needed)
-// The View mode is the request hot path of the TCP front end: with a
-// recycled Arena a steady-state parse performs zero heap allocations. Both
-// modes accept and reject exactly the same inputs with identical error
-// messages (tests/wire_property_test.cc drives them in lockstep), and
-// AppendView(ParseInto(s)) == s for every canonical s, the same round-trip
-// guarantee the heap mode has.
+// There is one parser: ParseInto(text, arena) builds an arena-backed View
+// tree whose string leaves are string_views into `text` (or into the arena
+// when unescaping was needed). With a recycled Arena a steady-state parse
+// performs zero heap allocations — it is the request hot path of the TCP
+// front end; callers that need owning structs copy out of the View (the
+// wire and protocol decoders). AppendView(ParseInto(s)) == s for every
+// canonical s; tests/wire_property_test.cc pins that round trip and the
+// exact error strings.
 #ifndef QLEARN_SERVICE_JSON_H_
 #define QLEARN_SERVICE_JSON_H_
 
@@ -25,7 +23,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -34,21 +31,8 @@ namespace qlearn {
 namespace service {
 namespace json {
 
-/// A parsed JSON value of the canonical subset. Object members keep their
-/// source order so strict shape checks can name the offending key.
-struct Value {
-  enum class Type { kBool, kUInt, kString, kArray, kObject };
-  Type type = Type::kBool;
-  bool bool_value = false;
-  uint64_t uint_value = 0;
-  std::string string_value;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> object;
-};
-
-/// Parses one JSON document (the whole string; trailing bytes are an
-/// error). Rejects everything outside the canonical subset.
-common::Result<Value> Parse(const std::string& text);
+/// The value kinds of the canonical subset.
+enum class Type { kBool, kUInt, kString, kArray, kObject };
 
 /// Slab allocator backing one request-scoped parse tree. Reset() recycles
 /// every slab without freeing, so a long-lived Arena reaches a steady state
@@ -82,14 +66,15 @@ class Arena {
   size_t slab_bytes_;
 };
 
-/// An arena-backed parsed value: same subset as Value, but string leaves
-/// are views (into the parsed text, or into the arena when an escape made
-/// a copy unavoidable) and children live in arena-allocated spans. Views
-/// are valid while BOTH the arena and the parsed text outlive them.
+/// A parsed value: string leaves are views (into the parsed text, or into
+/// the arena when an escape made a copy unavoidable) and children live in
+/// arena-allocated spans; object members keep their source order so strict
+/// shape checks can name the offending key. Views are valid while BOTH the
+/// arena and the parsed text outlive them.
 struct View {
   struct Member;  // key/value pair of an object
 
-  Value::Type type = Value::Type::kBool;
+  Type type = Type::kBool;
   bool bool_value = false;
   uint64_t uint_value = 0;
   std::string_view string_value;
@@ -104,8 +89,8 @@ struct View::Member {
   View value;
 };
 
-/// Arena-mode Parse: one document, whole string, same strictness and the
-/// same error messages as Parse. The returned View tree lives in `arena`.
+/// Parses one JSON document (the whole string; trailing bytes are an
+/// error) into `arena`, rejecting everything outside the canonical subset.
 common::Result<const View*> ParseInto(std::string_view text, Arena* arena);
 
 /// Appends the canonical serialization of a parsed View. For any string s
@@ -124,22 +109,11 @@ void AppendUInts(const std::vector<uint64_t>& ids, std::string* out);
 /// this instead).
 void AppendUInt(uint64_t value, std::string* out);
 
-// Strict shape helpers for converting a parsed object into a struct: Find
-// checks looked-up keys off in `seen` (one bit per member) so
-// CheckAllKeysKnown can reject unknown keys afterwards.
-const Value* Find(const Value& object, const std::string& key,
-                  std::vector<bool>* seen);
-common::Status CheckAllKeysKnown(const Value& object,
-                                 const std::vector<bool>& seen,
-                                 const std::string& what);
-common::Result<std::string> ToString(const Value* value,
-                                     const std::string& what);
-common::Result<uint64_t> ToUInt(const Value* value, const std::string& what);
-common::Result<bool> ToBool(const Value* value, const std::string& what);
-
-// View-mode shape helpers, allocation-free on the happy path. The `seen`
-// bitmask replaces the vector<bool> (objects past 64 members are rejected
-// by CheckAllKeysKnown — far beyond any canonical message shape).
+// Strict shape helpers for converting a parsed object into a struct,
+// allocation-free on the happy path: Find checks looked-up keys off in the
+// `seen` bitmask (one bit per member) so CheckAllKeysKnown can reject
+// unknown keys afterwards. Objects past 64 members are rejected by
+// CheckAllKeysKnown — far beyond any canonical message shape.
 const View* Find(const View& object, std::string_view key, uint64_t* seen);
 common::Status CheckAllKeysKnown(const View& object, uint64_t seen,
                                  std::string_view what);

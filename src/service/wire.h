@@ -109,12 +109,12 @@ common::Result<TranscriptEvent> ParseEvent(const std::string& text);
 common::Result<std::vector<TranscriptEvent>> ParseTranscript(
     const std::string& text);
 
-// Conversions from parsed json::Values, for protocols that embed wire
+// Conversions from parsed json::Views, for protocols that embed wire
 // payloads inside larger messages (net/protocol.h). Shape-strict like the
 // string parsers above.
-common::Result<QuestionPayload> QuestionFromJson(const json::Value& value);
-common::Result<HypothesisPayload> HypothesisFromJson(const json::Value& value);
-common::Result<session::SessionStats> StatsFromJson(const json::Value& value);
+common::Result<QuestionPayload> QuestionFromJson(const json::View& value);
+common::Result<HypothesisPayload> HypothesisFromJson(const json::View& value);
+common::Result<session::SessionStats> StatsFromJson(const json::View& value);
 
 }  // namespace wire
 }  // namespace service

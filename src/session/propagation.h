@@ -12,17 +12,15 @@
 //   * a negative answer leaves the hypothesis untouched, so it can create
 //     no new forced positives; the only candidates it can force negative
 //     are those whose (memoized) extended selection witnesses the new
-//     negative. The inverted witness index below maps witness keys to the
-//     candidates they would convict — twig keys are document nodes (one
-//     entry per node of a candidate's memoized selected-set), join/chain
-//     keys are the effective agreement masks A = θ* ∧ agree the whole
-//     classification is a pure function of (one bucket per distinct mask,
-//     so a flush costs O(buckets), not O(candidates × negatives));
+//     negative. The engines find them with word-parallel plane sweeps over
+//     their session::CandidateStore: twig planes are the transposed
+//     selected-set rows (plane u = candidates whose extension selects node
+//     u), join/chain planes the transposed agreement bits, so a flush costs
+//     O(words) per queued negative, not O(candidates × negatives). The path
+//     engine runs one accept test of the new word per open candidate;
 //   * a positive answer may change the hypothesis; forced labels never
 //     revert (monotonicity), so the engine re-tests only still-settleable
-//     candidates in one full pass and the witness index is rebuilt lazily —
-//     the next negative delta (or greedy scoring, whichever comes first)
-//     demands the per-candidate memos it is built from.
+//     candidates in one full pass.
 //
 // Bit-identity contract: a flush must reach exactly the fixpoint the
 // historical full rescan reached — same forced sets, same stats totals, and
@@ -35,49 +33,25 @@
 #ifndef QLEARN_SESSION_PROPAGATION_H_
 #define QLEARN_SESSION_PROPAGATION_H_
 
-#include <algorithm>
-#include <cstddef>
-#include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace qlearn {
 namespace session {
 
-/// Hash for vector-valued witness keys (the chain engine's per-edge
-/// effective-mask vectors). Boost-style combine; quality only affects
-/// bucket-map performance, never behavior (forced sets are order-free).
-struct MaskVectorHash {
-  size_t operator()(const std::vector<uint64_t>& v) const noexcept {
-    size_t h = v.size();
-    for (uint64_t x : v) {
-      h ^= static_cast<size_t>(x) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-/// The shared delta-propagation bookkeeping one engine owns next to its
-/// Frontier.
+/// The per-answer delta queue one engine owns next to its Frontier.
 ///
-///   Key    what a witness bucket is keyed by (twig: document NodeId;
-///          join: effective PairMask; chain: per-edge mask vector).
 ///   Delta  what one queued negative answer carries into the flush (twig:
 ///          the negative node; join/chain: the negative's agreement
 ///          mask(s); path: the candidate index of the negative word).
 ///
 /// Lifecycle: engines RecordNegative/RecordHypothesisChange from their
 /// OnNegative/OnPositive hooks, then Propagate() either runs a full pass
-/// (baseline or hypothesis change; ends with MarkFullPassDone, which also
-/// invalidates the witness buckets) or drains TakeDeltas() against the
-/// witness index. Buckets are rebuilt lazily: only when a negative delta
-/// actually needs them (WitnessesValid/BeginWitnessRebuild/AddWitness).
-template <typename Key, typename Delta, typename KeyHash = std::hash<Key>>
+/// (baseline or hypothesis change; ends with MarkFullPassDone) or drains
+/// TakeDeltas() through its plane sweeps.
+template <typename Delta>
 class PropagationIndex {
  public:
-  // --- per-answer delta queue -------------------------------------------
-
   /// Queues one negative answer's payload for the next flush.
   void RecordNegative(Delta delta) { pending_.push_back(std::move(delta)); }
 
@@ -100,89 +74,18 @@ class PropagationIndex {
 
   /// A full pass just ran: the baseline is established, the dirty flag is
   /// spent, and queued deltas are subsumed (the pass classified against
-  /// every negative). Witness-bucket validity is the engine's call: a pass
-  /// that re-bucketed eagerly (join/chain) keeps them, one that defers the
-  /// rebuild (twig) calls InvalidateWitnesses so the next delta flush
-  /// rebuilds on demand.
+  /// every negative).
   void MarkFullPassDone() {
     baseline_done_ = true;
     hypothesis_dirty_ = false;
     pending_.clear();
   }
 
-  // --- inverted witness index -------------------------------------------
-
-  bool WitnessesValid() const { return witnesses_valid_; }
-
-  void InvalidateWitnesses() {
-    buckets_.clear();
-    witnesses_valid_ = false;
-  }
-
-  /// Starts a rebuild; the caller AddWitness-es every live candidate under
-  /// the current hypothesis.
-  void BeginWitnessRebuild() {
-    buckets_.clear();
-    witnesses_valid_ = true;
-  }
-
-  void AddWitness(const Key& key, size_t candidate) {
-    buckets_[key].push_back(candidate);
-  }
-
-  /// Visits the exact-key bucket (if any) and erases it: once a witness key
-  /// is convicted by a negative answer, every live member is forced and the
-  /// bucket is dead. `fn(members)` receives the member list.
-  template <typename Fn>
-  void ConsumeBucket(const Key& key, Fn&& fn) {
-    auto it = buckets_.find(key);
-    if (it == buckets_.end()) return;
-    fn(it->second);
-    buckets_.erase(it);
-  }
-
-  /// Scans every bucket; `fn(key, members)` returns true to erase the
-  /// bucket (all live members were just forced). Iteration order is
-  /// map-internal and deliberately unobservable: forced sets and stats
-  /// totals are order-free.
-  template <typename Fn>
-  void ForEachBucket(Fn&& fn) {
-    for (auto it = buckets_.begin(); it != buckets_.end();) {
-      if (fn(it->first, it->second)) {
-        it = buckets_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  /// Settled-candidate eviction: drops members failing `keep` from a
-  /// bucket in place. Engines call this while visiting a surviving bucket
-  /// so closed candidates do not accumulate between rebuilds.
-  template <typename KeepFn>
-  static void Evict(std::vector<size_t>* members, KeepFn&& keep) {
-    members->erase(
-        std::remove_if(members->begin(), members->end(),
-                       [&](size_t k) { return !keep(k); }),
-        members->end());
-  }
-
-  // Introspection for tests and diagnostics.
-  size_t NumBuckets() const { return buckets_.size(); }
-  const std::vector<size_t>* BucketForTest(const Key& key) const {
-    auto it = buckets_.find(key);
-    return it == buckets_.end() ? nullptr : &it->second;
-  }
-
  private:
-  // Delta queue. Epoch-free: the flags below are spent by the next flush.
+  // Epoch-free: the flags below are spent by the next flush.
   std::vector<Delta> pending_;
   bool baseline_done_ = false;
   bool hypothesis_dirty_ = false;
-
-  // Witness buckets; valid only for the hypothesis they were built under.
-  std::unordered_map<Key, std::vector<size_t>, KeyHash> buckets_;
-  bool witnesses_valid_ = false;
 };
 
 }  // namespace session

@@ -1,14 +1,17 @@
 // Regression tests for net::Client per-call deadlines: a server that
 // accepts but never answers must surface DeadlineExceeded in bounded time
 // instead of blocking forever, and an expired call must tear down the
-// connection (the framing state is unknowable mid-call).
+// connection (the framing state is unknowable mid-call). Also covers how
+// Client::Open carries a session's wall-clock budget over the wire.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "net/client.h"
@@ -124,6 +127,41 @@ TEST(NetClientDeadlineTest, DeadlineDoesNotFireAgainstAResponsiveServer) {
   ASSERT_TRUE(counters.ok()) << counters.status().ToString();
   EXPECT_EQ(counters.value().first.opens, 1u);
   ASSERT_TRUE(client.Close(id.value()).ok());
+}
+
+TEST(NetClientOpenTest, WallBudgetsSurviveTheMicrosecondWire) {
+  // The wire carries whole microseconds with 0 = unlimited. A positive
+  // sub-microsecond budget must still be enforced (not truncated to
+  // "unlimited"), and negative or infinite budgets must open cleanly as
+  // unlimited rather than hit an out-of-range cast.
+  service::SessionService service;
+  ServerOptions options;
+  options.workers = 0;
+  Server server(&service, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connected = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  Client client = std::move(connected).value();
+
+  const auto ask_after_2ms = [&](double max_wall_seconds) {
+    service::OpenOptions open;
+    open.budget.max_wall_seconds = max_wall_seconds;
+    auto id = client.Open("join", open);
+    EXPECT_TRUE(id.ok()) << max_wall_seconds << ": "
+                         << id.status().ToString();
+    if (!id.ok()) return StatusCode::kInternal;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto asked = client.Ask(id.value(), 1);
+    EXPECT_TRUE(client.Close(id.value()).ok());
+    return asked.ok() ? StatusCode::kOk : asked.status().code();
+  };
+  EXPECT_EQ(ask_after_2ms(5e-7), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ask_after_2ms(-1), StatusCode::kOk);
+  EXPECT_EQ(ask_after_2ms(std::numeric_limits<double>::infinity()),
+            StatusCode::kOk);
+  EXPECT_EQ(ask_after_2ms(std::numeric_limits<double>::quiet_NaN()),
+            StatusCode::kOk);
+  server.Stop();
 }
 
 TEST(NetClientDeadlineTest, ConnectToUnroutableAddressTimesOut) {

@@ -162,44 +162,149 @@ StatusCode ErrorCodeOf(const std::string& response_frame) {
   return parsed.value().status.code();
 }
 
+/// One request frame through the dispatcher, with a fresh arena.
+std::string Handle(service::SessionService* service,
+                   const std::string& request) {
+  service::json::Arena arena;
+  std::string response;
+  HandleFrameInto(service, request, &arena, &response);
+  return response;
+}
+
 TEST(ProtocolTest, MalformedJsonYieldsStructuredParseError) {
   service::SessionService service;
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(&service, "not json at all")),
+  EXPECT_EQ(ErrorCodeOf(Handle(&service, "not json at all")),
             StatusCode::kParseError);
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(&service, "{\"op\":\"ask\"")),
+  EXPECT_EQ(ErrorCodeOf(Handle(&service, "{\"op\":\"ask\"")),
             StatusCode::kParseError);
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(&service, "[1,2,3]")),
+  EXPECT_EQ(ErrorCodeOf(Handle(&service, "[1,2,3]")),
             StatusCode::kParseError);
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(&service, "{\"op\":\"warp\"}")),
+  EXPECT_EQ(ErrorCodeOf(Handle(&service, "{\"op\":\"warp\"}")),
             StatusCode::kParseError);
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(
-                &service, "{\"op\":\"counters\",\"bogus\":1}")),
+  EXPECT_EQ(ErrorCodeOf(Handle(&service, "{\"op\":\"counters\",\"bogus\":1}")),
             StatusCode::kParseError);
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(
-                &service, "{\"op\":\"ask\",\"id\":\"s-1\",\"k\":1}")),
-            StatusCode::kNotFound);
+  EXPECT_EQ(
+      ErrorCodeOf(Handle(&service, "{\"op\":\"ask\",\"id\":\"s-1\",\"k\":1}")),
+      StatusCode::kNotFound);
   EXPECT_EQ(service.Counters().errors, 1u);  // only the NotFound hit the
                                              // service; parse errors do not
 }
 
 TEST(ProtocolTest, RequestWithMoreKeysThanTheSeenMaskIsRejected) {
-  // 65 keys with "op" at index 64 — past the 64-bit seen mask both strict
-  // parsers use. The request must come back as a structured parse error
-  // (unknown keys) on the heap and the arena dispatch paths alike, with
-  // no out-of-range shift on the lookup.
+  // 65 keys with "op" at index 64 — past the 64-bit seen mask. The request
+  // must come back as a structured parse error (unknown keys) with no
+  // out-of-range shift on the lookup.
   service::SessionService service;
   std::string request = "{";
   for (int i = 0; i < 64; ++i) {
     request += "\"k" + std::to_string(i) + "\":1,";
   }
   request += "\"op\":\"counters\"}";
-  EXPECT_EQ(ErrorCodeOf(HandleFrame(&service, request)),
-            StatusCode::kParseError);
-  service::json::Arena arena;
-  std::string response;
-  HandleFrameInto(&service, request, &arena, &response);
-  EXPECT_EQ(ErrorCodeOf(response), StatusCode::kParseError);
-  EXPECT_EQ(response, HandleFrame(&service, request));
+  EXPECT_EQ(Handle(&service, request),
+            "{\"error\":{\"code\":\"ParseError\",\"message\":\"json: unknown "
+            "key \\\"k0\\\" in \\\"counters\\\" request\"}}");
+}
+
+TEST(ProtocolTest, RawControlCharacterInAStringIsAParseError) {
+  // RFC 8259 §7: a byte below 0x20 inside a string must be escaped. The
+  // id below is rejected before any session lookup (not NotFound).
+  service::SessionService service;
+  EXPECT_EQ(Handle(&service, "{\"op\":\"status\",\"id\":\"s-\x01\"}"),
+            "{\"error\":{\"code\":\"ParseError\",\"message\":\"json: "
+            "unescaped control character in string at offset 23\"}}");
+  EXPECT_EQ(service.Counters().errors, 0u);
+}
+
+/// ParseResponse's verdict on `frame` as Status::ToString ("OK" when the
+/// frame parsed, whatever status it carried).
+std::string ResponseVerdict(Request::Op op, const std::string& frame) {
+  auto parsed = ParseResponse(op, frame);
+  return parsed.ok() ? "OK" : parsed.status().ToString();
+}
+
+/// A well-formed counters ok frame from a fresh service.
+std::string CountersFrame() {
+  service::SessionService service;
+  return Handle(&service, "{\"op\":\"counters\"}");
+}
+
+/// `frame` with the first occurrence of `from` replaced by `to`.
+std::string Replace(std::string frame, const std::string& from,
+                    const std::string& to) {
+  const size_t at = frame.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " in " << frame;
+  return at == std::string::npos ? frame : frame.replace(at, from.size(), to);
+}
+
+TEST(ProtocolTest, ResponseRejectionMatrix) {
+  using Op = Request::Op;
+  EXPECT_EQ(ResponseVerdict(Op::kTell, "{\"ok\":{},\"error\":{}}"),
+            "ParseError: protocol: response must be an object with one key");
+  EXPECT_EQ(ResponseVerdict(Op::kTell, "{\"maybe\":{}}"),
+            "ParseError: protocol: expected \"ok\" or \"error\", got "
+            "\"maybe\"");
+  EXPECT_EQ(ResponseVerdict(
+                Op::kTell, "{\"error\":{\"code\":\"Bogus\",\"message\":\"x\"}}"),
+            "ParseError: protocol: unknown error code \"Bogus\"");
+  EXPECT_EQ(ResponseVerdict(
+                Op::kTell, "{\"error\":{\"code\":\"OK\",\"message\":\"x\"}}"),
+            "ParseError: protocol: unknown error code \"OK\"");
+  EXPECT_EQ(ResponseVerdict(Op::kTell, "{\"ok\":{\"extra\":1}}"),
+            "ParseError: json: unknown key \"extra\" in \"tell\" ok body");
+
+  // 65 members, the one known key ("id") last — past the 64-bit seen mask.
+  std::string wide = "{\"ok\":{";
+  for (int i = 0; i < 64; ++i) wide += "\"k" + std::to_string(i) + "\":1,";
+  wide += "\"id\":\"s-1\"}}";
+  EXPECT_EQ(ResponseVerdict(Op::kOpen, wide),
+            "ParseError: json: unknown key \"k0\" in \"open\" ok body");
+
+  const std::string counters = CountersFrame();
+  ASSERT_EQ(ResponseVerdict(Op::kCounters, counters), "OK") << counters;
+  std::string buckets = "[";
+  for (int i = 0; i < 29; ++i) buckets += i == 0 ? "1" : ",1";
+  buckets += "]";
+  EXPECT_EQ(ResponseVerdict(Op::kCounters,
+                            Replace(counters, "\"open\":[]",
+                                    "\"open\":" + buckets)),
+            "ParseError: protocol: \"open\" latency histogram has more than "
+            "28 buckets");
+  EXPECT_EQ(ResponseVerdict(Op::kCounters, Replace(counters, "\"ask\":[]",
+                                                   "\"ask\":[1,true]")),
+            "ParseError: protocol: non-integer bucket in \"ask\" latency "
+            "histogram");
+
+  EXPECT_EQ(ResponseVerdict(
+                Op::kExport,
+                "{\"ok\":{\"scenario\":\"join\",\"image\":\"abc\"}}"),
+            "ParseError: protocol: \"image\" hex has odd length 3");
+  EXPECT_EQ(ResponseVerdict(
+                Op::kExport, "{\"ok\":{\"scenario\":\"join\",\"image\":\"AB\"}}"),
+            "ParseError: protocol: \"image\" is not lowercase hex");
+  EXPECT_EQ(ResponseVerdict(Op::kSessions, "{\"ok\":{\"ids\":[\"s-1\",7]}}"),
+            "ParseError: protocol: non-string entry in \"ids\"");
+}
+
+TEST(ProtocolTest, MergeCountersFramesRejections) {
+  const std::string counters = CountersFrame();
+  const std::string error = SerializeError(Status::NotFound("gone"));
+  // An error frame among the inputs wins and comes back verbatim.
+  auto merged = MergeCountersFrames({counters, error, counters});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), error);
+  // A malformed input frame is a ParseError naming the defect.
+  merged = MergeCountersFrames({counters, "{\"ok\":{}"});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().ToString(),
+            "ParseError: json: expected ',' or '}' in object at offset 8");
+  merged = MergeCountersFrames({});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().ToString(),
+            "ParseError: protocol: counters merge needs at least one frame");
+  // Well-formed inputs sum.
+  merged = MergeCountersFrames({counters, counters});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), counters);  // a fresh service's counters are 0
 }
 
 TEST(ProtocolTest, ErrorFrameRoundTripsStatusCode) {

@@ -1,10 +1,9 @@
 // Delta-propagation layer tests (session/propagation.h and the four
 // engines' per-answer Propagate flushes):
-//   * PropagationIndex unit tests — delta queue, witness buckets
-//     (build, consume-on-conviction, settled-candidate eviction);
-//   * witness-index lifecycle on the engines — lazy build on the first
-//     negative delta, invalidation on hypothesis change, eager re-bucket
-//     for the mask-keyed engines;
+//   * PropagationIndex unit tests — the delta queue and full-pass flags;
+//   * witness-plane lifecycle on the engines — lazy twig build on the first
+//     negative delta, invalidation on hypothesis change, eager agreement
+//     planes for the mask-keyed engines;
 //   * the PathEngine conflict-check regression (a negative answer tests
 //     only the new word; only a hypothesis change sweeps all negatives),
 //     pinning conflict counts;
@@ -46,7 +45,7 @@ using session::PropagationIndex;
 // PropagationIndex unit tests.
 
 TEST(PropagationIndexTest, DeltaQueueLifecycle) {
-  PropagationIndex<uint64_t, uint64_t> index;
+  PropagationIndex<uint64_t> index;
   // Fresh index: the baseline full pass is owed.
   EXPECT_TRUE(index.NeedsFullPass());
   index.MarkFullPassDone();
@@ -66,60 +65,6 @@ TEST(PropagationIndexTest, DeltaQueueLifecycle) {
   index.MarkFullPassDone();  // full pass subsumes the queued negative
   EXPECT_FALSE(index.NeedsFullPass());
   EXPECT_FALSE(index.HasPendingDeltas());
-}
-
-TEST(PropagationIndexTest, WitnessBucketsBuildAndConsume) {
-  PropagationIndex<uint64_t, uint64_t> index;
-  EXPECT_FALSE(index.WitnessesValid());
-  index.BeginWitnessRebuild();
-  EXPECT_TRUE(index.WitnessesValid());
-  index.AddWitness(5, 100);
-  index.AddWitness(5, 101);
-  index.AddWitness(9, 100);
-  EXPECT_EQ(index.NumBuckets(), 2u);
-
-  std::vector<size_t> seen;
-  index.ConsumeBucket(5, [&](std::vector<size_t>& members) {
-    seen = members;
-  });
-  EXPECT_EQ(seen, (std::vector<size_t>{100, 101}));
-  // Consuming erases: a convicted witness key never fires again.
-  EXPECT_EQ(index.NumBuckets(), 1u);
-  EXPECT_EQ(index.BucketForTest(5), nullptr);
-  seen.clear();
-  index.ConsumeBucket(5, [&](std::vector<size_t>& members) {
-    seen = members;
-  });
-  EXPECT_TRUE(seen.empty());
-
-  index.InvalidateWitnesses();
-  EXPECT_FALSE(index.WitnessesValid());
-  EXPECT_EQ(index.NumBuckets(), 0u);
-}
-
-TEST(PropagationIndexTest, ForEachBucketErasesConvictedAndEvictsSettled) {
-  PropagationIndex<uint64_t, uint64_t> index;
-  index.BeginWitnessRebuild();
-  index.AddWitness(1, 10);
-  index.AddWitness(2, 20);
-  index.AddWitness(2, 21);
-  index.AddWitness(3, 30);
-
-  // Convict key 2; evict member 30 (pretend it settled) from key 3.
-  index.ForEachBucket([&](uint64_t key, std::vector<size_t>& members) {
-    if (key == 2) return true;  // erase whole bucket
-    if (key == 3) {
-      PropagationIndex<uint64_t, uint64_t>::Evict(
-          &members, [](size_t k) { return k != 30; });
-    }
-    return false;
-  });
-  EXPECT_EQ(index.NumBuckets(), 2u);
-  EXPECT_EQ(index.BucketForTest(2), nullptr);
-  ASSERT_NE(index.BucketForTest(3), nullptr);
-  EXPECT_TRUE(index.BucketForTest(3)->empty());  // settled member evicted
-  ASSERT_NE(index.BucketForTest(1), nullptr);
-  EXPECT_EQ(*index.BucketForTest(1), (std::vector<size_t>{10}));
 }
 
 // ---------------------------------------------------------------------------

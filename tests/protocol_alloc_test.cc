@@ -4,9 +4,7 @@
 // string_view session lookup, append-mode response writers into a recycled
 // buffer — must handle a steady-state request in a small fixed number of
 // heap allocations (the learner's answer itself may allocate a few
-// vectors; the protocol layer proper contributes none). The heap reference
-// path (HandleFrame) is measured alongside as a sanity anchor: the arena
-// path must allocate strictly less.
+// vectors; the protocol layer proper contributes none).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -35,9 +33,12 @@ uint64_t CountArenaFrame(service::SessionService* service,
 /// Extracts the session id from an {"ok":{"id":"..."}} open response.
 std::string OpenSession(service::SessionService* service,
                         const std::string& scenario) {
-  const std::string response = HandleFrame(
-      service, "{\"op\":\"open\",\"scenario\":\"" + scenario +
-                   "\",\"seed\":7}");
+  service::json::Arena arena;
+  std::string response;
+  HandleFrameInto(service,
+                  "{\"op\":\"open\",\"scenario\":\"" + scenario +
+                      "\",\"seed\":7}",
+                  &arena, &response);
   const std::string marker = "\"id\":\"";
   const size_t begin = response.find(marker);
   EXPECT_NE(begin, std::string::npos) << response;
@@ -61,7 +62,6 @@ TEST_F(ProtocolAllocTest, SteadyStateAskStaysWithinFixedBudget) {
   constexpr int kRounds = 16;
   constexpr uint64_t kAskBudget = 16;  // small fixed constant per request
   uint64_t worst_ask = 0;
-  uint64_t worst_heap_ask = 0;
   for (int round = 0; round < kRounds; ++round) {
     // "join" has 400 candidate pairs, so three k=1 asks per session never
     // exhaust it.
@@ -75,28 +75,20 @@ TEST_F(ProtocolAllocTest, SteadyStateAskStaysWithinFixedBudget) {
     ASSERT_EQ(out_.rfind("{\"ok\"", 0), 0u) << out_;
     CountArenaFrame(&service_, tell, &arena_, &out_);
     ASSERT_EQ(out_.rfind("{\"ok\"", 0), 0u) << out_;
-    // Measured round, arena path.
+    // Measured round.
     const uint64_t ask_allocs =
         CountArenaFrame(&service_, ask, &arena_, &out_);
     ASSERT_EQ(out_.rfind("{\"ok\"", 0), 0u) << out_;
     worst_ask = std::max(worst_ask, ask_allocs);
-    // Answer the served question (default budget allows one pending), then
-    // run the same request through the heap reference path for comparison.
+    // Answer the served question (default budget allows one pending).
     CountArenaFrame(&service_, tell, &arena_, &out_);
     ASSERT_EQ(out_.rfind("{\"ok\"", 0), 0u) << out_;
-    const uint64_t heap_before = common::AllocProbeNewCount();
-    const std::string heap_response = HandleFrame(&service_, ask);
-    worst_heap_ask =
-        std::max(worst_heap_ask, common::AllocProbeNewCount() - heap_before);
-    ASSERT_EQ(heap_response.rfind("{\"ok\"", 0), 0u) << heap_response;
-    HandleFrame(&service_, "{\"op\":\"close\",\"id\":\"" + id + "\"}");
+    CountArenaFrame(&service_, "{\"op\":\"close\",\"id\":\"" + id + "\"}",
+                    &arena_, &out_);
   }
   EXPECT_LE(worst_ask, kAskBudget)
       << "steady-state ask allocated " << worst_ask
       << " times (budget " << kAskBudget << ")";
-  EXPECT_LT(worst_ask, worst_heap_ask)
-      << "arena path (" << worst_ask
-      << " allocs) should beat the heap path (" << worst_heap_ask << ")";
 }
 
 TEST_F(ProtocolAllocTest, SteadyStateTellAndStatusAreNearZero) {
