@@ -127,9 +127,8 @@ uint64_t WallBudgetMicros(double seconds) {
 
 }  // namespace
 
-Result<Client> Client::Connect(const std::string& address, uint16_t port,
-                               size_t max_frame_bytes,
-                               int64_t deadline_millis) {
+Result<int> DialTcp(const std::string& address, uint16_t port,
+                    int64_t deadline_millis) {
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) {
@@ -165,11 +164,18 @@ Result<Client> Client::Connect(const std::string& address, uint16_t port,
   if (rc != 0) {
     const std::string error = std::strerror(errno);
     ::close(fd);
-    return Status::Internal("connect " + address + ":" +
-                            std::to_string(port) + ": " + error);
+    return Status::Internal("connect: " + error);
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+Result<Client> Client::Connect(const std::string& address, uint16_t port,
+                               size_t max_frame_bytes,
+                               int64_t deadline_millis) {
+  QLEARN_ASSIGN_OR_RETURN(const int fd,
+                          DialTcp(address, port, deadline_millis));
   Client client;
   client.fd_ = fd;
   client.max_frame_bytes_ = max_frame_bytes;

@@ -33,6 +33,13 @@
 namespace qlearn {
 namespace net {
 
+/// Opens a TCP connection to a numeric IPv4 address and port, waiting at
+/// most `deadline_millis` for the handshake (0 waits forever). Returns the
+/// connected socket, non-blocking and with TCP_NODELAY set; the caller
+/// owns it.
+common::Result<int> DialTcp(const std::string& address, uint16_t port,
+                            int64_t deadline_millis);
+
 class Client {
  public:
   /// Connects to a numeric IPv4 address ("127.0.0.1") and port.

@@ -1,20 +1,9 @@
 #include "net/router.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
@@ -25,9 +14,9 @@
 #include <utility>
 #include <vector>
 
-#include "net/buffer_pool.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "service/json.h"
 
 namespace qlearn {
@@ -36,19 +25,6 @@ namespace net {
 namespace {
 
 using common::Status;
-
-/// One response frame queued for a socket (same scatter-gather shape as
-/// the server's output queue; see server.cc).
-struct OutFrame {
-  unsigned char header[kFrameHeaderBytes] = {0, 0, 0, 0};
-  size_t header_sent = 0;
-  std::string body;
-  size_t body_sent = 0;
-
-  bool Done() const {
-    return header_sent == kFrameHeaderBytes && body_sent == body.size();
-  }
-};
 
 /// One response slot in a client connection's FIFO. Slots complete out of
 /// order (different backends answer at different speeds) but leave in
@@ -66,18 +42,12 @@ struct Pending {
   std::vector<std::string> parts;
 };
 
-/// Shard-owned client connection. Only the owning shard thread touches it.
-struct ClientConn {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameReader reader;
-  std::deque<FrameReader::Event> inputs;
-  bool peer_eof = false;
-  std::deque<OutFrame> outq;
+/// A client connection. Its pending slots are the frames the router holds
+/// for it (Conn::held).
+struct ClientConn : Conn {
+  using Conn::Conn;
   std::deque<Pending> pending;
   uint64_t next_seq = 1;
-
-  explicit ClientConn(size_t max_frame_bytes) : reader(max_frame_bytes) {}
 };
 
 /// One request forwarded to a backend and not yet answered. The client is
@@ -91,102 +61,16 @@ struct Forwarded {
   std::string close_id;
 };
 
-/// Shard-owned pooled connection to one backend. Responses come back in
-/// request order per connection (the backend answers FIFO), so in_flight
-/// is the whole correlation state.
-struct BackendConn {
-  int fd = -1;
+/// A pooled connection to one backend, registered with the shard's
+/// reactor. Responses come back in request order per connection (the
+/// backend answers FIFO), so in_flight is the whole correlation state.
+struct BackendConn : Conn {
+  explicit BackendConn(size_t max_frame_bytes) : Conn(max_frame_bytes) {
+    accepted = false;
+  }
   std::string address;  ///< "host:port", the connection-table key
-  FrameReader reader;
-  std::deque<OutFrame> outq;
   std::deque<Forwarded> in_flight;
-
-  explicit BackendConn(size_t max_frame_bytes) : reader(max_frame_bytes) {}
 };
-
-void CloseFd(int* fd) {
-  if (*fd >= 0) {
-    ::close(*fd);
-    *fd = -1;
-  }
-}
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Connects to host:port with a wall-clock budget; returns the connected
-/// non-blocking fd, or -1 with `*error` set.
-int ConnectWithDeadline(const std::string& host, uint16_t port,
-                        int64_t deadline_millis, std::string* error) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return -1;
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    *error = "bad address: " + host;
-    return -1;
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_millis);
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0 && errno == EINPROGRESS) {
-    for (;;) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - std::chrono::steady_clock::now())
-                            .count();
-      if (left <= 0) {
-        ::close(fd);
-        *error = "connect: deadline exceeded";
-        return -1;
-      }
-      pollfd p;
-      p.fd = fd;
-      p.events = POLLOUT;
-      p.revents = 0;
-      const int ready = ::poll(&p, 1, static_cast<int>(left));
-      if (ready > 0) break;
-      if (ready == 0) {
-        ::close(fd);
-        *error = "connect: deadline exceeded";
-        return -1;
-      }
-      if (errno != EINTR) {
-        ::close(fd);
-        *error = std::string("poll: ") + std::strerror(errno);
-        return -1;
-      }
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
-      so_error = errno;
-    }
-    if (so_error != 0) {
-      ::close(fd);
-      *error = std::string("connect: ") + std::strerror(so_error);
-      return -1;
-    }
-  } else if (rc != 0) {
-    *error = std::string("connect: ") + std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
 
 /// The error frame a backend would send for a request missing its id
 /// (json.cc ToStringView wording), so router-answered errors are
@@ -223,726 +107,21 @@ std::string MergeSessionsFrames(const std::vector<std::string>& parts) {
   return out;
 }
 
-void AddStats(const RouterStats& in, RouterStats* out) {
-  out->connections_accepted += in.connections_accepted;
-  out->connections_open += in.connections_open;
-  out->frames_received += in.frames_received;
-  out->bad_frames += in.bad_frames;
-  out->truncated_frames += in.truncated_frames;
-  out->frames_forwarded += in.frames_forwarded;
-  out->local_answers += in.local_answers;
-  out->fanouts += in.fanouts;
-  out->ids_minted += in.ids_minted;
-  out->backend_reconnects += in.backend_reconnects;
-  out->backend_errors += in.backend_errors;
-  out->dial_backoffs += in.dial_backoffs;
-}
-
 }  // namespace
 
 struct Router::Impl {
-  struct Shard {
-    Shard(Impl* impl, size_t index)
-        : impl(impl),
-          index(index),
-          pool(impl->options.pool_buffers, impl->options.pool_buffer_bytes) {}
+  class Shard;
 
-    Impl* const impl;
-    const size_t index;
+  Impl(ShardMap initial, RouterOptions router_options)
+      : options(std::move(router_options)),
+        reactor(options),
+        map(std::make_shared<const ShardMap>(std::move(initial))) {}
 
-    int wake_read = -1;
-    int wake_write = -1;
-    std::thread thread;
+  const RouterOptions options;
+  Reactor reactor;
 
-    BufferPool pool;
-
-    std::mutex incoming_mutex;
-    std::vector<int> incoming_fds;
-
-    mutable std::mutex stats_mutex;
-    RouterStats stats;
-
-    /// Requests forwarded and not yet answered, for the rebalance drain.
-    std::atomic<uint64_t> in_flight_count{0};
-    /// Set once the shard has observed `paused` and finished the loop
-    /// iteration — after this, no new dispatch until the pause lifts.
-    std::atomic<bool> pause_ack{false};
-
-    // Shard-thread-only state.
-    std::map<uint64_t, std::unique_ptr<ClientConn>> clients;
-    std::map<std::string, std::unique_ptr<BackendConn>> backends;
-    service::json::Arena arena;  // reset per peeked frame
-
-    /// Recent dial failures: until the entry expires, requests routed to
-    /// that backend fail fast with the cached error instead of burning
-    /// another admin_deadline_millis blocking the whole reactor.
-    struct DialFailure {
-      std::chrono::steady_clock::time_point until;
-      std::string error;
-    };
-    std::map<std::string, DialFailure> dial_failures;
-
-    void Wake() {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t ignored = ::write(wake_write, &byte, 1);
-    }
-
-    void Bump(uint64_t RouterStats::*field, uint64_t by = 1) {
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      stats.*field += by;
-    }
-
-    // ---- output queues (same shape for clients and backends) ----
-
-    void EnqueueOut(std::deque<OutFrame>* outq, std::string&& body) {
-      const size_t size = body.size();
-      if (size == 0 || size > impl->options.max_frame_bytes ||
-          size > UINT32_MAX) {
-        pool.Release(std::move(body));
-        body = SerializeError(Status::Internal(
-            "response of " + std::to_string(size) +
-            " bytes exceeds the frame limit"));
-      }
-      OutFrame frame;
-      EncodeFrameHeader(static_cast<uint32_t>(body.size()), frame.header);
-      frame.body = std::move(body);
-      outq->push_back(std::move(frame));
-    }
-
-    /// Writes queued output with sendmsg scatter-gather (up to eight
-    /// frames per call). False on a dead socket.
-    bool FlushOut(int fd, std::deque<OutFrame>* outq) {
-      while (!outq->empty()) {
-        iovec iov[16];
-        size_t iovcnt = 0;
-        for (OutFrame& frame : *outq) {
-          if (iovcnt + 2 > 16) break;
-          if (frame.header_sent < kFrameHeaderBytes) {
-            iov[iovcnt].iov_base = frame.header + frame.header_sent;
-            iov[iovcnt].iov_len = kFrameHeaderBytes - frame.header_sent;
-            ++iovcnt;
-          }
-          if (frame.body_sent < frame.body.size()) {
-            iov[iovcnt].iov_base = frame.body.data() + frame.body_sent;
-            iov[iovcnt].iov_len = frame.body.size() - frame.body_sent;
-            ++iovcnt;
-          }
-        }
-        msghdr msg;
-        std::memset(&msg, 0, sizeof(msg));
-        msg.msg_iov = iov;
-        msg.msg_iovlen = iovcnt;
-        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-          if (errno == EINTR) continue;
-          return false;
-        }
-        size_t left = static_cast<size_t>(n);
-        while (!outq->empty()) {
-          OutFrame& frame = outq->front();
-          const size_t header_take =
-              std::min(left, kFrameHeaderBytes - frame.header_sent);
-          frame.header_sent += header_take;
-          left -= header_take;
-          const size_t body_take =
-              std::min(left, frame.body.size() - frame.body_sent);
-          frame.body_sent += body_take;
-          left -= body_take;
-          if (!frame.Done()) break;
-          pool.Release(std::move(frame.body));
-          outq->pop_front();
-        }
-        if (n == 0) return true;
-      }
-      return true;
-    }
-
-    // ---- client side ----
-
-    void CloseClient(uint64_t id) {
-      auto it = clients.find(id);
-      if (it == clients.end()) return;
-      CloseFd(&it->second->fd);
-      clients.erase(it);
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      --stats.connections_open;
-    }
-
-    void AdoptFd(int fd) {
-      auto conn = std::make_unique<ClientConn>(impl->options.max_frame_bytes);
-      conn->fd = fd;
-      conn->id = impl->next_conn_id.fetch_add(1, std::memory_order_relaxed);
-      conn->reader.set_pool(&pool);
-      clients.emplace(conn->id, std::move(conn));
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      ++stats.connections_accepted;
-      ++stats.connections_open;
-    }
-
-    void AdoptIncoming() {
-      std::vector<int> fds;
-      {
-        std::lock_guard<std::mutex> lock(incoming_mutex);
-        fds.swap(incoming_fds);
-      }
-      for (int fd : fds) AdoptFd(fd);
-    }
-
-    void Accept() {
-      for (;;) {
-        const int fd = ::accept(impl->listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-          if (errno == EINTR) continue;
-          return;
-        }
-        if (!SetNonBlocking(fd)) {
-          ::close(fd);
-          continue;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        const size_t target =
-            impl->next_shard.fetch_add(1, std::memory_order_relaxed) %
-            impl->shards.size();
-        if (target == index) {
-          AdoptFd(fd);
-          continue;
-        }
-        Shard* other = impl->shards[target].get();
-        {
-          std::lock_guard<std::mutex> lock(other->incoming_mutex);
-          other->incoming_fds.push_back(fd);
-        }
-        other->Wake();
-      }
-    }
-
-    bool InputPaused(const ClientConn& conn) const {
-      return conn.inputs.size() + conn.reader.EventCount() +
-                 conn.pending.size() >=
-             impl->options.max_queued_frames;
-    }
-
-    void ReadFromClient(ClientConn* conn) {
-      char buffer[64 * 1024];
-      for (;;) {
-        if (InputPaused(*conn)) break;
-        const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-        if (n > 0) {
-          conn->reader.Feed(buffer, static_cast<size_t>(n));
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        conn->peer_eof = true;
-        if (n == 0 && conn->reader.MidFrame()) {
-          std::lock_guard<std::mutex> lock(stats_mutex);
-          ++stats.truncated_frames;
-        }
-        break;
-      }
-      uint64_t good = 0;
-      uint64_t bad = 0;
-      while (conn->reader.HasEvent()) {
-        FrameReader::Event event = conn->reader.Next();
-        (event.kind == FrameReader::Event::Kind::kFrame ? good : bad) += 1;
-        conn->inputs.push_back(std::move(event));
-      }
-      if (good + bad > 0) {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        stats.frames_received += good;
-        stats.bad_frames += bad;
-      }
-    }
-
-    /// Moves every ready front slot to the output queue and flushes. May
-    /// close the connection; false if it did.
-    bool PumpClient(ClientConn* conn) {
-      while (!conn->pending.empty() && conn->pending.front().ready) {
-        EnqueueOut(&conn->outq, std::move(conn->pending.front().body));
-        conn->pending.pop_front();
-      }
-      if (!FlushOut(conn->fd, &conn->outq)) {
-        CloseClient(conn->id);
-        return false;
-      }
-      return true;
-    }
-
-    Pending& PushSlot(ClientConn* conn) {
-      conn->pending.emplace_back();
-      conn->pending.back().seq = conn->next_seq++;
-      return conn->pending.back();
-    }
-
-    /// Answers a request locally (no backend round trip).
-    void PushLocal(ClientConn* conn, std::string&& body) {
-      Pending& slot = PushSlot(conn);
-      slot.ready = true;
-      slot.body = std::move(body);
-      Bump(&RouterStats::local_answers);
-    }
-
-    // ---- backend side ----
-
-    /// The live connection to `address`, dialing if necessary. Null on
-    /// connect failure, with `*error` set.
-    BackendConn* EnsureBackend(const BackendAddress& address,
-                               std::string* error) {
-      const std::string key = ToString(address);
-      auto it = backends.find(key);
-      if (it != backends.end()) return it->second.get();
-      auto failed = dial_failures.find(key);
-      if (failed != dial_failures.end()) {
-        if (std::chrono::steady_clock::now() < failed->second.until) {
-          *error = failed->second.error;
-          Bump(&RouterStats::dial_backoffs);
-          return nullptr;
-        }
-        dial_failures.erase(failed);
-      }
-      const int fd = ConnectWithDeadline(
-          address.host, address.port, impl->options.admin_deadline_millis,
-          error);
-      if (fd < 0) {
-        dial_failures[key] = {
-            std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(
-                    impl->options.connect_backoff_millis),
-            *error};
-        return nullptr;
-      }
-      auto conn = std::make_unique<BackendConn>(impl->options.max_frame_bytes);
-      conn->fd = fd;
-      conn->address = key;
-      conn->reader.set_pool(&pool);
-      BackendConn* raw = conn.get();
-      backends.emplace(key, std::move(conn));
-      Bump(&RouterStats::backend_reconnects);
-      return raw;
-    }
-
-    /// Fails every in-flight request on `backend` with Unavailable and
-    /// drops the connection (the next request re-dials).
-    void FailBackend(BackendConn* backend, const std::string& reason) {
-      const std::string key = backend->address;
-      std::deque<Forwarded> orphans;
-      orphans.swap(backend->in_flight);
-      in_flight_count.fetch_sub(orphans.size(), std::memory_order_relaxed);
-      Bump(&RouterStats::backend_errors, orphans.size());
-      CloseFd(&backend->fd);
-      backends.erase(key);  // `backend` is dead past this line
-      const std::string error = SerializeError(
-          Status::Unavailable("backend " + key + ": " + reason));
-      for (Forwarded& entry : orphans) {
-        auto it = clients.find(entry.client_id);
-        if (it == clients.end()) continue;
-        ClientConn* conn = it->second.get();
-        touched_clients.push_back(conn->id);
-        for (Pending& slot : conn->pending) {
-          if (slot.seq != entry.seq) continue;
-          if (!slot.ready) {
-            slot.ready = true;
-            slot.kind = Pending::Kind::kSingle;
-            slot.body = error;
-          }
-          break;
-        }
-        PumpClient(conn);
-      }
-    }
-
-    /// Queues `payload` on the backend owning it and records the slot to
-    /// fill when the response comes back.
-    void Forward(ClientConn* conn, const BackendAddress& address,
-                 std::string&& payload, std::string close_id) {
-      std::string error;
-      BackendConn* backend = EnsureBackend(address, &error);
-      if (backend == nullptr) {
-        pool.Release(std::move(payload));
-        Bump(&RouterStats::backend_errors);
-        PushLocal(conn, SerializeError(Status::Unavailable(
-                            "backend " + ToString(address) + ": " + error)));
-        return;
-      }
-      Pending& slot = PushSlot(conn);
-      backend->in_flight.push_back({conn->id, slot.seq, std::move(close_id)});
-      in_flight_count.fetch_add(1, std::memory_order_relaxed);
-      EnqueueOut(&backend->outq, std::move(payload));
-      Bump(&RouterStats::frames_forwarded);
-      if (!FlushOut(backend->fd, &backend->outq)) {
-        FailBackend(backend, "send failed");
-      }
-    }
-
-    /// Broadcasts `payload` to every backend in the map — plus any
-    /// override targets the map no longer lists, where sessions stranded
-    /// by a failed rebalance still live — and merges the responses into
-    /// one slot.
-    void FanOut(ClientConn* conn, Pending::Kind kind, std::string&& payload) {
-      const std::shared_ptr<const ShardMap> map = impl->Map();
-      std::vector<BackendAddress> targets = map->backends;
-      if (impl->override_count.load(std::memory_order_acquire) > 0) {
-        std::lock_guard<std::mutex> lock(impl->override_mutex);
-        for (const auto& [id, address] : impl->overrides) {
-          bool known = false;
-          for (const BackendAddress& target : targets) {
-            if (target == address) known = true;
-          }
-          if (!known) targets.push_back(address);
-        }
-      }
-      Pending& slot = PushSlot(conn);
-      slot.kind = kind;
-      slot.awaiting = static_cast<uint32_t>(targets.size());
-      slot.parts.reserve(targets.size());
-      const uint64_t seq = slot.seq;
-      Bump(&RouterStats::fanouts);
-      for (const BackendAddress& address : targets) {
-        std::string error;
-        BackendConn* backend = EnsureBackend(address, &error);
-        if (backend == nullptr) {
-          // One unreachable backend fails the whole merge: a partial sum
-          // would silently under-report. (`slot` stays valid: deque
-          // references survive push_backs at the ends.)
-          Bump(&RouterStats::backend_errors);
-          slot.ready = true;
-          slot.kind = Pending::Kind::kSingle;
-          slot.awaiting = 0;
-          slot.parts.clear();
-          slot.body = SerializeError(Status::Unavailable(
-              "backend " + ToString(address) + ": " + error));
-          break;
-        }
-        std::string copy = pool.Acquire();
-        copy.assign(payload);
-        backend->in_flight.push_back({conn->id, seq, std::string()});
-        in_flight_count.fetch_add(1, std::memory_order_relaxed);
-        EnqueueOut(&backend->outq, std::move(copy));
-        Bump(&RouterStats::frames_forwarded);
-        if (!FlushOut(backend->fd, &backend->outq)) {
-          FailBackend(backend, "send failed");
-          break;  // FailBackend may have completed the slot already
-        }
-      }
-      pool.Release(std::move(payload));
-    }
-
-    /// Clients whose pending queue changed while handling backend I/O;
-    /// re-stepped after the backend pass so inputs parked by the
-    /// pending-queue cap get dispatched once capacity frees up.
-    std::vector<uint64_t> touched_clients;
-
-    /// Steps every touched client until quiet. Stepping can touch more
-    /// clients (a dispatch hitting a dead backend), hence the loop.
-    void DrainTouched(bool paused_now) {
-      while (!touched_clients.empty()) {
-        std::vector<uint64_t> touched;
-        touched.swap(touched_clients);
-        for (const uint64_t id : touched) {
-          auto it = clients.find(id);
-          if (it == clients.end()) continue;
-          Step(it->second.get(), paused_now);
-        }
-      }
-    }
-
-    /// One response frame from a backend: fill the slot it answers.
-    void OnBackendResponse(BackendConn* backend, std::string&& payload) {
-      if (backend->in_flight.empty()) {
-        // A response nobody asked for: protocol corruption.
-        pool.Release(std::move(payload));
-        FailBackend(backend, "unsolicited response");
-        return;
-      }
-      Forwarded entry = std::move(backend->in_flight.front());
-      backend->in_flight.pop_front();
-      in_flight_count.fetch_sub(1, std::memory_order_relaxed);
-      if (!entry.close_id.empty() && payload.rfind("{\"ok\"", 0) == 0) {
-        impl->EraseOverride(entry.close_id);
-      }
-      auto it = clients.find(entry.client_id);
-      if (it == clients.end()) {
-        pool.Release(std::move(payload));  // client died mid-request
-        return;
-      }
-      ClientConn* conn = it->second.get();
-      touched_clients.push_back(conn->id);
-      for (Pending& slot : conn->pending) {
-        if (slot.seq != entry.seq) continue;
-        if (slot.ready) break;  // already failed (backend death, fan-out)
-        if (slot.kind == Pending::Kind::kSingle) {
-          slot.ready = true;
-          slot.body = std::move(payload);
-        } else {
-          slot.parts.push_back(std::move(payload));
-          if (--slot.awaiting == 0) {
-            if (slot.kind == Pending::Kind::kCounters) {
-              auto merged = MergeCountersFrames(slot.parts);
-              slot.body = merged.ok() ? std::move(merged.value())
-                                      : SerializeError(merged.status());
-            } else {
-              slot.body = MergeSessionsFrames(slot.parts);
-            }
-            slot.parts.clear();
-            slot.ready = true;
-          }
-        }
-        break;
-      }
-      PumpClient(conn);
-    }
-
-    void ReadFromBackend(BackendConn* backend) {
-      char buffer[64 * 1024];
-      bool dead = false;
-      std::string reason;
-      for (;;) {
-        const ssize_t n = ::recv(backend->fd, buffer, sizeof(buffer), 0);
-        if (n > 0) {
-          backend->reader.Feed(buffer, static_cast<size_t>(n));
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        dead = true;
-        reason = n == 0 ? "connection closed"
-                        : std::string("recv: ") + std::strerror(errno);
-        break;
-      }
-      // OnBackendResponse can kill `backend` via FailBackend (an
-      // unsolicited frame, say), so the liveness re-check must go through
-      // the map by key — touching backend->address after that would read
-      // freed memory.
-      const std::string key = backend->address;
-      while (backend->reader.HasEvent()) {
-        FrameReader::Event event = backend->reader.Next();
-        if (event.kind == FrameReader::Event::Kind::kBadFrame) {
-          FailBackend(backend, "bad response frame: " + event.error);
-          return;
-        }
-        OnBackendResponse(backend, std::move(event.payload));
-        if (backends.find(key) == backends.end()) return;
-      }
-      if (dead) FailBackend(backend, reason);
-    }
-
-    // ---- routing ----
-
-    /// The backend owning `id`: the override table first (non-quiescent
-    /// sessions pinned to their pre-rebalance home), then jump hash.
-    BackendAddress Route(std::string_view id,
-                         const std::shared_ptr<const ShardMap>& map) {
-      if (impl->override_count.load(std::memory_order_acquire) > 0) {
-        std::lock_guard<std::mutex> lock(impl->override_mutex);
-        auto it = impl->overrides.find(std::string(id));
-        if (it != impl->overrides.end()) return it->second;
-      }
-      return map->backends[ShardFor(id, map->backends.size())];
-    }
-
-    void Dispatch(ClientConn* conn, FrameReader::Event&& event) {
-      if (event.kind == FrameReader::Event::Kind::kBadFrame) {
-        PushLocal(conn, SerializeError(Status::InvalidArgument(
-                            "bad frame: " + event.error)));
-        return;
-      }
-      arena.Reset();
-      auto peeked = PeekRequest(event.payload, &arena);
-      if (!peeked.ok()) {
-        pool.Release(std::move(event.payload));
-        PushLocal(conn, SerializeError(peeked.status()));
-        return;
-      }
-      const RequestPeek& peek = peeked.value();
-      const std::string_view op = peek.op;
-      if (op == "counters" || op == "sessions") {
-        FanOut(conn,
-               op == "counters" ? Pending::Kind::kCounters
-                                : Pending::Kind::kSessions,
-               std::move(event.payload));
-        return;
-      }
-      const std::shared_ptr<const ShardMap> map = impl->Map();
-      if (op == "open") {
-        if (peek.has_id) {
-          Forward(conn, Route(peek.id, map), std::move(event.payload),
-                  std::string());
-          return;
-        }
-        // Mint the handle here so placement is decided before any backend
-        // sees the open.
-        char minted[2 + 16 + 1];
-        std::snprintf(minted, sizeof(minted), "r-%016llx",
-                      static_cast<unsigned long long>(
-                          impl->next_minted.fetch_add(
-                              1, std::memory_order_relaxed)));
-        std::string rebuilt = pool.Acquire();
-        AppendOpenWithId(*peek.root, minted, &rebuilt);
-        pool.Release(std::move(event.payload));
-        Bump(&RouterStats::ids_minted);
-        Forward(conn, Route(minted, map), std::move(rebuilt), std::string());
-        return;
-      }
-      const bool needs_id = op == "ask" || op == "tell" || op == "oracle" ||
-                            op == "status" || op == "close" ||
-                            op == "export" || op == "import";
-      if (!needs_id) {
-        std::string body = UnknownOpError(op);  // `op` views the payload
-        pool.Release(std::move(event.payload));
-        PushLocal(conn, std::move(body));
-        return;
-      }
-      if (!peek.has_id) {
-        pool.Release(std::move(event.payload));
-        PushLocal(conn, MissingIdError());
-        return;
-      }
-      std::string close_id;
-      if (op == "close" &&
-          impl->override_count.load(std::memory_order_acquire) > 0) {
-        close_id = std::string(peek.id);
-      }
-      Forward(conn, Route(peek.id, map), std::move(event.payload),
-              std::move(close_id));
-    }
-
-    /// Advances one client connection: dispatch queued requests (unless a
-    /// rebalance has dispatch paused), send ready responses, close when
-    /// fully drained after EOF.
-    void Step(ClientConn* conn, bool paused_now) {
-      const uint64_t conn_id = conn->id;  // Dispatch can free `conn`
-      while (!paused_now && !conn->inputs.empty() &&
-             conn->pending.size() < impl->options.max_queued_frames) {
-        FrameReader::Event event = std::move(conn->inputs.front());
-        conn->inputs.pop_front();
-        Dispatch(conn, std::move(event));
-        // Dispatch can close the connection (flush failure); re-find.
-        if (clients.find(conn_id) == clients.end()) return;
-      }
-      if (!PumpClient(conn)) return;
-      if (conn->peer_eof && conn->inputs.empty() && conn->pending.empty() &&
-          conn->outq.empty()) {
-        CloseClient(conn->id);
-      }
-    }
-
-    void Loop() {
-      const bool acceptor = (index == 0);
-      std::vector<pollfd> pollfds;
-      std::vector<uint64_t> poll_client_ids;
-      std::vector<std::string> poll_backend_keys;
-      bool was_paused = false;
-      while (impl->running.load(std::memory_order_acquire)) {
-        const bool paused_now =
-            impl->paused.load(std::memory_order_acquire);
-        if (was_paused && !paused_now) {
-          // Dispatch resumed: requests queued while paused generate no new
-          // socket events, so every client must be stepped by hand — and
-          // before this iteration's poll, which would otherwise block on
-          // sockets that will never speak first.
-          for (auto& [id, conn] : clients) touched_clients.push_back(id);
-          DrainTouched(paused_now);
-        }
-        was_paused = paused_now;
-        pollfds.clear();
-        poll_client_ids.clear();
-        poll_backend_keys.clear();
-        pollfds.push_back({wake_read, POLLIN, 0});
-        if (acceptor) pollfds.push_back({impl->listen_fd, POLLIN, 0});
-        const size_t base = pollfds.size();
-        for (auto& [id, conn] : clients) {
-          short events = 0;
-          if (!conn->peer_eof && !InputPaused(*conn)) events |= POLLIN;
-          if (!conn->outq.empty()) events |= POLLOUT;
-          if (events == 0) continue;
-          pollfds.push_back({conn->fd, events, 0});
-          poll_client_ids.push_back(id);
-        }
-        const size_t backend_base = pollfds.size();
-        for (auto& [key, backend] : backends) {
-          short events = POLLIN;  // responses can arrive at any time
-          if (!backend->outq.empty()) events |= POLLOUT;
-          pollfds.push_back({backend->fd, events, 0});
-          poll_backend_keys.push_back(key);
-        }
-        const int ready = ::poll(pollfds.data(), pollfds.size(), -1);
-        if (ready < 0) {
-          if (errno == EINTR) continue;
-          break;
-        }
-        if (pollfds[0].revents & POLLIN) {
-          char drain[256];
-          while (::read(wake_read, drain, sizeof(drain)) > 0) {
-          }
-        }
-        AdoptIncoming();
-        if (acceptor && (pollfds[1].revents & POLLIN)) Accept();
-        for (size_t i = base; i < backend_base; ++i) {
-          const uint64_t id = poll_client_ids[i - base];
-          auto it = clients.find(id);
-          if (it == clients.end()) continue;
-          ClientConn* conn = it->second.get();
-          const short revents = pollfds[i].revents;
-          if (revents & (POLLERR | POLLNVAL)) {
-            CloseClient(id);
-            continue;
-          }
-          if (revents & (POLLIN | POLLHUP)) ReadFromClient(conn);
-          Step(conn, paused_now);
-        }
-        for (size_t i = backend_base; i < pollfds.size(); ++i) {
-          const std::string& key = poll_backend_keys[i - backend_base];
-          auto it = backends.find(key);
-          if (it == backends.end()) continue;  // failed while handling others
-          BackendConn* backend = it->second.get();
-          const short revents = pollfds[i].revents;
-          if (revents & (POLLERR | POLLNVAL)) {
-            FailBackend(backend, "socket error");
-            continue;
-          }
-          if (revents & (POLLIN | POLLHUP)) {
-            ReadFromBackend(backend);
-            if (backends.find(key) == backends.end()) continue;
-          }
-          if ((revents & POLLOUT) &&
-              !FlushOut(backend->fd, &backend->outq)) {
-            FailBackend(backend, "send failed");
-            continue;
-          }
-        }
-        // Backend responses freed pending-queue slots on these clients;
-        // without this pass, a client paused at the cap with no socket
-        // events would never dispatch its queued inputs again.
-        DrainTouched(paused_now);
-        // With the pause observed and this iteration's dispatches counted
-        // in in_flight_count, acking is what lets Rebalance trust a zero
-        // in-flight sum: no dispatch can follow the ack until unpause.
-        pause_ack.store(paused_now, std::memory_order_release);
-      }
-      for (auto& [id, conn] : clients) CloseFd(&conn->fd);
-      for (auto& [key, backend] : backends) CloseFd(&backend->fd);
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        stats.connections_open = 0;
-      }
-      clients.clear();
-      backends.clear();
-    }
-  };
-
-  RouterOptions options;
-
-  int listen_fd = -1;
-  uint16_t bound_port = 0;
-
-  std::atomic<bool> running{false};
   std::atomic<bool> paused{false};
-  std::atomic<uint64_t> next_conn_id{1};
-  std::atomic<uint64_t> next_shard{0};
   std::atomic<uint64_t> next_minted{1};  ///< re-seeded with a nonce at Start
-  std::vector<std::unique_ptr<Shard>> shards;
 
   /// The live map, copy-on-write: dispatch grabs the shared_ptr under the
   /// mutex (cheap), Rebalance installs a fresh one.
@@ -958,12 +137,16 @@ struct Router::Impl {
 
   /// One rebalance at a time.
   std::mutex rebalance_mutex;
-  std::atomic<uint64_t> handoffs{0};
-  std::atomic<uint64_t> handoff_skipped{0};
-  std::atomic<uint64_t> rebalances{0};
 
-  mutable std::mutex retired_mutex;
-  RouterStats retired;
+  /// The routing counters (the reactor keeps the rest); lifetime totals
+  /// across restarts.
+  mutable std::mutex counters_mutex;
+  RouterStats counters;
+
+  void Bump(uint64_t RouterStats::*field, uint64_t by = 1) {
+    std::lock_guard<std::mutex> lock(counters_mutex);
+    counters.*field += by;
+  }
 
   std::shared_ptr<const ShardMap> Map() const {
     std::lock_guard<std::mutex> lock(map_mutex);
@@ -988,96 +171,427 @@ struct Router::Impl {
       override_count.fetch_sub(1, std::memory_order_release);
     }
   }
+
+  /// `backends` plus the override targets they do not list: backends off
+  /// the map where sessions stranded by a failed rebalance still live.
+  std::vector<BackendAddress> WithOverrideTargets(
+      std::vector<BackendAddress> backends) {
+    std::lock_guard<std::mutex> lock(override_mutex);
+    for (const auto& [id, address] : overrides) {
+      if (std::find(backends.begin(), backends.end(), address) ==
+          backends.end()) {
+        backends.push_back(address);
+      }
+    }
+    return backends;
+  }
+
+  /// The routing handler of reactor shard `index`.
+  Shard* RoutingShard(size_t index);
+  void WakeAll() {
+    for (size_t i = 0; i < reactor.shard_count(); ++i) {
+      reactor.shard(i)->Wake();
+    }
+  }
 };
 
-Router::Router(ShardMap map, RouterOptions options)
-    : impl_(std::make_unique<Impl>()) {
+/// The router's per-shard handler: peeks each client frame, forwards it to
+/// the owning backend over a pooled connection registered with the same
+/// reactor (or fans it out, or answers it locally), and releases the
+/// answers in request order.
+class Router::Impl::Shard : public Reactor::Handler {
+ public:
+  Shard(Impl* impl, Reactor::Shard* shard) : impl_(impl), shard_(shard) {}
+
+  /// Requests forwarded and not yet answered, for the rebalance drain.
+  std::atomic<uint64_t> in_flight_count{0};
+  /// Set once the shard has observed `paused` and finished the loop
+  /// iteration — after this, no new dispatch until the pause lifts.
+  std::atomic<bool> pause_ack{false};
+
+  std::unique_ptr<Conn> NewConn(size_t max_frame_bytes) override {
+    return std::make_unique<ClientConn>(max_frame_bytes);
+  }
+
+  bool CanDispatch(const Conn& /*conn*/) const override {
+    return !impl_->paused.load(std::memory_order_acquire);
+  }
+
+  void Dispatch(Conn* conn, FrameReader::Event&& event) override {
+    auto* client = static_cast<ClientConn*>(conn);
+    Route(client, std::move(event));
+    Pump(client);
+  }
+
+  /// Backend response frames: each fills the slot it answers.
+  void OnPeerFrames(Conn* conn) override {
+    auto* backend = static_cast<BackendConn*>(conn);
+    const uint64_t id = backend->id;
+    while (backend->reader.HasEvent()) {
+      FrameReader::Event event = backend->reader.Next();
+      if (event.kind == FrameReader::Event::Kind::kBadFrame) {
+        shard_->Close(backend, "bad response frame: " + event.error);
+        return;
+      }
+      OnBackendResponse(backend, std::move(event.payload));
+      // A frame nobody asked for closes the connection.
+      if (shard_->Find(id) == nullptr) return;
+    }
+  }
+
+  /// A dying backend connection fails every request in flight on it with
+  /// Unavailable; the next request routed there re-dials.
+  void OnClose(Conn* conn, std::string_view reason) override {
+    if (conn->accepted) return;
+    auto* backend = static_cast<BackendConn*>(conn);
+    std::deque<Forwarded> orphans;
+    orphans.swap(backend->in_flight);
+    in_flight_count.fetch_sub(orphans.size(), std::memory_order_relaxed);
+    impl_->Bump(&RouterStats::backend_errors, orphans.size());
+    backends_.erase(backend->address);
+    const std::string error = SerializeError(Status::Unavailable(
+        "backend " + backend->address + ": " + std::string(reason)));
+    for (Forwarded& entry : orphans) {
+      auto* client = static_cast<ClientConn*>(shard_->Find(entry.client_id));
+      if (client == nullptr) continue;
+      for (Pending& slot : client->pending) {
+        if (slot.seq != entry.seq) continue;
+        if (!slot.ready) {
+          slot.ready = true;
+          slot.kind = Pending::Kind::kSingle;
+          slot.body = error;
+        }
+        break;
+      }
+      Touch(client);
+    }
+  }
+
+  void AfterPoll() override {
+    const bool paused_now = impl_->paused.load(std::memory_order_acquire);
+    // Dispatch resumed: requests queued while paused generate no new
+    // socket events, so every client is stepped by hand.
+    if (was_paused_ && !paused_now) shard_->StepAll();
+    was_paused_ = paused_now;
+    // Clients whose slots filled while handling backend I/O: send what is
+    // ready and dispatch inputs the pending-slot cap had parked. Stepping
+    // can touch more clients (a dispatch hitting a dead backend), hence
+    // the loop.
+    while (!touched_.empty()) {
+      std::vector<uint64_t> touched;
+      touched.swap(touched_);
+      for (const uint64_t id : touched) {
+        if (Conn* client = shard_->Find(id)) shard_->Step(client);
+      }
+    }
+    // With the pause observed and this iteration's dispatches counted in
+    // in_flight_count, acking is what lets Rebalance trust a zero
+    // in-flight sum: no dispatch can follow the ack until unpause.
+    pause_ack.store(paused_now, std::memory_order_release);
+  }
+
+ private:
+  /// Moves every ready front slot to the output queue; the reactor flushes
+  /// it when it steps the connection.
+  void Pump(ClientConn* client) {
+    while (!client->pending.empty() && client->pending.front().ready) {
+      shard_->Enqueue(client, std::move(client->pending.front().body));
+      client->pending.pop_front();
+      --client->held;
+    }
+  }
+
+  void Touch(ClientConn* client) {
+    Pump(client);
+    touched_.push_back(client->id);
+  }
+
+  Pending& PushSlot(ClientConn* client) {
+    client->pending.emplace_back();
+    client->pending.back().seq = client->next_seq++;
+    ++client->held;
+    return client->pending.back();
+  }
+
+  /// Answers a request locally (no backend round trip).
+  void PushLocal(ClientConn* client, std::string&& body) {
+    Pending& slot = PushSlot(client);
+    slot.ready = true;
+    slot.body = std::move(body);
+    impl_->Bump(&RouterStats::local_answers);
+  }
+
+  /// The live connection to `address`, dialing if necessary. Null on
+  /// connect failure, with `*error` set.
+  BackendConn* EnsureBackend(const BackendAddress& address,
+                             std::string* error) {
+    const std::string key = ToString(address);
+    auto it = backends_.find(key);
+    if (it != backends_.end()) return it->second;
+    auto failed = dial_failures_.find(key);
+    if (failed != dial_failures_.end()) {
+      if (std::chrono::steady_clock::now() < failed->second.until) {
+        *error = failed->second.error;
+        impl_->Bump(&RouterStats::dial_backoffs);
+        return nullptr;
+      }
+      dial_failures_.erase(failed);
+    }
+    auto fd = DialTcp(address.host, address.port,
+                      impl_->options.admin_deadline_millis);
+    if (!fd.ok()) {
+      *error = fd.status().message();
+      dial_failures_[key] = {
+          std::chrono::steady_clock::now() +
+              std::chrono::milliseconds(impl_->options.connect_backoff_millis),
+          *error};
+      return nullptr;
+    }
+    auto conn = std::make_unique<BackendConn>(impl_->options.max_frame_bytes);
+    conn->fd = fd.value();
+    conn->address = key;
+    auto* backend =
+        static_cast<BackendConn*>(shard_->Register(std::move(conn)));
+    backends_.emplace(key, backend);
+    impl_->Bump(&RouterStats::backend_reconnects);
+    return backend;
+  }
+
+  /// Queues `payload` on the backend owning it and records the slot to
+  /// fill when the response comes back.
+  void Forward(ClientConn* client, const BackendAddress& address,
+               std::string&& payload, std::string close_id) {
+    std::string error;
+    BackendConn* backend = EnsureBackend(address, &error);
+    if (backend == nullptr) {
+      shard_->pool().Release(std::move(payload));
+      impl_->Bump(&RouterStats::backend_errors);
+      PushLocal(client, SerializeError(Status::Unavailable(
+                            "backend " + ToString(address) + ": " + error)));
+      return;
+    }
+    Pending& slot = PushSlot(client);
+    backend->in_flight.push_back({client->id, slot.seq, std::move(close_id)});
+    in_flight_count.fetch_add(1, std::memory_order_relaxed);
+    shard_->Enqueue(backend, std::move(payload));
+    impl_->Bump(&RouterStats::frames_forwarded);
+    shard_->Flush(backend);  // a dead socket fails the slot via OnClose
+  }
+
+  /// Broadcasts `payload` to every backend in the map — plus any override
+  /// targets the map no longer lists, where sessions stranded by a failed
+  /// rebalance still live — and merges the responses into one slot.
+  void FanOut(ClientConn* client, Pending::Kind kind, std::string&& payload) {
+    const std::shared_ptr<const ShardMap> map = impl_->Map();
+    const std::vector<BackendAddress> targets =
+        impl_->override_count.load(std::memory_order_acquire) > 0
+            ? impl_->WithOverrideTargets(map->backends)
+            : map->backends;
+    Pending& slot = PushSlot(client);
+    slot.kind = kind;
+    slot.awaiting = static_cast<uint32_t>(targets.size());
+    slot.parts.reserve(targets.size());
+    const uint64_t seq = slot.seq;
+    impl_->Bump(&RouterStats::fanouts);
+    for (const BackendAddress& address : targets) {
+      std::string error;
+      BackendConn* backend = EnsureBackend(address, &error);
+      if (backend == nullptr) {
+        // One unreachable backend fails the whole merge: a partial sum
+        // would silently under-report. (`slot` stays valid: deque
+        // references survive push_backs at the ends.)
+        impl_->Bump(&RouterStats::backend_errors);
+        slot.ready = true;
+        slot.kind = Pending::Kind::kSingle;
+        slot.awaiting = 0;
+        slot.parts.clear();
+        slot.body = SerializeError(Status::Unavailable(
+            "backend " + ToString(address) + ": " + error));
+        break;
+      }
+      std::string copy = shard_->pool().Acquire();
+      copy.assign(payload);
+      backend->in_flight.push_back({client->id, seq, std::string()});
+      in_flight_count.fetch_add(1, std::memory_order_relaxed);
+      shard_->Enqueue(backend, std::move(copy));
+      impl_->Bump(&RouterStats::frames_forwarded);
+      if (!shard_->Flush(backend)) break;  // OnClose completed the slot
+    }
+    shard_->pool().Release(std::move(payload));
+  }
+
+  /// One response frame from a backend: fill the slot it answers.
+  void OnBackendResponse(BackendConn* backend, std::string&& payload) {
+    if (backend->in_flight.empty()) {
+      // A response nobody asked for: protocol corruption.
+      shard_->pool().Release(std::move(payload));
+      shard_->Close(backend, "unsolicited response");
+      return;
+    }
+    Forwarded entry = std::move(backend->in_flight.front());
+    backend->in_flight.pop_front();
+    in_flight_count.fetch_sub(1, std::memory_order_relaxed);
+    if (!entry.close_id.empty() && payload.rfind("{\"ok\"", 0) == 0) {
+      impl_->EraseOverride(entry.close_id);
+    }
+    auto* client = static_cast<ClientConn*>(shard_->Find(entry.client_id));
+    if (client == nullptr) {
+      shard_->pool().Release(std::move(payload));  // client died mid-request
+      return;
+    }
+    for (Pending& slot : client->pending) {
+      if (slot.seq != entry.seq) continue;
+      if (slot.ready) break;  // already failed (backend death, fan-out)
+      if (slot.kind == Pending::Kind::kSingle) {
+        slot.ready = true;
+        slot.body = std::move(payload);
+      } else {
+        slot.parts.push_back(std::move(payload));
+        if (--slot.awaiting == 0) {
+          if (slot.kind == Pending::Kind::kCounters) {
+            auto merged = MergeCountersFrames(slot.parts);
+            slot.body = merged.ok() ? std::move(merged.value())
+                                    : SerializeError(merged.status());
+          } else {
+            slot.body = MergeSessionsFrames(slot.parts);
+          }
+          slot.parts.clear();
+          slot.ready = true;
+        }
+      }
+      break;
+    }
+    Touch(client);
+  }
+
+  /// The backend owning `id`: the override table first (non-quiescent
+  /// sessions pinned to their pre-rebalance home), then jump hash.
+  BackendAddress Owner(std::string_view id,
+                       const std::shared_ptr<const ShardMap>& map) {
+    if (impl_->override_count.load(std::memory_order_acquire) > 0) {
+      std::lock_guard<std::mutex> lock(impl_->override_mutex);
+      auto it = impl_->overrides.find(std::string(id));
+      if (it != impl_->overrides.end()) return it->second;
+    }
+    return map->backends[ShardFor(id, map->backends.size())];
+  }
+
+  void Route(ClientConn* client, FrameReader::Event&& event) {
+    BufferPool& pool = shard_->pool();
+    if (event.kind == FrameReader::Event::Kind::kBadFrame) {
+      PushLocal(client, BadFrameError(event));
+      return;
+    }
+    arena_.Reset();
+    auto peeked = PeekRequest(event.payload, &arena_);
+    if (!peeked.ok()) {
+      pool.Release(std::move(event.payload));
+      PushLocal(client, SerializeError(peeked.status()));
+      return;
+    }
+    const RequestPeek& peek = peeked.value();
+    const std::string_view op = peek.op;
+    if (op == "counters" || op == "sessions") {
+      FanOut(client,
+             op == "counters" ? Pending::Kind::kCounters
+                              : Pending::Kind::kSessions,
+             std::move(event.payload));
+      return;
+    }
+    const std::shared_ptr<const ShardMap> map = impl_->Map();
+    if (op == "open") {
+      if (peek.has_id) {
+        Forward(client, Owner(peek.id, map), std::move(event.payload),
+                std::string());
+        return;
+      }
+      // Mint the handle here so placement is decided before any backend
+      // sees the open.
+      char minted[2 + 16 + 1];
+      std::snprintf(minted, sizeof(minted), "r-%016llx",
+                    static_cast<unsigned long long>(
+                        impl_->next_minted.fetch_add(
+                            1, std::memory_order_relaxed)));
+      std::string rebuilt = pool.Acquire();
+      AppendOpenWithId(*peek.root, minted, &rebuilt);
+      pool.Release(std::move(event.payload));
+      if (rebuilt.size() > impl_->options.max_frame_bytes) {
+        // The minted id pushed the open past the frame cap; no backend
+        // could read it, so answer here.
+        const size_t size = rebuilt.size();
+        pool.Release(std::move(rebuilt));
+        PushLocal(client, SerializeError(Status::InvalidArgument(
+                              "open of " + std::to_string(size) +
+                              " bytes with a minted id exceeds the frame "
+                              "limit")));
+        return;
+      }
+      impl_->Bump(&RouterStats::ids_minted);
+      Forward(client, Owner(minted, map), std::move(rebuilt), std::string());
+      return;
+    }
+    const bool needs_id = op == "ask" || op == "tell" || op == "oracle" ||
+                          op == "status" || op == "close" ||
+                          op == "export" || op == "import";
+    if (!needs_id) {
+      std::string body = UnknownOpError(op);  // `op` views the payload
+      pool.Release(std::move(event.payload));
+      PushLocal(client, std::move(body));
+      return;
+    }
+    if (!peek.has_id) {
+      pool.Release(std::move(event.payload));
+      PushLocal(client, MissingIdError());
+      return;
+    }
+    std::string close_id;
+    if (op == "close" &&
+        impl_->override_count.load(std::memory_order_acquire) > 0) {
+      close_id = std::string(peek.id);
+    }
+    Forward(client, Owner(peek.id, map), std::move(event.payload),
+            std::move(close_id));
+  }
+
+  Impl* const impl_;
+  Reactor::Shard* const shard_;
+  service::json::Arena arena_;  // reset per peeked frame
+  bool was_paused_ = false;
+  std::vector<uint64_t> touched_;
+
+  /// This shard's backend connections by "host:port"; each is also a
+  /// registered reactor connection, removed here in OnClose.
+  std::map<std::string, BackendConn*> backends_;
+
+  /// Recent dial failures: until the entry expires, requests routed to
+  /// that backend fail fast with the cached error instead of burning
+  /// another admin_deadline_millis blocking the whole reactor.
+  struct DialFailure {
+    std::chrono::steady_clock::time_point until;
+    std::string error;
+  };
+  std::map<std::string, DialFailure> dial_failures_;
+};
+
+Router::Impl::Shard* Router::Impl::RoutingShard(size_t index) {
+  return static_cast<Shard*>(reactor.shard(index)->handler());
+}
+
+Router::Router(ShardMap map, RouterOptions options) {
   if (map.generation == 0) map.generation = 1;
-  impl_->options = std::move(options);
-  impl_->InstallMap(std::move(map));
+  impl_ = std::make_unique<Impl>(std::move(map), std::move(options));
 }
 
 Router::~Router() { Stop(); }
 
 common::Status Router::Start() {
   Impl* impl = impl_.get();
-  if (impl->running.load()) {
+  if (impl->reactor.running()) {
     return Status::FailedPrecondition("router already running");
-  }
-  if (impl->options.reactors == 0) {
-    return Status::InvalidArgument("options.reactors must be > 0");
   }
   if (impl->Map()->empty()) {
     return Status::InvalidArgument("shard map has no backends");
   }
-
-  if (!impl->shards.empty()) {
-    std::lock_guard<std::mutex> lock(impl->retired_mutex);
-    for (auto& shard : impl->shards) {
-      std::lock_guard<std::mutex> shard_lock(shard->stats_mutex);
-      AddStats(shard->stats, &impl->retired);
-    }
-    impl->shards.clear();
-  }
-
-  auto fail = [impl](Status status) {
-    CloseFd(&impl->listen_fd);
-    return status;
-  };
-
-  impl->listen_fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (impl->listen_fd < 0) {
-    return fail(Status::Internal(std::string("socket: ") +
-                                 std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(impl->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(impl->options.port);
-  if (::inet_pton(AF_INET, impl->options.bind_address.c_str(),
-                  &addr.sin_addr) != 1) {
-    return fail(Status::InvalidArgument("bad bind address: " +
-                                        impl->options.bind_address));
-  }
-  if (::bind(impl->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(impl->listen_fd, impl->options.backlog) != 0) {
-    return fail(Status::Internal(std::string("bind/listen: ") +
-                                 std::strerror(errno)));
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(impl->listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                &bound_len);
-  impl->bound_port = ntohs(bound.sin_port);
-
-  std::vector<std::unique_ptr<Impl::Shard>> shards;
-  shards.reserve(impl->options.reactors);
-  for (size_t i = 0; i < impl->options.reactors; ++i) {
-    auto shard = std::make_unique<Impl::Shard>(impl, i);
-    int pipe_fds[2];
-    if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-      for (auto& built : shards) {
-        CloseFd(&built->wake_read);
-        CloseFd(&built->wake_write);
-      }
-      return fail(Status::Internal(std::string("pipe2: ") +
-                                   std::strerror(errno)));
-    }
-    shard->wake_read = pipe_fds[0];
-    shard->wake_write = pipe_fds[1];
-    shards.push_back(std::move(shard));
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl->retired_mutex);
-    impl->shards = std::move(shards);
-  }
-
-  impl->next_shard.store(0, std::memory_order_relaxed);
   // Minted ids keep their "r-" + 16 hex digit shape, but the counter's
   // high 32 bits are a per-Start nonce: a restarted router (or a second
   // instance) mints from a different range instead of replaying 1, 2, 3
@@ -1093,35 +607,14 @@ common::Status Router::Start() {
     impl->next_minted.store((nonce << 32) | 1, std::memory_order_relaxed);
   }
   impl->paused.store(false, std::memory_order_release);
-  impl->running.store(true, std::memory_order_release);
-  for (auto& shard : impl->shards) {
-    Impl::Shard* s = shard.get();
-    s->thread = std::thread([s] { s->Loop(); });
-  }
-  return Status::OK();
+  return impl->reactor.Start([impl](Reactor::Shard* shard) {
+    return std::make_unique<Impl::Shard>(impl, shard);
+  });
 }
 
-void Router::Stop() {
-  Impl* impl = impl_.get();
-  if (impl == nullptr || !impl->running.load()) return;
-  impl->running.store(false, std::memory_order_release);
-  for (auto& shard : impl->shards) shard->Wake();
-  for (auto& shard : impl->shards) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
-  for (auto& shard : impl->shards) {
-    {
-      std::lock_guard<std::mutex> lock(shard->incoming_mutex);
-      for (int fd : shard->incoming_fds) ::close(fd);
-      shard->incoming_fds.clear();
-    }
-    CloseFd(&shard->wake_read);
-    CloseFd(&shard->wake_write);
-  }
-  CloseFd(&impl->listen_fd);
-}
+void Router::Stop() { impl_->reactor.Stop(); }
 
-uint16_t Router::port() const { return impl_->bound_port; }
+uint16_t Router::port() const { return impl_->reactor.port(); }
 
 ShardMap Router::shard_map() const { return *impl_->Map(); }
 
@@ -1130,7 +623,7 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
   if (backends.empty()) {
     return Status::InvalidArgument("rebalance needs at least one backend");
   }
-  if (!impl->running.load()) {
+  if (!impl->reactor.running()) {
     return Status::FailedPrecondition("router not running");
   }
   std::lock_guard<std::mutex> rebalance_lock(impl->rebalance_mutex);
@@ -1141,27 +634,26 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
   // and sessions can quiesce.
   impl->paused.store(true, std::memory_order_release);
   // A shard's ack can still be true from the previous rebalance (it is
-  // only rewritten at the end of a loop iteration, and requests queued
-  // while paused dispatch at the top of the next one). Clear them all so
-  // the drain below trusts only acks that observed *this* pause.
-  for (auto& shard : impl->shards) {
-    shard->pause_ack.store(false, std::memory_order_release);
+  // only rewritten at the end of a loop iteration). Clear them all so the
+  // drain below trusts only acks that observed *this* pause.
+  const size_t shards = impl->reactor.shard_count();
+  for (size_t i = 0; i < shards; ++i) {
+    impl->RoutingShard(i)->pause_ack.store(false, std::memory_order_release);
   }
-  for (auto& shard : impl->shards) shard->Wake();
+  impl->WakeAll();
   auto resume = [impl] {
     impl->paused.store(false, std::memory_order_release);
-    for (auto& shard : impl->shards) shard->Wake();
+    impl->WakeAll();
   };
   const auto drain_deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(impl->options.drain_deadline_millis);
   for (;;) {
     bool acked = true;
-    for (auto& shard : impl->shards) {
-      if (!shard->pause_ack.load(std::memory_order_acquire)) acked = false;
-    }
     uint64_t in_flight = 0;
-    for (auto& shard : impl->shards) {
+    for (size_t i = 0; i < shards; ++i) {
+      Impl::Shard* shard = impl->RoutingShard(i);
+      if (!shard->pause_ack.load(std::memory_order_acquire)) acked = false;
       in_flight += shard->in_flight_count.load(std::memory_order_relaxed);
     }
     if (acked && in_flight == 0) break;
@@ -1170,7 +662,7 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
       return Status::DeadlineExceeded(
           "rebalance: in-flight requests did not drain");
     }
-    for (auto& shard : impl->shards) shard->Wake();
+    impl->WakeAll();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -1201,17 +693,8 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
 
   // The sources to sweep: every backend of the old map, plus any override
   // targets that are off-map (sessions stranded by an earlier rebalance).
-  std::vector<BackendAddress> sources = old.backends;
-  {
-    std::lock_guard<std::mutex> lock(impl->override_mutex);
-    for (const auto& [id, address] : impl->overrides) {
-      bool known = false;
-      for (const BackendAddress& source : sources) {
-        if (source == address) known = true;
-      }
-      if (!known) sources.push_back(address);
-    }
-  }
+  const std::vector<BackendAddress> sources =
+      impl->WithOverrideTargets(old.backends);
 
   for (const BackendAddress& source : sources) {
     Client* from = admin_client(source);
@@ -1235,7 +718,7 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
           // Labels pending: the session cannot park. Pin it where it is
           // and migrate it on a later rebalance (or let close retire it).
           impl->AddOverride(id, source);
-          impl->handoff_skipped.fetch_add(1, std::memory_order_relaxed);
+          impl->Bump(&RouterStats::handoff_skipped);
           continue;
         }
         return abort_rebalance(exported.status());
@@ -1261,7 +744,7 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
       }
       impl->EraseOverride(id);
       moved.emplace_back(id, target);
-      impl->handoffs.fetch_add(1, std::memory_order_relaxed);
+      impl->Bump(&RouterStats::handoffs);
     }
   }
 
@@ -1269,23 +752,18 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
   next.generation = old.generation + 1;
   next.backends = std::move(backends);
   impl->InstallMap(std::move(next));
-  impl->rebalances.fetch_add(1, std::memory_order_relaxed);
+  impl->Bump(&RouterStats::rebalances);
   resume();
   return Status::OK();
 }
 
 RouterStats Router::stats() const {
   RouterStats total;
-  std::lock_guard<std::mutex> lock(impl_->retired_mutex);
-  total = impl_->retired;
-  for (const auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> shard_lock(shard->stats_mutex);
-    AddStats(shard->stats, &total);
+  {
+    std::lock_guard<std::mutex> lock(impl_->counters_mutex);
+    total = impl_->counters;
   }
-  total.handoffs = impl_->handoffs.load(std::memory_order_relaxed);
-  total.handoff_skipped =
-      impl_->handoff_skipped.load(std::memory_order_relaxed);
-  total.rebalances = impl_->rebalances.load(std::memory_order_relaxed);
+  static_cast<ReactorStats&>(total) = impl_->reactor.stats();
   return total;
 }
 

@@ -1,23 +1,29 @@
 // Consistent-hash routing front tier: one process that looks like a
 // net::Server to clients and like a client to N backend servers.
 //
-// Clients speak the ordinary framed-TCP protocol to the router. For each
-// request frame the router *peeks* the session id with the arena view-mode
-// parser (net::PeekRequest — no heap tree, no copies, no full validation),
-// picks the owning backend by jump consistent hash over the shard map
-// (net/shard_map.h), and forwards the frame bytes verbatim. Responses come
+// The router is one Reactor (net/reactor.h) — the same sharded poll loop,
+// framing, output queues and backpressure rule as net::Server — with a
+// routing handler. For each client frame the handler *peeks* the session
+// id with the arena view-mode parser (net::PeekRequest — no heap tree, no
+// copies, no full validation), picks the owning backend by jump
+// consistent hash over the shard map (net/shard_map.h), and forwards the
+// frame bytes verbatim over a pooled backend connection that the shard
+// dials (net::DialTcp) and registers with its own reactor. Responses come
 // back as opaque bytes — the router never re-serializes a payload it
 // routed, which is what keeps golden replays byte-identical through it.
 //
 // Ordering: responses to one client go out strictly in request-arrival
 // order, even when consecutive requests land on different backends. Each
 // client connection keeps a FIFO of pending slots; a slot filled out of
-// order waits for the slots ahead of it.
+// order waits for the slots ahead of it. Pending slots count toward
+// max_queued_frames together with unsent responses, so a client that
+// pipelines but never reads stalls in TCP flow control.
 //
 // Special cases handled router-side:
 //   - `open` without an id gets one minted here ("r-" + 16 hex digits),
 //     injected with net::AppendOpenWithId, so placement is decided before
-//     any backend sees the request.
+//     any backend sees the request. An open the minted id pushes past
+//     max_frame_bytes is answered here with InvalidArgument.
 //   - `counters` and `sessions` fan out to every backend in the map —
 //     plus any override-pinned backends the map no longer lists — and
 //     the responses are merged (op counts and log2 latency histograms sum
@@ -46,31 +52,15 @@
 
 #include "common/status.h"
 #include "net/frame.h"
+#include "net/reactor.h"
 #include "net/shard_map.h"
 
 namespace qlearn {
 namespace net {
 
-struct RouterOptions {
-  /// Numeric IPv4 address to bind; loopback by default.
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read back via Router::port()).
-  uint16_t port = 0;
-  /// Reactor shards; must be > 0. Each owns its client connections and its
-  /// own pooled connections to every backend.
-  size_t reactors = 1;
-  /// Frame payload cap — shared with FrameReader and net::Client via
-  /// net/frame.h, so an oversized frame (a too-big handoff image, say) is
-  /// rejected identically at every hop.
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// listen(2) backlog.
-  int backlog = 128;
-  /// Complete frames one client connection may have queued or in flight
-  /// before the reactor stops reading its socket.
-  size_t max_queued_frames = 32;
-  /// Per-shard buffer pool sizing (see ServerOptions).
-  size_t pool_buffers = 64;
-  size_t pool_buffer_bytes = 64 * 1024;
+/// The reactor's listener and sizing fields (net/reactor.h; each shard
+/// also owns its own pooled connections to every backend), plus:
+struct RouterOptions : ReactorOptions {
   /// Deadline for control-plane work: backend connects on the hot path and
   /// the export/import/sessions calls a rebalance makes.
   int64_t admin_deadline_millis = 5000;
@@ -83,13 +73,9 @@ struct RouterOptions {
   int64_t drain_deadline_millis = 10000;
 };
 
-/// Lifetime statistics of one router.
-struct RouterStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_open = 0;
-  uint64_t frames_received = 0;   ///< complete, well-framed client payloads
-  uint64_t bad_frames = 0;        ///< client framing errors
-  uint64_t truncated_frames = 0;  ///< client EOF mid-frame
+/// Lifetime statistics of one router: the reactor's counters over client
+/// connections, plus the routing counters.
+struct RouterStats : ReactorStats {
   uint64_t frames_forwarded = 0;  ///< frames dispatched to a backend
   uint64_t local_answers = 0;     ///< answered without a backend round trip
   uint64_t fanouts = 0;           ///< counters/sessions broadcasts

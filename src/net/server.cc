@@ -1,29 +1,15 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "net/buffer_pool.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "service/json.h"
 
 namespace qlearn {
@@ -45,635 +31,145 @@ struct Completion {
   std::string response;
 };
 
-/// One response frame queued for the socket. The 4-byte length prefix and
-/// the body stay separate so Flush can scatter-gather straight out of the
-/// queue with sendmsg — no concatenation into a contiguous output buffer —
-/// and hand each fully-written body back to the shard's pool.
-struct OutFrame {
-  unsigned char header[kFrameHeaderBytes] = {0, 0, 0, 0};
-  size_t header_sent = 0;
-  std::string body;
-  size_t body_sent = 0;
-
-  bool Done() const {
-    return header_sent == kFrameHeaderBytes && body_sent == body.size();
+/// The server's per-shard handler: answers each request frame with
+/// HandleFrameInto, inline on the shard thread or through the shard's
+/// worker pool, whose completions come back through the shard's wake.
+class ServerShard : public Reactor::Handler {
+ public:
+  ServerShard(Reactor::Shard* shard, service::SessionService* service,
+              size_t workers)
+      : shard_(shard), service_(service) {
+    workers_.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
   }
-};
 
-/// Shard-owned connection state. No locks: only the owning shard's reactor
-/// thread touches it.
-struct Connection {
-  int fd = -1;
-  uint64_t id = 0;
-  FrameReader reader;
-  std::deque<FrameReader::Event> inputs;  ///< complete frames awaiting dispatch
-  bool in_flight = false;  ///< worker mode: a worker holds one request
-  bool peer_eof = false;   ///< read side closed; drain then close
-  std::deque<OutFrame> outq;
+  ~ServerShard() override { OnStop(); }
 
-  explicit Connection(size_t max_frame_bytes) : reader(max_frame_bytes) {}
-
-  bool FlushDone() const { return outq.empty(); }
-};
-
-void CloseFd(int* fd) {
-  if (*fd >= 0) {
-    ::close(*fd);
-    *fd = -1;
+  /// Worker mode parks one request per connection at a time, which keeps
+  /// its answers in arrival order.
+  bool CanDispatch(const Conn& conn) const override {
+    return workers_.empty() || conn.held == 0;
   }
-}
 
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
+  void Dispatch(Conn* conn, FrameReader::Event&& event) override {
+    BufferPool& pool = shard_->pool();
+    if (event.kind == FrameReader::Event::Kind::kBadFrame) {
+      shard_->Enqueue(conn, BadFrameError(event));
+      return;
+    }
+    if (workers_.empty()) {
+      arena_.Reset();
+      std::string response = pool.Acquire();
+      HandleFrameInto(service_, event.payload, &arena_, &response);
+      pool.Release(std::move(event.payload));
+      shard_->Enqueue(conn, std::move(response));
+      return;
+    }
+    ++conn->held;
+    {
+      std::lock_guard<std::mutex> lock(jobs_mutex_);
+      jobs_.push_back({conn->id, std::move(event.payload)});
+    }
+    jobs_cv_.notify_one();
+  }
 
-void AddStats(const ServerStats& in, ServerStats* out) {
-  out->connections_accepted += in.connections_accepted;
-  out->connections_open += in.connections_open;
-  out->frames_received += in.frames_received;
-  out->bad_frames += in.bad_frames;
-  out->truncated_frames += in.truncated_frames;
-}
+  /// Queues finished worker responses on their connections.
+  void AfterPoll() override {
+    std::deque<Completion> batch;
+    {
+      std::lock_guard<std::mutex> lock(done_mutex_);
+      batch.swap(done_);
+    }
+    for (Completion& completion : batch) {
+      Conn* conn = shard_->Find(completion.conn_id);
+      if (conn == nullptr) {
+        // Connection died mid-request; recycle the orphaned response.
+        shard_->pool().Release(std::move(completion.response));
+        continue;
+      }
+      --conn->held;
+      shard_->Enqueue(conn, std::move(completion.response));
+      shard_->Step(conn);
+    }
+  }
+
+  void OnStop() override {
+    {
+      std::lock_guard<std::mutex> lock(jobs_mutex_);
+      stopping_ = true;
+      jobs_.clear();
+    }
+    jobs_cv_.notify_all();
+    for (std::thread& worker : workers_) {
+      if (worker.joinable()) worker.join();
+    }
+    std::lock_guard<std::mutex> lock(done_mutex_);
+    done_.clear();
+  }
+
+ private:
+  void WorkerLoop() {
+    service::json::Arena arena;
+    BufferPool& pool = shard_->pool();
+    for (;;) {
+      Job job;
+      {
+        std::unique_lock<std::mutex> lock(jobs_mutex_);
+        jobs_cv_.wait(lock, [&] { return stopping_ || !jobs_.empty(); });
+        if (stopping_) return;
+        job = std::move(jobs_.front());
+        jobs_.pop_front();
+      }
+      arena.Reset();
+      std::string response = pool.Acquire();
+      HandleFrameInto(service_, job.payload, &arena, &response);
+      pool.Release(std::move(job.payload));
+      {
+        std::lock_guard<std::mutex> lock(done_mutex_);
+        done_.push_back({job.conn_id, std::move(response)});
+      }
+      shard_->Wake();
+    }
+  }
+
+  Reactor::Shard* const shard_;
+  service::SessionService* const service_;
+  service::json::Arena arena_;  // inline mode: reset per request
+
+  std::mutex jobs_mutex_;
+  std::condition_variable jobs_cv_;
+  std::deque<Job> jobs_;
+  bool stopping_ = false;  // guarded by jobs_mutex_
+
+  std::mutex done_mutex_;
+  std::deque<Completion> done_;
+
+  std::vector<std::thread> workers_;
+};
 
 }  // namespace
 
-struct Server::Impl {
-  /// One reactor shard: a thread owning a disjoint set of connections, its
-  /// own wakeup pipe, worker handoff queues, and buffer pool. Shard 0 also
-  /// owns accept(2) and deals new sockets round-robin via incoming_fds.
-  struct Shard {
-    Shard(Impl* impl, size_t index)
-        : impl(impl),
-          index(index),
-          pool(impl->options.pool_buffers, impl->options.pool_buffer_bytes) {}
-
-    Impl* const impl;
-    const size_t index;
-
-    int wake_read = -1;
-    int wake_write = -1;
-    std::thread thread;
-    std::vector<std::thread> workers;
-
-    BufferPool pool;
-
-    std::mutex jobs_mutex;
-    std::condition_variable jobs_cv;
-    std::deque<Job> jobs;
-    bool stopping = false;  // guarded by jobs_mutex
-
-    std::mutex done_mutex;
-    std::deque<Completion> done;
-
-    /// Accepted sockets handed to this shard by the acceptor, not yet
-    /// adopted into `connections`.
-    std::mutex incoming_mutex;
-    std::vector<int> incoming_fds;
-
-    mutable std::mutex stats_mutex;
-    ServerStats stats;
-
-    // Shard-thread-only state.
-    std::map<uint64_t, std::unique_ptr<Connection>> connections;
-    service::json::Arena arena;  // inline mode: reset per request
-
-    void Wake() {
-      const char byte = 1;
-      // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
-      [[maybe_unused]] const ssize_t ignored = ::write(wake_write, &byte, 1);
-    }
-
-    void WorkerLoop() {
-      service::json::Arena worker_arena;
-      for (;;) {
-        Job job;
-        {
-          std::unique_lock<std::mutex> lock(jobs_mutex);
-          jobs_cv.wait(lock, [&] { return stopping || !jobs.empty(); });
-          if (stopping) return;
-          job = std::move(jobs.front());
-          jobs.pop_front();
-        }
-        worker_arena.Reset();
-        std::string response = pool.Acquire();
-        HandleFrameInto(impl->service, job.payload, &worker_arena, &response);
-        pool.Release(std::move(job.payload));
-        {
-          std::lock_guard<std::mutex> lock(done_mutex);
-          done.push_back({job.conn_id, std::move(response)});
-        }
-        Wake();
-      }
-    }
-
-    void EnqueueResponse(Connection* conn, std::string&& response) {
-      const size_t size = response.size();
-      if (size == 0 || size > impl->options.max_frame_bytes ||
-          size > UINT32_MAX) {
-        // A response bigger than the frame cap (a huge Ask batch) cannot be
-        // framed; tell the client why instead of wedging the connection.
-        pool.Release(std::move(response));
-        response = SerializeError(common::Status::Internal(
-            "response of " + std::to_string(size) +
-            " bytes exceeds the frame limit; ask for a smaller batch"));
-      }
-      OutFrame frame;
-      EncodeFrameHeader(static_cast<uint32_t>(response.size()), frame.header);
-      frame.body = std::move(response);
-      conn->outq.push_back(std::move(frame));
-    }
-
-    /// Writes as much queued output as the socket accepts, gathering up to
-    /// eight frames per sendmsg so a pipelined burst leaves in one syscall.
-    /// Fully-written bodies go back to the pool. False on a dead socket.
-    bool Flush(Connection* conn) {
-      while (!conn->outq.empty()) {
-        iovec iov[16];
-        size_t iovcnt = 0;
-        for (OutFrame& frame : conn->outq) {
-          if (iovcnt + 2 > 16) break;
-          if (frame.header_sent < kFrameHeaderBytes) {
-            iov[iovcnt].iov_base = frame.header + frame.header_sent;
-            iov[iovcnt].iov_len = kFrameHeaderBytes - frame.header_sent;
-            ++iovcnt;
-          }
-          if (frame.body_sent < frame.body.size()) {
-            iov[iovcnt].iov_base = frame.body.data() + frame.body_sent;
-            iov[iovcnt].iov_len = frame.body.size() - frame.body_sent;
-            ++iovcnt;
-          }
-        }
-        msghdr msg;
-        std::memset(&msg, 0, sizeof(msg));
-        msg.msg_iov = iov;
-        msg.msg_iovlen = iovcnt;
-        const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-          if (errno == EINTR) continue;
-          return false;  // EPIPE/ECONNRESET/...
-        }
-        size_t left = static_cast<size_t>(n);
-        while (!conn->outq.empty()) {
-          OutFrame& frame = conn->outq.front();
-          const size_t header_take =
-              std::min(left, kFrameHeaderBytes - frame.header_sent);
-          frame.header_sent += header_take;
-          left -= header_take;
-          const size_t body_take =
-              std::min(left, frame.body.size() - frame.body_sent);
-          frame.body_sent += body_take;
-          left -= body_take;
-          if (!frame.Done()) break;
-          pool.Release(std::move(frame.body));
-          conn->outq.pop_front();
-        }
-        if (n == 0) return true;  // defensive: avoid a hot spin
-      }
-      return true;
-    }
-
-    /// Advances the per-connection request pipeline, keeping responses in
-    /// arrival order. Worker mode parks one request at a time in the pool;
-    /// inline mode answers every queued request on this thread and flushes
-    /// the burst with one scatter-gather write. May close the connection.
-    void Step(Connection* conn) {
-      if (impl->options.workers == 0) {
-        StepInline(conn);
-        return;
-      }
-      while (!conn->in_flight && conn->FlushDone() && !conn->inputs.empty()) {
-        FrameReader::Event event = std::move(conn->inputs.front());
-        conn->inputs.pop_front();
-        if (event.kind == FrameReader::Event::Kind::kBadFrame) {
-          EnqueueResponse(conn,
-                          SerializeError(common::Status::InvalidArgument(
-                              "bad frame: " + event.error)));
-          if (!Flush(conn)) {
-            CloseConnection(conn->id);
-            return;
-          }
-          continue;
-        }
-        conn->in_flight = true;
-        {
-          std::lock_guard<std::mutex> lock(jobs_mutex);
-          jobs.push_back({conn->id, std::move(event.payload)});
-        }
-        jobs_cv.notify_one();
-      }
-      if (conn->peer_eof && !conn->in_flight && conn->inputs.empty() &&
-          conn->FlushDone()) {
-        CloseConnection(conn->id);
-      }
-    }
-
-    void StepInline(Connection* conn) {
-      for (;;) {
-        // Answer queued requests only while the output queue is under the
-        // pipelining cap: a peer that pipelines but never reads must stall
-        // this connection (TCP flow control), not grow conn->outq without
-        // bound.
-        while (!conn->inputs.empty() &&
-               conn->outq.size() < impl->options.max_queued_frames) {
-          FrameReader::Event event = std::move(conn->inputs.front());
-          conn->inputs.pop_front();
-          if (event.kind == FrameReader::Event::Kind::kBadFrame) {
-            EnqueueResponse(conn,
-                            SerializeError(common::Status::InvalidArgument(
-                                "bad frame: " + event.error)));
-            continue;
-          }
-          arena.Reset();
-          std::string response = pool.Acquire();
-          HandleFrameInto(impl->service, event.payload, &arena, &response);
-          pool.Release(std::move(event.payload));
-          EnqueueResponse(conn, std::move(response));
-        }
-        if (!Flush(conn)) {
-          CloseConnection(conn->id);
-          return;
-        }
-        // If the flush drained everything but requests are still queued,
-        // keep going: with outq empty the poll loop would not arm POLLOUT,
-        // and with reads paused nothing else would re-enter this
-        // connection. Leaving here with a non-empty outq is safe — POLLOUT
-        // drives the next Step.
-        if (conn->inputs.empty() || !conn->FlushDone()) break;
-      }
-      if (conn->peer_eof && conn->inputs.empty() && conn->FlushDone()) {
-        CloseConnection(conn->id);
-      }
-    }
-
-    void CloseConnection(uint64_t id) {
-      auto it = connections.find(id);
-      if (it == connections.end()) return;
-      CloseFd(&it->second->fd);
-      connections.erase(it);
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      --stats.connections_open;
-    }
-
-    /// Takes ownership of an accepted, non-blocking socket.
-    void AdoptFd(int fd) {
-      auto conn = std::make_unique<Connection>(impl->options.max_frame_bytes);
-      conn->fd = fd;
-      conn->id = impl->next_conn_id.fetch_add(1, std::memory_order_relaxed);
-      conn->reader.set_pool(&pool);
-      connections.emplace(conn->id, std::move(conn));
-      std::lock_guard<std::mutex> lock(stats_mutex);
-      ++stats.connections_accepted;
-      ++stats.connections_open;
-    }
-
-    void AdoptIncoming() {
-      std::vector<int> fds;
-      {
-        std::lock_guard<std::mutex> lock(incoming_mutex);
-        fds.swap(incoming_fds);
-      }
-      for (int fd : fds) AdoptFd(fd);
-    }
-
-    /// Shard 0 only: accept everything pending and deal the sockets
-    /// round-robin across shards (adopting its own share directly).
-    void Accept() {
-      for (;;) {
-        const int fd = ::accept(impl->listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-          if (errno == EINTR) continue;
-          return;  // EAGAIN, or fd exhaustion: try again on the next wakeup
-        }
-        if (!SetNonBlocking(fd)) {
-          ::close(fd);
-          continue;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        const size_t target =
-            impl->next_shard.fetch_add(1, std::memory_order_relaxed) %
-            impl->shards.size();
-        if (target == index) {
-          AdoptFd(fd);
-          continue;
-        }
-        Shard* other = impl->shards[target].get();
-        {
-          std::lock_guard<std::mutex> lock(other->incoming_mutex);
-          other->incoming_fds.push_back(fd);
-        }
-        other->Wake();
-      }
-    }
-
-    /// True when this connection holds its fill of queued work — complete
-    /// input frames plus unflushed response frames — and the reactor
-    /// should stop reading its socket until the backlog drains.
-    bool InputPaused(const Connection& conn) const {
-      return conn.inputs.size() + conn.reader.EventCount() +
-                 conn.outq.size() >=
-             impl->options.max_queued_frames;
-    }
-
-    void ReadFromConnection(Connection* conn) {
-      char buffer[64 * 1024];
-      for (;;) {
-        // Stop pulling bytes once the queued-work cap is reached — the
-        // unread bytes stay in the kernel buffer and TCP flow control
-        // pushes back.
-        if (InputPaused(*conn)) break;
-        const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-        if (n > 0) {
-          conn->reader.Feed(buffer, static_cast<size_t>(n));
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        if (n < 0 && errno == EINTR) continue;
-        conn->peer_eof = true;  // EOF or a dead socket; drain what we have
-        if (n == 0 && conn->reader.MidFrame()) {
-          std::lock_guard<std::mutex> lock(stats_mutex);
-          ++stats.truncated_frames;
-        }
-        break;
-      }
-      uint64_t good = 0;
-      uint64_t bad = 0;
-      while (conn->reader.HasEvent()) {
-        FrameReader::Event event = conn->reader.Next();
-        (event.kind == FrameReader::Event::Kind::kFrame ? good : bad) += 1;
-        conn->inputs.push_back(std::move(event));
-      }
-      if (good + bad > 0) {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        stats.frames_received += good;
-        stats.bad_frames += bad;
-      }
-    }
-
-    void DrainCompletions() {
-      std::deque<Completion> batch;
-      {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        batch.swap(done);
-      }
-      for (Completion& completion : batch) {
-        auto it = connections.find(completion.conn_id);
-        if (it == connections.end()) {
-          // Connection died mid-request; recycle the orphaned response.
-          pool.Release(std::move(completion.response));
-          continue;
-        }
-        Connection* conn = it->second.get();
-        conn->in_flight = false;
-        EnqueueResponse(conn, std::move(completion.response));
-        if (!Flush(conn)) {
-          CloseConnection(conn->id);
-          continue;
-        }
-        Step(conn);
-      }
-    }
-
-    void Loop() {
-      const bool acceptor = (index == 0);
-      std::vector<pollfd> pollfds;
-      std::vector<uint64_t> poll_conn_ids;
-      while (impl->running.load(std::memory_order_acquire)) {
-        pollfds.clear();
-        poll_conn_ids.clear();
-        pollfds.push_back({wake_read, POLLIN, 0});
-        if (acceptor) pollfds.push_back({impl->listen_fd, POLLIN, 0});
-        const size_t base = pollfds.size();
-        for (auto& [id, conn] : connections) {
-          short events = 0;
-          if (!conn->peer_eof && !InputPaused(*conn)) events |= POLLIN;
-          if (!conn->FlushDone()) events |= POLLOUT;
-          if (events == 0) continue;  // woken by completion, not the socket
-          pollfds.push_back({conn->fd, events, 0});
-          poll_conn_ids.push_back(id);
-        }
-        const int ready = ::poll(pollfds.data(), pollfds.size(), -1);
-        if (ready < 0) {
-          if (errno == EINTR) continue;
-          break;  // poll itself failing is unrecoverable
-        }
-        if (pollfds[0].revents & POLLIN) {
-          char drain[256];
-          while (::read(wake_read, drain, sizeof(drain)) > 0) {
-          }
-        }
-        AdoptIncoming();
-        DrainCompletions();
-        if (acceptor && (pollfds[1].revents & POLLIN)) Accept();
-        for (size_t i = base; i < pollfds.size(); ++i) {
-          const uint64_t id = poll_conn_ids[i - base];
-          auto it = connections.find(id);
-          if (it == connections.end()) continue;  // closed while draining
-          Connection* conn = it->second.get();
-          const short revents = pollfds[i].revents;
-          if (revents & (POLLERR | POLLNVAL)) {
-            CloseConnection(id);
-            continue;
-          }
-          if (revents & (POLLIN | POLLHUP)) ReadFromConnection(conn);
-          if ((revents & POLLOUT) && !Flush(conn)) {
-            CloseConnection(id);
-            continue;
-          }
-          Step(conn);
-        }
-      }
-      // Shutdown: drop every connection (in-flight worker responses will
-      // miss their lookup and be discarded).
-      for (auto& [id, conn] : connections) CloseFd(&conn->fd);
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        stats.connections_open = 0;
-      }
-      connections.clear();
-    }
-  };
-
-  service::SessionService* service = nullptr;
-  ServerOptions options;
-
-  int listen_fd = -1;
-  uint16_t bound_port = 0;
-
-  std::atomic<bool> running{false};
-  std::atomic<uint64_t> next_conn_id{1};
-  std::atomic<uint64_t> next_shard{0};
-  std::vector<std::unique_ptr<Shard>> shards;
-
-  /// Stats folded in from shards of a previous Start/Stop cycle, so
-  /// restarting the server keeps lifetime counts cumulative. The mutex
-  /// also guards the `shards` vector against concurrent structural change:
-  /// Start() retires and replaces the vector under it, and stats() holds
-  /// it while iterating.
-  mutable std::mutex retired_mutex;
-  ServerStats retired;
-};
-
 Server::Server(service::SessionService* service, ServerOptions options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->service = service;
-  impl_->options = std::move(options);
-}
+    : service_(service), workers_(options.workers), reactor_(options) {}
 
 Server::~Server() { Stop(); }
 
 common::Status Server::Start() {
-  Impl* impl = impl_.get();
-  if (impl->running.load()) {
+  if (reactor_.running()) {
     return common::Status::FailedPrecondition("server already running");
   }
-  if (impl->options.reactors == 0) {
-    return common::Status::InvalidArgument("options.reactors must be > 0");
-  }
-  if (impl->options.max_frame_bytes == 0) {
-    return common::Status::InvalidArgument(
-        "options.max_frame_bytes must be > 0");
-  }
-
-  // Retire the previous cycle's shards (if any) before building new ones.
-  // retired_mutex guards the shards vector itself here so a concurrent
-  // stats() never iterates it mid-rebuild.
-  if (!impl->shards.empty()) {
-    std::lock_guard<std::mutex> lock(impl->retired_mutex);
-    for (auto& shard : impl->shards) {
-      std::lock_guard<std::mutex> shard_lock(shard->stats_mutex);
-      AddStats(shard->stats, &impl->retired);
-    }
-    impl->shards.clear();
-  }
-
-  auto fail = [impl](common::Status status) {
-    CloseFd(&impl->listen_fd);
-    return status;
-  };
-
-  impl->listen_fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (impl->listen_fd < 0) {
-    return fail(common::Status::Internal(std::string("socket: ") +
-                                         std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(impl->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(impl->options.port);
-  if (::inet_pton(AF_INET, impl->options.bind_address.c_str(),
-                  &addr.sin_addr) != 1) {
-    return fail(common::Status::InvalidArgument("bad bind address: " +
-                                                impl->options.bind_address));
-  }
-  if (::bind(impl->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(impl->listen_fd, impl->options.backlog) != 0) {
-    return fail(
-        common::Status::Internal(std::string("bind/listen: ") +
-                                 std::strerror(errno)));
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(impl->listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                &bound_len);
-  impl->bound_port = ntohs(bound.sin_port);
-
-  // Build the new shard set off to the side and install it in one move
-  // under retired_mutex, so stats() always sees either the old vector or
-  // the complete new one.
-  std::vector<std::unique_ptr<Impl::Shard>> shards;
-  shards.reserve(impl->options.reactors);
-  for (size_t i = 0; i < impl->options.reactors; ++i) {
-    auto shard = std::make_unique<Impl::Shard>(impl, i);
-    int pipe_fds[2];
-    if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-      for (auto& built : shards) {
-        CloseFd(&built->wake_read);
-        CloseFd(&built->wake_write);
-      }
-      return fail(common::Status::Internal(std::string("pipe2: ") +
-                                           std::strerror(errno)));
-    }
-    shard->wake_read = pipe_fds[0];
-    shard->wake_write = pipe_fds[1];
-    shards.push_back(std::move(shard));
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl->retired_mutex);
-    impl->shards = std::move(shards);
-  }
-
-  impl->next_shard.store(0, std::memory_order_relaxed);
-  impl->running.store(true, std::memory_order_release);
-  for (auto& shard : impl->shards) {
-    Impl::Shard* s = shard.get();
-    s->thread = std::thread([s] { s->Loop(); });
-    s->workers.reserve(impl->options.workers);
-    for (size_t w = 0; w < impl->options.workers; ++w) {
-      s->workers.emplace_back([s] { s->WorkerLoop(); });
-    }
-  }
-  return common::Status::OK();
+  return reactor_.Start([this](Reactor::Shard* shard) {
+    return std::make_unique<ServerShard>(shard, service_, workers_);
+  });
 }
 
-void Server::Stop() {
-  Impl* impl = impl_.get();
-  if (impl == nullptr || !impl->running.load()) return;
-  impl->running.store(false, std::memory_order_release);
-  for (auto& shard : impl->shards) shard->Wake();
-  for (auto& shard : impl->shards) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
-  for (auto& shard : impl->shards) {
-    {
-      std::lock_guard<std::mutex> lock(shard->jobs_mutex);
-      shard->stopping = true;
-      shard->jobs.clear();
-    }
-    shard->jobs_cv.notify_all();
-    for (std::thread& worker : shard->workers) {
-      if (worker.joinable()) worker.join();
-    }
-    shard->workers.clear();
-    {
-      std::lock_guard<std::mutex> lock(shard->done_mutex);
-      shard->done.clear();
-    }
-    {
-      // Sockets dealt to this shard that it never got to adopt. Swept
-      // after every thread is joined, so nothing races the handoff.
-      std::lock_guard<std::mutex> lock(shard->incoming_mutex);
-      for (int fd : shard->incoming_fds) ::close(fd);
-      shard->incoming_fds.clear();
-    }
-    CloseFd(&shard->wake_read);
-    CloseFd(&shard->wake_write);
-  }
-  CloseFd(&impl->listen_fd);
-}
+void Server::Stop() { reactor_.Stop(); }
 
-uint16_t Server::port() const { return impl_->bound_port; }
+uint16_t Server::port() const { return reactor_.port(); }
 
-ServerStats Server::stats() const {
-  ServerStats total;
-  // retired_mutex also pins the shards vector, which Start() swaps out on
-  // a restart; holding it across the iteration keeps stats() safe against
-  // a concurrent Stop()/Start() cycle.
-  std::lock_guard<std::mutex> lock(impl_->retired_mutex);
-  total = impl_->retired;
-  for (const auto& shard : impl_->shards) {
-    std::lock_guard<std::mutex> shard_lock(shard->stats_mutex);
-    AddStats(shard->stats, &total);
-  }
-  return total;
-}
+ServerStats Server::stats() const { return reactor_.stats(); }
 
 }  // namespace net
 }  // namespace qlearn

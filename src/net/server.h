@@ -1,31 +1,29 @@
 // Framed-TCP serving front end for SessionService.
 //
-// The server runs `reactors` shard threads. Each shard owns a disjoint set
-// of connections end to end — accept happens on shard 0, which hands new
-// sockets off round-robin — so connection state is single-threaded by
-// construction per shard, with no locks on the socket path. Within a
-// shard, arriving bytes stream through a per-connection FrameReader, and
-// complete request frames are executed against the shared SessionService
-// (thread-safe; distinct sessions run in parallel) in one of two modes:
+// The server is one Reactor (net/reactor.h) with a handler that answers
+// each request frame with HandleFrameInto against the shared
+// SessionService (thread-safe; distinct sessions run in parallel). The
+// reactor owns the sockets, sharding, framing, output queues and
+// backpressure; the handler picks where a request runs:
 //
 //   workers > 0   a fixed per-shard worker pool runs HandleFrameInto and
 //                 hands finished responses back over a completion queue
-//                 and a self-pipe wakeup (requests park off the reactor
-//                 thread, good when learner work dominates)
+//                 and the shard's wake pipe (one request per connection at
+//                 a time; good when learner work dominates)
 //   workers == 0  the shard thread dispatches inline — no handoff, no
 //                 context switch, pipelined requests are answered
 //                 back-to-back and flushed as one scatter-gather write
-//                 (lowest per-request cost; the BENCH_serving.json rows)
+//                 (lowest per-request cost)
 //
 // The request path is allocation-free at steady state: frames are parsed
-// with an arena (service/json.h ParseInto), reassembly and response
-// buffers recycle through a per-shard BufferPool, and flushing walks the
-// queued frames with sendmsg(2) scatter-gather instead of concatenating.
+// with an arena (service/json.h ParseInto), and reassembly and response
+// buffers recycle through the shard's BufferPool.
 //
 // Per-connection protocol discipline: requests are answered strictly in
-// arrival order. Pipelined frames queue (bounded; the reactor stops
-// reading the socket past the cap, so backpressure is TCP flow control,
-// not memory growth). A malformed frame — zero-length, oversized, or
+// arrival order. Pipelined frames queue up to max_queued_frames, counting
+// unsent responses and the request a worker holds; past that the reactor
+// stops reading the socket, so backpressure is TCP flow control, not
+// memory growth. A malformed frame — zero-length, oversized, or
 // unparseable JSON — produces a structured error frame in the same
 // ordered stream and the connection stays usable; the connection is only
 // closed by the peer, by EOF, or by Stop().
@@ -33,51 +31,24 @@
 #define QLEARN_NET_SERVER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/status.h"
 #include "net/frame.h"
+#include "net/reactor.h"
 #include "service/session_service.h"
 
 namespace qlearn {
 namespace net {
 
-struct ServerOptions {
-  /// Numeric IPv4 address to bind; loopback by default (the load harness
-  /// and tests run client and server on one host).
-  std::string bind_address = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via Server::port()).
-  uint16_t port = 0;
+/// The reactor's listener and sizing fields (net/reactor.h), plus:
+struct ServerOptions : ReactorOptions {
   /// Worker threads per shard; 0 dispatches inline on the shard thread
   /// (see the mode comparison above).
   size_t workers = 4;
-  /// Reactor shards; must be > 0. Each owns its connections, worker
-  /// queue, and buffer pool; accept runs on shard 0 and deals sockets
-  /// round-robin.
-  size_t reactors = 1;
-  /// Frame payload cap, enforced on reads and responses alike.
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// listen(2) backlog.
-  int backlog = 128;
-  /// Complete frames a connection may queue before the reactor stops
-  /// reading its socket (resumed as responses drain).
-  size_t max_queued_frames = 32;
-  /// Buffers each shard's pool retains, and the capacity above which a
-  /// released buffer is freed instead of pooled (one oversized frame must
-  /// not pin its footprint).
-  size_t pool_buffers = 64;
-  size_t pool_buffer_bytes = 64 * 1024;
 };
 
 /// Lifetime statistics of one server, for tests and the load harness.
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_open = 0;
-  uint64_t frames_received = 0;   ///< complete, well-framed payloads
-  uint64_t bad_frames = 0;        ///< zero-length/oversized framing errors
-  uint64_t truncated_frames = 0;  ///< peer EOF mid-frame
-};
+using ServerStats = ReactorStats;
 
 class Server {
  public:
@@ -103,8 +74,9 @@ class Server {
   ServerStats stats() const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  service::SessionService* const service_;
+  const size_t workers_;
+  Reactor reactor_;
 };
 
 }  // namespace net

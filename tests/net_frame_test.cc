@@ -1,13 +1,18 @@
-// Robustness tests for the framed-TCP front end's parsing edge: zero-length,
+// Robustness tests for the framed-TCP front ends' parsing edge: zero-length,
 // oversized, and truncated frames, malformed JSON payloads, the bounded
-// per-connection buffer, and — over a real socket — that a connection stays
-// usable after every class of bad frame.
+// per-connection buffer, and — over a real socket, against both the server
+// and a router in front of one — that a connection stays usable after every
+// class of bad frame and that a peer which never reads is held back.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,7 +20,10 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
+#include "net/router.h"
 #include "net/server.h"
+#include "net/shard_map.h"
 #include "service/json.h"
 #include "service/session_service.h"
 
@@ -315,13 +323,19 @@ TEST(ProtocolTest, ErrorFrameRoundTripsStatusCode) {
   EXPECT_EQ(parsed.value().status.message(), "question budget exhausted");
 }
 
-// --- Over a real socket: the connection survives every bad-frame class. ---
+// --- Over a real socket, through both front ends. ---
 
 class RawConnection {
  public:
-  explicit RawConnection(uint16_t port) {
+  /// `rcvbuf` > 0 shrinks the socket's receive buffer before connecting.
+  explicit RawConnection(uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
+    if (rcvbuf > 0) {
+      EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                             sizeof(rcvbuf)),
+                0);
+    }
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
@@ -342,6 +356,31 @@ class RawConnection {
       ASSERT_GT(n, 0);
       pos += static_cast<size_t>(n);
     }
+  }
+
+  /// Writes `chunk` over and over without reading anything back, until a
+  /// send makes no progress for `stall_millis` or `max_bytes` are out.
+  /// Returns the bytes written.
+  size_t PipelineUntilStalled(const std::string& chunk, size_t max_bytes,
+                              int stall_millis) {
+    size_t sent = 0;
+    size_t pos = 0;
+    while (sent < max_bytes) {
+      const ssize_t n = ::send(fd_, chunk.data() + pos, chunk.size() - pos,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        sent += static_cast<size_t>(n);
+        pos = (pos + static_cast<size_t>(n)) % chunk.size();
+        continue;
+      }
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+        ADD_FAILURE() << "send: " << std::strerror(errno);
+        break;
+      }
+      pollfd p{fd_, POLLOUT, 0};
+      if (::poll(&p, 1, stall_millis) == 0) break;  // stalled
+    }
+    return sent;
   }
 
   // Blocks for one complete response frame and returns its payload.
@@ -365,15 +404,51 @@ class RawConnection {
   FrameReader reader_;
 };
 
-TEST(ServerRobustnessTest, ConnectionStaysUsableAfterEveryBadFrameClass) {
-  service::SessionService service;
-  ServerOptions options;
-  options.workers = 2;
-  options.max_frame_bytes = 1 << 10;
-  Server server(&service, options);
-  ASSERT_TRUE(server.Start().ok());
+enum class FrontEnd { kServer, kRouter };
 
-  RawConnection conn(server.port());
+/// Every case runs against both front ends that share the reactor: a
+/// Server, and a Router in front of one. `front` configures whichever
+/// faces the client; `workers` configures the server.
+class ServerRobustnessTest : public ::testing::TestWithParam<FrontEnd> {
+ protected:
+  void StartFrontEnd(const ReactorOptions& front, size_t workers = 4) {
+    ServerOptions server_options;
+    server_options.workers = workers;
+    if (GetParam() == FrontEnd::kServer) {
+      static_cast<ReactorOptions&>(server_options) = front;
+    }
+    server_ = std::make_unique<Server>(&service_, server_options);
+    ASSERT_TRUE(server_->Start().ok());
+    if (GetParam() == FrontEnd::kRouter) {
+      ShardMap map;
+      map.backends.push_back({"127.0.0.1", server_->port()});
+      RouterOptions router_options;
+      static_cast<ReactorOptions&>(router_options) = front;
+      router_ = std::make_unique<Router>(std::move(map), router_options);
+      ASSERT_TRUE(router_->Start().ok());
+    }
+  }
+
+  uint16_t port() const {
+    return router_ != nullptr ? router_->port() : server_->port();
+  }
+
+  /// The client-facing front end's reactor counters.
+  ReactorStats stats() const {
+    return router_ != nullptr ? router_->stats() : server_->stats();
+  }
+
+  service::SessionService service_;
+  std::unique_ptr<Server> server_;
+  std::unique_ptr<Router> router_;
+};
+
+TEST_P(ServerRobustnessTest, ConnectionStaysUsableAfterEveryBadFrameClass) {
+  ReactorOptions front;
+  front.max_frame_bytes = 1 << 10;
+  StartFrontEnd(front, /*workers=*/2);
+
+  RawConnection conn(port());
 
   // 1. Zero-length frame: structured error, connection stays up.
   conn.SendBytes(std::string(kFrameHeaderBytes, '\0'));
@@ -402,37 +477,31 @@ TEST(ServerRobustnessTest, ConnectionStaysUsableAfterEveryBadFrameClass) {
   EXPECT_TRUE(parsed.value().status.ok())
       << parsed.value().status.ToString();
 
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.bad_frames, 2u);       // zero-length + oversized
-  EXPECT_EQ(stats.frames_received, 2u);  // malformed JSON + counters
-  server.Stop();
+  const ReactorStats counts = stats();
+  EXPECT_EQ(counts.bad_frames, 2u);       // zero-length + oversized
+  EXPECT_EQ(counts.frames_received, 2u);  // malformed JSON + counters
 }
 
-TEST(ServerRobustnessTest, TruncatedFrameIsCountedOnDisconnect) {
-  service::SessionService service;
-  Server server(&service, ServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
+TEST_P(ServerRobustnessTest, TruncatedFrameIsCountedOnDisconnect) {
+  StartFrontEnd(ReactorOptions{});
   {
-    RawConnection conn(server.port());
+    RawConnection conn(port());
     std::string partial = Framed("{\"op\":\"counters\"}");
     partial.resize(partial.size() - 3);  // drop the payload's tail
     conn.SendBytes(partial);
     // Destructor closes the socket mid-frame.
   }
   // The reactor notices EOF asynchronously; poll until it has.
-  for (int i = 0; i < 200 && server.stats().truncated_frames == 0; ++i) {
+  for (int i = 0; i < 200 && stats().truncated_frames == 0; ++i) {
     ::usleep(10 * 1000);
   }
-  EXPECT_EQ(server.stats().truncated_frames, 1u);
-  EXPECT_EQ(server.stats().frames_received, 0u);
-  server.Stop();
+  EXPECT_EQ(stats().truncated_frames, 1u);
+  EXPECT_EQ(stats().frames_received, 0u);
 }
 
-TEST(ServerRobustnessTest, PipelinedRequestsAnswerInOrder) {
-  service::SessionService service;
-  Server server(&service, ServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  RawConnection conn(server.port());
+TEST_P(ServerRobustnessTest, PipelinedRequestsAnswerInOrder) {
+  StartFrontEnd(ReactorOptions{});
+  RawConnection conn(port());
 
   // Burst: open, bad JSON, counters — all written before reading anything.
   conn.SendBytes(Framed("{\"op\":\"open\",\"scenario\":\"twig\"}") +
@@ -450,24 +519,20 @@ TEST(ServerRobustnessTest, PipelinedRequestsAnswerInOrder) {
   ASSERT_TRUE(counters_parsed.ok()) << counters_parsed.status().ToString();
   EXPECT_TRUE(counters_parsed.value().status.ok());
   EXPECT_EQ(counters_parsed.value().open_sessions, 1u);
-  server.Stop();
 }
 
-TEST(ServerRobustnessTest, InlineBurstPastTheQueueCapDrainsCompletely) {
+TEST_P(ServerRobustnessTest, InlineBurstPastTheQueueCapDrainsCompletely) {
   // Inline dispatch with a tiny pipelining cap: a burst far past the cap,
-  // written before reading a single response, must bound the server's
+  // written before reading a single response, must bound the front end's
   // queues (reads pause, dispatch stops at the cap) yet still answer
   // every request in order once the responses are read. Regression guard
-  // for the inline-mode output-backpressure path: the shard must neither
-  // queue responses without bound nor park the connection with requests
-  // still waiting.
-  service::SessionService service;
-  ServerOptions options;
-  options.workers = 0;  // inline dispatch on the shard thread
-  options.max_queued_frames = 4;
-  Server server(&service, options);
-  ASSERT_TRUE(server.Start().ok());
-  RawConnection conn(server.port());
+  // for the output-backpressure path: the shard must neither queue
+  // responses without bound nor park the connection with requests still
+  // waiting.
+  ReactorOptions front;
+  front.max_queued_frames = 4;
+  StartFrontEnd(front, /*workers=*/0);
+  RawConnection conn(port());
 
   constexpr int kRequests = 200;
   std::string burst;
@@ -490,8 +555,81 @@ TEST(ServerRobustnessTest, InlineBurstPastTheQueueCapDrainsCompletely) {
       EXPECT_EQ(ErrorCodeOf(response), StatusCode::kNotFound) << i;
     }
   }
-  server.Stop();
 }
+
+/// The largest send buffer TCP autotuning may grow a socket to (the third
+/// field of net.ipv4.tcp_wmem), or 4 MiB, the usual default, when the
+/// sysctl is unreadable.
+size_t TcpSendBufferMax() {
+  size_t min = 0;
+  size_t initial = 0;
+  size_t max = 4 << 20;
+  if (FILE* f = std::fopen("/proc/sys/net/ipv4/tcp_wmem", "r")) {
+    if (std::fscanf(f, "%zu %zu %zu", &min, &initial, &max) != 3) {
+      max = 4 << 20;
+    }
+    std::fclose(f);
+  }
+  return max;
+}
+
+TEST_P(ServerRobustnessTest, PeerThatNeverReadsStallsInFlowControl) {
+  // A client pipelines requests and never reads a response. Once
+  // max_queued_frames of its work is queued — unsent responses included —
+  // the front end must stop reading it, so the client's sends stall and
+  // frames_received stops growing instead of responses piling up in
+  // memory.
+  ReactorOptions front;
+  StartFrontEnd(front, /*workers=*/0);
+  RawConnection conn(port(), /*rcvbuf=*/4096);
+  const std::string request = "{\"id\":\"s-1\",\"op\":\"status\"}";
+  const std::string frame = Framed(request);
+  std::string chunk;
+  for (int i = 0; i < 64; ++i) chunk += frame;
+
+  // Well above what the kernel buffers between the two ends can hold
+  // (the client's send buffer plus the front end's receive buffer, a few
+  // MiB with default autotuning), so only a front end that keeps reading
+  // gets this far.
+  constexpr size_t kMaxBytes = 16 << 20;
+  const size_t sent = conn.PipelineUntilStalled(chunk, kMaxBytes,
+                                                /*stall_millis=*/300);
+  EXPECT_LT(sent, kMaxBytes) << "sends never stalled";
+  // The sends stall while megabytes still sit in the kernel buffers
+  // between client and front end, which a slow (sanitized) front end keeps
+  // draining — as far as its queue cap and the kernel's send buffer
+  // towards the client allow. Wait until it has been quiet for a second,
+  // then require it to stay quiet.
+  uint64_t received = stats().frames_received;
+  for (int quiet_ms = 0, waited_ms = 0; quiet_ms < 1000 && waited_ms < 30000;
+       waited_ms += 100) {
+    ::usleep(100 * 1000);
+    const uint64_t now = stats().frames_received;
+    quiet_ms = now == received ? quiet_ms + 100 : 0;
+    received = now;
+  }
+  ::usleep(500 * 1000);
+  EXPECT_EQ(stats().frames_received, received);
+
+  // What the front end may have consumed: its queue cap, one 64 KiB read
+  // of frames past it, and the responses that fit in the kernel's socket
+  // buffers towards the client (the send buffer at its autotuning limit
+  // plus 64 KiB for the client's receive side).
+  service::SessionService scratch;
+  const size_t response_bytes =
+      kFrameHeaderBytes + Handle(&scratch, request).size();
+  const uint64_t bound = front.max_queued_frames +
+                         (64 << 10) / frame.size() +
+                         (TcpSendBufferMax() + (64 << 10)) / response_bytes;
+  EXPECT_LT(received, bound) << sent << " bytes sent";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FrontEnds, ServerRobustnessTest,
+    ::testing::Values(FrontEnd::kServer, FrontEnd::kRouter),
+    [](const ::testing::TestParamInfo<FrontEnd>& info) {
+      return info.param == FrontEnd::kServer ? "Server" : "RouterToServer";
+    });
 
 TEST(BufferPoolTest, RecyclesCapacityAndEnforcesCaps) {
   BufferPool pool(/*max_buffers=*/2, /*max_buffer_bytes=*/1024);

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -310,6 +311,73 @@ TEST_F(NetRouterTest, MissingOrMalformedIdAnsweredWithoutBackendRoundTrip) {
   const RouterStats stats = router_->stats();
   EXPECT_EQ(stats.local_answers, 4u);
   EXPECT_EQ(stats.frames_forwarded, 0u);
+}
+
+TEST_F(NetRouterTest, MintedOpenPastTheFrameCapIsAnsweredLocally) {
+  // A 253-byte id-less open fits the router's 256-byte cap, but the minted
+  // id pushes it past: no backend could read it, so the router answers
+  // and forwards nothing.
+  StartBackends(1);
+  ShardMap map;
+  map.backends.push_back(backends_[0]->address());
+  RouterOptions options;
+  options.max_frame_bytes = 256;
+  router_ = std::make_unique<Router>(std::move(map), options);
+  ASSERT_TRUE(router_->Start().ok());
+  Client client = Connect();
+
+  const std::string prefix = "{\"op\":\"open\",\"scenario\":\"";
+  const std::string suffix = "\"}";
+  const std::string open =
+      prefix + std::string(253 - prefix.size() - suffix.size(), 'x') + suffix;
+  ASSERT_EQ(open.size(), 253u);
+  auto response = client.CallRaw(open);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value(),
+            "{\"error\":{\"code\":\"InvalidArgument\",\"message\":\"open of "
+            "279 bytes with a minted id exceeds the frame limit\"}}");
+  EXPECT_EQ(backends_[0]->server.stats().frames_received, 0u);
+  const RouterStats stats = router_->stats();
+  EXPECT_EQ(stats.frames_forwarded, 0u);
+  EXPECT_EQ(stats.local_answers, 1u);
+  EXPECT_EQ(stats.ids_minted, 0u);
+}
+
+TEST_F(NetRouterTest, MergedResponsePastTheFrameCapIsOneStructuredError) {
+  // Each backend's `sessions` list fits the router's 200-byte cap, but
+  // the merged list of all 16 ids does not: the client gets the reactor's
+  // oversize error frame (the same text the server sends).
+  StartBackends(2);
+  ShardMap map;
+  for (const auto& backend : backends_) {
+    map.backends.push_back(backend->address());
+  }
+  RouterOptions options;
+  options.max_frame_bytes = 200;
+  router_ = std::make_unique<Router>(std::move(map), options);
+  ASSERT_TRUE(router_->Start().ok());
+  Client client = Connect();
+
+  // 16 ids shaped like minted ones, 8 per backend, so each backend's list
+  // is 184 bytes and the merge is 352.
+  size_t per_bucket[2] = {0, 0};
+  for (uint64_t i = 0; per_bucket[0] + per_bucket[1] < 16; ++i) {
+    char id[2 + 16 + 1];
+    std::snprintf(id, sizeof(id), "r-%016llx",
+                  static_cast<unsigned long long>(i));
+    const size_t bucket = ShardFor(id, 2);
+    if (per_bucket[bucket] == 8) continue;
+    ++per_bucket[bucket];
+    service::OpenOptions open;
+    open.id = id;
+    ASSERT_TRUE(client.Open("twig", open).ok()) << id;
+  }
+  auto sessions = client.CallRaw("{\"op\":\"sessions\"}");
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  EXPECT_EQ(sessions.value(),
+            "{\"error\":{\"code\":\"Internal\",\"message\":\"response of 352 "
+            "bytes exceeds the frame limit\"}}");
+  EXPECT_EQ(router_->stats().backend_errors, 0u);
 }
 
 TEST_F(NetRouterTest, MintedOpenIdsPlaceDeterministically) {

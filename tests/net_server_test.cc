@@ -273,6 +273,27 @@ TEST(NetServerOptionsTest, ZeroReactorsIsRejectedZeroWorkersIsInline) {
   good.Stop();
 }
 
+TEST(NetServerOptionsTest, ResponsePastTheFrameCapIsOneStructuredError) {
+  // max_frame_bytes bounds responses too: a counters answer that does not
+  // fit in 256 bytes comes back as the reactor's oversize error frame (the
+  // same text the router sends), and the connection keeps serving.
+  service::SessionService service;
+  ServerOptions options;
+  options.max_frame_bytes = 256;
+  Server server(&service, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto counters = client.value().CallRaw("{\"op\":\"counters\"}");
+  ASSERT_TRUE(counters.ok()) << counters.status().ToString();
+  EXPECT_EQ(counters.value(),
+            "{\"error\":{\"code\":\"Internal\",\"message\":\"response of 339 "
+            "bytes exceeds the frame limit\"}}");
+  auto status = client.value().Status("s-1");
+  EXPECT_EQ(status.status().code(), StatusCode::kNotFound);
+  server.Stop();
+}
+
 TEST(NetServerOptionsTest, StatsAreSafeAgainstConcurrentRestartCycles) {
   // stats() may race a Stop()/Start() cycle: Start retires and rebuilds
   // the shard set, and a concurrent reader must see either the old or the
