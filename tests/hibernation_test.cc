@@ -33,19 +33,15 @@
 namespace qlearn {
 namespace {
 
-using common::Result;
 using common::Status;
 using common::StatusCode;
 using service::OpenOptions;
 using service::ServiceOptions;
 using service::SessionService;
-using service::wire::QuestionPayload;
-using service::wire::Serialize;
-using service::wire::TranscriptEvent;
 using testing::ConformanceCases;
-using testing::GoldenPath;
+using testing::LoadGoldens;
 using testing::ReadFileToString;
-using testing::TranscriptCase;
+using testing::ReplayTranscript;
 
 std::chrono::steady_clock::time_point BaseTime() {
   return std::chrono::steady_clock::time_point{} + std::chrono::hours(1);
@@ -66,127 +62,28 @@ struct FakeClock {
 // ---------------------------------------------------------------------------
 // Conformance: park at every question boundary, replay must be identical.
 
-/// ReplayTranscript with a Park() injected at every question boundary: the
-/// session hibernates after open and after every answered batch, and every
-/// Ask/Close that follows rehydrates it. Mismatch strings mirror the
-/// harness's.
-std::vector<std::string> ReplayWithParkAtEveryBoundary(
-    SessionService* service, const std::vector<TranscriptEvent>& events) {
-  std::vector<std::string> mismatches;
-  if (events.empty() || events[0].kind != TranscriptEvent::Kind::kOpen) {
-    mismatches.push_back("transcript must start with an open event");
-    return mismatches;
-  }
-  OpenOptions options;
-  options.seed = events[0].seed;
-  options.budget.max_questions = events[0].max_questions;
-  auto opened = service->Open(events[0].scenario, options);
-  if (!opened.ok()) {
-    mismatches.push_back("Open failed: " + opened.status().ToString());
-    return mismatches;
-  }
-  const std::string id = opened.value();
-
-  auto park = [&](const std::string& where) {
-    const Status parked = service->Park(id);
-    if (!parked.ok()) {
-      mismatches.push_back(where + ": Park failed: " + parked.ToString());
-    }
-  };
-  park("after open");
-
-  bool closed = false;
-  for (size_t i = 1; i < events.size() && mismatches.empty(); ++i) {
-    const TranscriptEvent& event = events[i];
-    const std::string where = "event #" + std::to_string(i);
-    switch (event.kind) {
-      case TranscriptEvent::Kind::kOpen:
-        mismatches.push_back("transcript has a second open event");
-        break;
-      case TranscriptEvent::Kind::kAsk: {
-        auto served = service->Ask(id, event.requested);
-        if (!served.ok()) {
-          mismatches.push_back(where + ": Ask failed: " +
-                               served.status().ToString());
-          break;
-        }
-        if (served.value().size() != event.questions.size()) {
-          mismatches.push_back(
-              where + ": served " + std::to_string(served.value().size()) +
-              " question(s), transcript has " +
-              std::to_string(event.questions.size()));
-          break;
-        }
-        for (size_t j = 0; j < served.value().size(); ++j) {
-          const std::string got = Serialize(served.value()[j]);
-          const std::string want = Serialize(event.questions[j]);
-          if (got != want) {
-            mismatches.push_back(where + " question " + std::to_string(j) +
-                                 ": got " + got + ", want " + want);
-          }
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kTell: {
-        const Status status = service->Tell(id, event.labels);
-        if (!status.ok()) {
-          mismatches.push_back(where + ": Tell failed: " + status.ToString());
-          break;
-        }
-        // The batch is answered — a question boundary. Hibernate here; the
-        // next Ask (or Close) rehydrates.
-        park(where);
-        break;
-      }
-      case TranscriptEvent::Kind::kClose: {
-        auto result = service->Close(id);
-        if (!result.ok()) {
-          mismatches.push_back(where + ": Close failed: " +
-                               result.status().ToString());
-          break;
-        }
-        closed = true;
-        const std::string got_hypothesis =
-            Serialize(result.value().hypothesis);
-        const std::string want_hypothesis = Serialize(event.hypothesis);
-        if (got_hypothesis != want_hypothesis) {
-          mismatches.push_back(where + " hypothesis: got " + got_hypothesis +
-                               ", want " + want_hypothesis);
-        }
-        const std::string got_stats = Serialize(result.value().stats);
-        const std::string want_stats = Serialize(event.stats);
-        if (got_stats != want_stats) {
-          mismatches.push_back(where + " stats: got " + got_stats +
-                               ", want " + want_stats);
-        }
-        break;
-      }
-    }
-  }
-  if (!closed) (void)service->Close(id);
-  return mismatches;
-}
-
 TEST(HibernationConformance, GoldensReplayIdenticallyThroughParkCycles) {
-  for (const TranscriptCase& c : ConformanceCases()) {
-    SCOPED_TRACE(c.name);
-    auto content = ReadFileToString(GoldenPath(c.name));
-    ASSERT_TRUE(content.ok()) << content.status().ToString();
-    auto events = service::wire::ParseTranscript(content.value());
-    ASSERT_TRUE(events.ok()) << events.status().ToString();
-
+  auto goldens = LoadGoldens();
+  ASSERT_TRUE(goldens.ok()) << goldens.status().ToString();
+  for (size_t i = 0; i < goldens.value().size(); ++i) {
+    const std::string& name = ConformanceCases()[i].name;
+    SCOPED_TRACE(name);
+    // The session hibernates after open and after every answered batch;
+    // every Ask/Close that follows rehydrates it.
     SessionService service;
-    const std::vector<std::string> mismatches =
-        ReplayWithParkAtEveryBoundary(&service, events.value());
-    for (const std::string& mismatch : mismatches) {
-      ADD_FAILURE() << c.name << ": " << mismatch;
+    auto mismatches = ReplayTranscript(
+        &service, goldens.value()[i],
+        [&service](const std::string& id) { return service.Park(id); });
+    ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
+    for (const std::string& mismatch : mismatches.value()) {
+      ADD_FAILURE() << name << ": " << mismatch;
     }
     // Every boundary parked and every park rehydrated: one park after open
     // plus one per answered batch, and nothing left in the store.
     const service::ServiceCounters counters = service.Counters();
-    EXPECT_GE(counters.hibernates, 2u) << c.name;
-    EXPECT_EQ(counters.hibernates, counters.rehydrates) << c.name;
-    EXPECT_EQ(counters.hibernate_errors, 0u) << c.name;
+    EXPECT_GE(counters.hibernates, 2u) << name;
+    EXPECT_EQ(counters.hibernates, counters.rehydrates) << name;
+    EXPECT_EQ(counters.hibernate_errors, 0u) << name;
   }
 }
 

@@ -5,9 +5,10 @@
 // The centerpiece replays the golden transcripts through the router at 1,
 // 2, and 4 backends and asserts the served bytes are identical to the
 // checked-in goldens — the router forwards responses as opaque bytes, so
-// routing must be invisible at the byte level. The rebalance test grows
-// the fleet mid-transcript and requires every migrated session to finish
-// with zero errors and zero byte mismatches.
+// routing must be invisible at the byte level. The rebalance tests grow
+// the fleet mid-transcript, once under the multiplexed golden load, and
+// require every migrated session to finish with zero errors and zero byte
+// mismatches.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -21,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,7 +42,6 @@ namespace net {
 namespace {
 
 using common::StatusCode;
-using service::wire::TranscriptEvent;
 
 /// One backend process stand-in: its own service and inline server.
 struct Backend {
@@ -693,111 +692,23 @@ TEST_F(NetRouterTest, ExportImportRoundTripsThroughTheRouter) {
 
 // ---- golden replay through the router ----
 
-// Replays one recorded transcript through `client`, returning
-// human-readable mismatches (empty = byte-identical). Mirrors the server
-// suite's replay; ids are router-minted here, which the comparison never
-// looks at.
-std::vector<std::string> ReplayOverRouter(
-    Client* client, const std::vector<TranscriptEvent>& events) {
-  std::vector<std::string> mismatches;
-  std::string id;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TranscriptEvent& event = events[i];
-    switch (event.kind) {
-      case TranscriptEvent::Kind::kOpen: {
-        service::OpenOptions options;
-        options.seed = event.seed;
-        options.budget.max_questions = event.max_questions;
-        auto opened = client->Open(event.scenario, options);
-        if (!opened.ok()) {
-          mismatches.push_back("open failed: " + opened.status().ToString());
-          return mismatches;
-        }
-        id = opened.value();
-        break;
-      }
-      case TranscriptEvent::Kind::kAsk: {
-        auto batch = client->Ask(id, event.requested);
-        if (!batch.ok()) {
-          mismatches.push_back("ask failed: " + batch.status().ToString());
-          return mismatches;
-        }
-        const auto& served = batch.value();
-        if (served.size() != event.questions.size()) {
-          mismatches.push_back(
-              "event " + std::to_string(i) + ": served " +
-              std::to_string(served.size()) + " questions, golden has " +
-              std::to_string(event.questions.size()));
-          return mismatches;
-        }
-        for (size_t j = 0; j < served.size(); ++j) {
-          const std::string got = service::wire::Serialize(served[j]);
-          const std::string want =
-              service::wire::Serialize(event.questions[j]);
-          if (got != want) {
-            mismatches.push_back("event " + std::to_string(i) +
-                                 " question " + std::to_string(j) + ": got " +
-                                 got + " want " + want);
-          }
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kTell: {
-        const common::Status told = client->Tell(id, event.labels);
-        if (!told.ok()) {
-          mismatches.push_back("tell failed: " + told.ToString());
-          return mismatches;
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kClose: {
-        auto closed = client->Close(id);
-        if (!closed.ok()) {
-          mismatches.push_back("close failed: " + closed.status().ToString());
-          return mismatches;
-        }
-        const std::string got_hyp =
-            service::wire::Serialize(closed.value().hypothesis);
-        const std::string want_hyp =
-            service::wire::Serialize(event.hypothesis);
-        if (got_hyp != want_hyp) {
-          mismatches.push_back("final hypothesis: got " + got_hyp +
-                               " want " + want_hyp);
-        }
-        const std::string got_stats =
-            service::wire::Serialize(closed.value().stats);
-        const std::string want_stats = service::wire::Serialize(event.stats);
-        if (got_stats != want_stats) {
-          mismatches.push_back("final stats: got " + got_stats + " want " +
-                               want_stats);
-        }
-        break;
-      }
-    }
-  }
-  return mismatches;
-}
-
 class NetRouterGoldenTest : public ::testing::TestWithParam<size_t>,
                             public RouterFixture {};
 
 TEST_P(NetRouterGoldenTest, GoldenTranscriptsReplayByteIdenticalViaRouter) {
   StartBackends(GetParam());
   StartRouter(/*reactors=*/2);
+  auto goldens = testing::LoadGoldens();
+  ASSERT_TRUE(goldens.ok()) << goldens.status().ToString();
+  ASSERT_EQ(goldens.value().size(), testing::ConformanceCases().size());
+  // Ids are router-minted here, which the comparison never looks at.
   Client client = Connect();
-  size_t replayed = 0;
-  for (const auto& c : testing::ConformanceCases()) {
-    SCOPED_TRACE(c.name);
-    auto text = testing::ReadFileToString(testing::GoldenPath(c.name));
-    ASSERT_TRUE(text.ok()) << text.status().ToString();
-    auto events = service::wire::ParseTranscript(text.value());
-    ASSERT_TRUE(events.ok()) << events.status().ToString();
-    const std::vector<std::string> mismatches =
-        ReplayOverRouter(&client, events.value());
-    for (const std::string& m : mismatches) ADD_FAILURE() << m;
-    ++replayed;
+  for (size_t i = 0; i < goldens.value().size(); ++i) {
+    SCOPED_TRACE(testing::ConformanceCases()[i].name);
+    auto mismatches = testing::ReplayTranscript(&client, goldens.value()[i]);
+    ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
+    for (const std::string& m : mismatches.value()) ADD_FAILURE() << m;
   }
-  EXPECT_GE(replayed, 5u);
   const RouterStats stats = router_->stats();
   EXPECT_EQ(stats.bad_frames, 0u);
   EXPECT_EQ(stats.backend_errors, 0u);
@@ -818,12 +729,15 @@ TEST_F(NetRouterTest, RebalanceMigratesSessionsMidTranscriptWithZeroErrors) {
   Client client = Connect();
 
   // Several sessions mid-transcript on the single backend: each has asked
-  // and told (quiescent between batches), with work left to do.
+  // and told (quiescent between batches), with work left to do. Their ids
+  // are fixed, not router-minted (minted ids start from a per-Start nonce),
+  // so which of them the rebalance moves is the same on every run.
   constexpr size_t kSessions = 6;
   std::vector<std::string> ids;
   for (size_t i = 0; i < kSessions; ++i) {
     service::OpenOptions options;
     options.seed = 100 + i;
+    options.id = "m-" + std::to_string(i);
     auto id = client.Open(i % 2 == 0 ? "twig" : "join", options);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     ids.push_back(id.value());
@@ -875,6 +789,47 @@ TEST_F(NetRouterTest, RebalanceMigratesSessionsMidTranscriptWithZeroErrors) {
   const RouterStats stats = router_->stats();
   EXPECT_EQ(stats.backend_errors, 0u);
   EXPECT_EQ(stats.rebalances, 1u);
+}
+
+TEST_F(NetRouterTest, GoldenLoadSurvivesLiveRebalance) {
+  StartBackends(2);
+  StartRouter(/*reactors=*/2);
+  // Growing the fleet to three backends moves the ids whose jump-hash
+  // owner becomes bucket 2. The rebalance runs on the connection thread
+  // that opened last, while the other connections keep replaying; that
+  // thread's own sessions are open and quiescent throughout, so at least
+  // its moving sessions are handed off, whichever thread it is.
+  size_t min_moves = testing::kLoadSessionsPerConnection;
+  for (size_t c = 0; c < testing::kLoadConnections; ++c) {
+    size_t moves = 0;
+    for (size_t k = 0; k < testing::kLoadSessionsPerConnection; ++k) {
+      if (ShardFor(testing::LoadSessionId(c, k), 3) == 2) ++moves;
+    }
+    min_moves = std::min(min_moves, moves);
+  }
+  ASSERT_GT(min_moves, 0u) << "load ids need rechecking";
+
+  common::Status rebalanced = common::Status::Internal("never rebalanced");
+  const testing::LoadReport report =
+      testing::ReplayGoldenLoad(router_->port(), [&] {
+        backends_.push_back(std::make_unique<Backend>());
+        rebalanced = backends_.back()->server.Start();
+        if (!rebalanced.ok()) return;
+        rebalanced = router_->Rebalance({backends_[0]->address(),
+                                         backends_[1]->address(),
+                                         backends_[2]->address()});
+      });
+  EXPECT_TRUE(rebalanced.ok()) << rebalanced.ToString();
+  for (const std::string& m : report.mismatches) ADD_FAILURE() << m;
+  EXPECT_EQ(report.sessions_closed, testing::kLoadSessions);
+  const RouterStats stats = router_->stats();
+  EXPECT_EQ(stats.backend_errors, 0u);
+  EXPECT_EQ(stats.rebalances, 1u);
+  EXPECT_GE(stats.handoffs, min_moves);
+  ASSERT_EQ(backends_.size(), 3u);
+  for (const auto& backend : backends_) {
+    EXPECT_EQ(backend->service.OpenCount(), 0u);
+  }
 }
 
 TEST_F(NetRouterTest, RebalancePinsNonQuiescentSessionsUntilClose) {

@@ -1,15 +1,18 @@
 // Loopback integration tests for the framed-TCP server: an in-process
 // Server in front of a real SessionService, driven through net::Client over
-// real sockets. The centerpiece replays one golden transcript per scenario
-// kind and asserts the question stream served over TCP is byte-identical to
-// the checked-in golden — the wire format is canonical JSON, so byte
-// equality is semantic equality. The replay and the concurrent-client
-// hammer run under every dispatch configuration (worker pool, inline
-// dispatch, multiple reactor shards), since the golden bytes must not
-// depend on how the server schedules work.
+// real sockets. The centerpiece replays all 11 golden transcripts and
+// asserts the question stream served over TCP is byte-identical to the
+// checked-in goldens — the wire format is canonical JSON, so byte equality
+// is semantic equality. The sequential replay, the multiplexed golden load
+// (kLoadConnections connections round-robining their sessions, with and
+// without an idle-park sweeper), and the concurrent-client hammer run under
+// every dispatch configuration (worker pool, inline dispatch, multiple
+// reactor shards), since the golden bytes must not depend on how the
+// server schedules work.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <set>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +30,6 @@ namespace net {
 namespace {
 
 using common::StatusCode;
-using service::wire::TranscriptEvent;
 
 class NetServerTest : public ::testing::Test {
  protected:
@@ -62,14 +64,19 @@ void PrintTo(const ServerConfig& config, std::ostream* os) {
 
 class NetServerConfigTest : public ::testing::TestWithParam<ServerConfig> {
  protected:
-  void SetUp() override {
+  void SetUp() override { Restart({}); }
+  void TearDown() override { server_->Stop(); }
+
+  /// (Re)starts the server in this config in front of a fresh service.
+  void Restart(const service::ServiceOptions& service_options) {
+    server_.reset();  // stops the server in front of the old service
+    service_ = std::make_unique<service::SessionService>(service_options);
     ServerOptions options;
     options.workers = GetParam().workers;
     options.reactors = GetParam().reactors;
-    server_ = std::make_unique<Server>(&service_, options);
+    server_ = std::make_unique<Server>(service_.get(), options);
     ASSERT_TRUE(server_->Start().ok());
   }
-  void TearDown() override { server_->Stop(); }
 
   Client Connect() {
     auto client = Client::Connect("127.0.0.1", server_->port());
@@ -77,117 +84,91 @@ class NetServerConfigTest : public ::testing::TestWithParam<ServerConfig> {
     return std::move(client).value();
   }
 
-  service::SessionService service_;
+  std::unique_ptr<service::SessionService> service_;
   std::unique_ptr<Server> server_;
 };
 
-// Replays one recorded transcript through `client` against the live server,
-// returning human-readable mismatches (empty = byte-identical).
-std::vector<std::string> ReplayOverSocket(
-    Client* client, const std::vector<TranscriptEvent>& events) {
-  std::vector<std::string> mismatches;
-  std::string id;
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TranscriptEvent& event = events[i];
-    switch (event.kind) {
-      case TranscriptEvent::Kind::kOpen: {
-        service::OpenOptions options;
-        options.seed = event.seed;
-        options.budget.max_questions = event.max_questions;
-        auto opened = client->Open(event.scenario, options);
-        if (!opened.ok()) {
-          mismatches.push_back("open failed: " + opened.status().ToString());
-          return mismatches;
-        }
-        id = opened.value();
-        break;
-      }
-      case TranscriptEvent::Kind::kAsk: {
-        auto batch = client->Ask(id, event.requested);
-        if (!batch.ok()) {
-          mismatches.push_back("ask failed: " + batch.status().ToString());
-          return mismatches;
-        }
-        const auto& served = batch.value();
-        if (served.size() != event.questions.size()) {
-          mismatches.push_back(
-              "event " + std::to_string(i) + ": served " +
-              std::to_string(served.size()) + " questions, golden has " +
-              std::to_string(event.questions.size()));
-          return mismatches;
-        }
-        for (size_t j = 0; j < served.size(); ++j) {
-          const std::string got = service::wire::Serialize(served[j]);
-          const std::string want = service::wire::Serialize(event.questions[j]);
-          if (got != want) {
-            mismatches.push_back("event " + std::to_string(i) + " question " +
-                                 std::to_string(j) + ": got " + got +
-                                 " want " + want);
-          }
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kTell: {
-        const common::Status told = client->Tell(id, event.labels);
-        if (!told.ok()) {
-          mismatches.push_back("tell failed: " + told.ToString());
-          return mismatches;
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kClose: {
-        auto closed = client->Close(id);
-        if (!closed.ok()) {
-          mismatches.push_back("close failed: " + closed.status().ToString());
-          return mismatches;
-        }
-        const std::string got_hyp =
-            service::wire::Serialize(closed.value().hypothesis);
-        const std::string want_hyp =
-            service::wire::Serialize(event.hypothesis);
-        if (got_hyp != want_hyp) {
-          mismatches.push_back("final hypothesis: got " + got_hyp + " want " +
-                               want_hyp);
-        }
-        const std::string got_stats =
-            service::wire::Serialize(closed.value().stats);
-        const std::string want_stats = service::wire::Serialize(event.stats);
-        if (got_stats != want_stats) {
-          mismatches.push_back("final stats: got " + got_stats + " want " +
-                               want_stats);
-        }
-        break;
-      }
-    }
-  }
-  return mismatches;
-}
-
-// One golden per scenario kind (twig, twig-ambiguity, join, path, chain) —
-// the paper-experiment cases from the conformance suite.
-std::vector<testing::TranscriptCase> OnePerScenarioKind() {
-  std::vector<testing::TranscriptCase> picked;
-  std::set<std::string> kinds;
-  for (const auto& c : testing::ConformanceCases()) {
-    if (kinds.insert(c.scenario).second) picked.push_back(c);
-  }
-  return picked;
-}
-
 TEST_P(NetServerConfigTest, GoldenTranscriptsReplayByteIdenticalOverTcp) {
-  const auto cases = OnePerScenarioKind();
-  ASSERT_GE(cases.size(), 5u);  // twig, twig-ambiguity, join, path, chain
+  auto goldens = testing::LoadGoldens();
+  ASSERT_TRUE(goldens.ok()) << goldens.status().ToString();
+  ASSERT_EQ(goldens.value().size(), testing::ConformanceCases().size());
   Client client = Connect();
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    auto text = testing::ReadFileToString(testing::GoldenPath(c.name));
-    ASSERT_TRUE(text.ok()) << text.status().ToString();
-    auto events = service::wire::ParseTranscript(text.value());
-    ASSERT_TRUE(events.ok()) << events.status().ToString();
-    const std::vector<std::string> mismatches =
-        ReplayOverSocket(&client, events.value());
-    for (const std::string& m : mismatches) ADD_FAILURE() << m;
+  for (size_t i = 0; i < goldens.value().size(); ++i) {
+    SCOPED_TRACE(testing::ConformanceCases()[i].name);
+    auto mismatches = testing::ReplayTranscript(&client, goldens.value()[i]);
+    ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
+    for (const std::string& m : mismatches.value()) ADD_FAILURE() << m;
   }
+  EXPECT_EQ(service_->OpenCount(), 0u);
+}
+
+/// Fails the test on every mismatch of a golden load and checks that the
+/// service saw exactly the requests the clients sent, none of them failing.
+void ExpectCleanLoad(const testing::LoadReport& report,
+                     const service::ServiceCounters& counters) {
+  for (const std::string& m : report.mismatches) ADD_FAILURE() << m;
+  EXPECT_EQ(report.sessions_closed, testing::kLoadSessions);
+  EXPECT_EQ(counters.errors, 0u);
+  EXPECT_EQ(counters.opens, report.sent.opens);
+  EXPECT_EQ(counters.asks, report.sent.asks);
+  EXPECT_EQ(counters.tells, report.sent.tells);
+  EXPECT_EQ(counters.closes, report.sent.closes);
+  EXPECT_EQ(report.sent.opens, testing::kLoadSessions);
+  EXPECT_EQ(report.sent.closes, testing::kLoadSessions);
+}
+
+TEST_P(NetServerConfigTest, GoldenLoadAcrossConnectionsIsByteIdentical) {
+  const testing::LoadReport report = testing::ReplayGoldenLoad(server_->port());
+  ExpectCleanLoad(report, service_->Counters());
+  EXPECT_EQ(service_->OpenCount(), 0u);
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.connections_accepted, testing::kLoadConnections);
+  EXPECT_EQ(stats.bad_frames, 0u);
+}
+
+TEST_P(NetServerConfigTest, GoldenLoadParksAndRehydratesIdleSessions) {
+  // Idle time is read from a fake clock the test advances, so parking does
+  // not depend on scheduling. Once every session has opened, one sweep
+  // runs synchronously on the connection thread that opened last: that
+  // thread's sessions are all quiescent and idle then, so each of them
+  // parks and rehydrates on its next request. A background sweeper keeps
+  // parking whatever goes idle for the rest of the load. The service
+  // outlives this body, so its clock shares ownership of the counter.
+  auto now_seconds = std::make_shared<std::atomic<int64_t>>(0);
+  auto advance = [now_seconds] { now_seconds->fetch_add(2); };
+  service::ServiceOptions options;
+  options.hibernate_after_seconds = 1;
+  options.clock = [now_seconds] {
+    return std::chrono::steady_clock::time_point{} + std::chrono::hours(1) +
+           std::chrono::seconds(now_seconds->load());
+  };
+  Restart(options);
+
+  size_t first_sweep = 0;
+  std::atomic<bool> load_done{false};
+  std::thread sweeper;
+  const testing::LoadReport report =
+      testing::ReplayGoldenLoad(server_->port(), [&] {
+        advance();
+        first_sweep = service_->ParkIdleSessions();
+        sweeper = std::thread([&] {
+          while (!load_done.load()) {
+            advance();
+            service_->ParkIdleSessions();
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          }
+        });
+      });
+  load_done.store(true);
+  if (sweeper.joinable()) sweeper.join();
+
+  const service::ServiceCounters counters = service_->Counters();
+  ExpectCleanLoad(report, counters);
+  EXPECT_GE(first_sweep, testing::kLoadSessionsPerConnection);
+  EXPECT_GE(counters.hibernates, testing::kLoadSessionsPerConnection);
+  EXPECT_GE(counters.rehydrates, testing::kLoadSessionsPerConnection);
+  EXPECT_EQ(counters.hibernate_errors, 0u);
+  EXPECT_EQ(service_->OpenCount(), 0u);
 }
 
 TEST_P(NetServerConfigTest, ConcurrentClientsReplayUnderEveryDispatchMode) {
@@ -236,7 +217,7 @@ TEST_P(NetServerConfigTest, ConcurrentClientsReplayUnderEveryDispatchMode) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], "") << "thread " << t;
   }
-  EXPECT_EQ(service_.OpenCount(), 0u);
+  EXPECT_EQ(service_->OpenCount(), 0u);
   // Per-shard stats sum to the fleet totals regardless of sharding.
   const ServerStats stats = server_->stats();
   EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(kThreads));

@@ -1,8 +1,13 @@
 #include "transcript_harness.h"
 
+#include <atomic>
 #include <fstream>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <utility>
+
+#include "net/client.h"
 
 namespace qlearn {
 namespace testing {
@@ -17,6 +22,128 @@ using service::SessionService;
 using service::wire::QuestionPayload;
 using service::wire::Serialize;
 using service::wire::TranscriptEvent;
+
+/// Replays one transcript a request at a time against an endpoint with
+/// Open/Ask/Tell/Close: each Step issues the next event's request and
+/// compares the response with the recorded bytes. The first event that
+/// fails or mismatches ends the replay, and a still-open session is closed
+/// on the spot so no handle leaks.
+class TranscriptReplayer {
+ public:
+  /// `events` must outlive the replayer. An empty `id` lets the endpoint
+  /// mint the session handle.
+  TranscriptReplayer(const std::vector<TranscriptEvent>& events,
+                     BoundaryHook on_boundary, std::string id)
+      : events_(&events),
+        on_boundary_(std::move(on_boundary)),
+        id_(std::move(id)) {}
+
+  /// Issues the next request; returns whether events remain.
+  template <typename Endpoint>
+  bool Step(Endpoint& endpoint) {
+    if (done()) return false;
+    const TranscriptEvent& event = (*events_)[next_++];
+    switch (event.kind) {
+      case TranscriptEvent::Kind::kOpen: {
+        if (session_open_) {
+          Mismatch("is a second open event");
+          break;
+        }
+        OpenOptions options;
+        options.seed = event.seed;
+        options.budget.max_questions = event.max_questions;
+        options.id = id_;
+        ++sent_.opens;
+        auto opened = endpoint.Open(event.scenario, options);
+        if (!opened.ok()) {
+          Mismatch("Open failed: " + opened.status().ToString());
+          break;
+        }
+        id_ = opened.value();
+        session_open_ = true;
+        AtBoundary();
+        break;
+      }
+      case TranscriptEvent::Kind::kAsk: {
+        ++sent_.asks;
+        auto served = endpoint.Ask(id_, event.requested);
+        if (!served.ok()) {
+          Mismatch("Ask failed: " + served.status().ToString());
+          break;
+        }
+        if (served.value().size() != event.questions.size()) {
+          Mismatch("served " + std::to_string(served.value().size()) +
+                   " question(s), transcript has " +
+                   std::to_string(event.questions.size()));
+          break;
+        }
+        for (size_t j = 0; j < served.value().size(); ++j) {
+          Compare("question " + std::to_string(j), Serialize(served.value()[j]),
+                  Serialize(event.questions[j]));
+        }
+        break;
+      }
+      case TranscriptEvent::Kind::kTell: {
+        ++sent_.tells;
+        const Status told = endpoint.Tell(id_, event.labels);
+        if (!told.ok()) {
+          Mismatch("Tell failed: " + told.ToString());
+          break;
+        }
+        AtBoundary();  // the batch is answered
+        break;
+      }
+      case TranscriptEvent::Kind::kClose: {
+        ++sent_.closes;
+        session_open_ = false;
+        auto closed = endpoint.Close(id_);
+        if (!closed.ok()) {
+          Mismatch("Close failed: " + closed.status().ToString());
+          break;
+        }
+        Compare("hypothesis", Serialize(closed.value().hypothesis),
+                Serialize(event.hypothesis));
+        Compare("stats", Serialize(closed.value().stats),
+                Serialize(event.stats));
+        break;
+      }
+    }
+    if (!ok() && session_open_) {
+      ++sent_.closes;
+      (void)endpoint.Close(id_);  // release the handle on bail-out
+      session_open_ = false;
+    }
+    return !done();
+  }
+
+  bool done() const { return next_ == events_->size() || !ok(); }
+  bool ok() const { return mismatches_.empty(); }
+  const std::vector<std::string>& mismatches() const { return mismatches_; }
+  const RequestCounts& sent() const { return sent_; }
+
+ private:
+  void Mismatch(const std::string& what) {
+    mismatches_.push_back("event #" + std::to_string(next_ - 1) + " " + what);
+  }
+  void Compare(const std::string& what, const std::string& got,
+               const std::string& want) {
+    if (got != want) Mismatch(what + ": got " + got + ", want " + want);
+  }
+  /// A question boundary: the session is open with no batch pending.
+  void AtBoundary() {
+    if (!on_boundary_) return;
+    const Status status = on_boundary_(id_);
+    if (!status.ok()) Mismatch("boundary hook failed: " + status.ToString());
+  }
+
+  const std::vector<TranscriptEvent>* events_;
+  BoundaryHook on_boundary_;
+  std::string id_;
+  size_t next_ = 0;
+  bool session_open_ = false;
+  std::vector<std::string> mismatches_;
+  RequestCounts sent_;
+};
 
 }  // namespace
 
@@ -88,88 +215,112 @@ Result<std::vector<TranscriptEvent>> RecordTranscript(SessionService* service,
   return events;
 }
 
+template <typename Endpoint>
 Result<std::vector<std::string>> ReplayTranscript(
-    SessionService* service, const std::vector<TranscriptEvent>& events) {
-  if (events.empty() || events[0].kind != TranscriptEvent::Kind::kOpen) {
-    return Status::InvalidArgument("transcript must start with an open event");
+    Endpoint* endpoint, const std::vector<TranscriptEvent>& events,
+    BoundaryHook on_boundary) {
+  size_t opens = 0;
+  for (const TranscriptEvent& event : events) {
+    opens += event.kind == TranscriptEvent::Kind::kOpen;
   }
-  OpenOptions options;
-  options.seed = events[0].seed;
-  options.budget.max_questions = events[0].max_questions;
-  QLEARN_ASSIGN_OR_RETURN(const std::string id,
-                          service->Open(events[0].scenario, options));
+  if (events.empty() || events[0].kind != TranscriptEvent::Kind::kOpen ||
+      opens != 1) {
+    return Status::InvalidArgument(
+        "transcript must be one open event followed by its session");
+  }
+  TranscriptReplayer replayer(events, std::move(on_boundary), "");
+  while (replayer.Step(*endpoint)) {
+  }
+  return replayer.mismatches();
+}
 
-  std::vector<std::string> mismatches;
-  bool closed = false;
-  for (size_t i = 1; i < events.size() && mismatches.empty(); ++i) {
-    const TranscriptEvent& event = events[i];
-    const std::string where = "event #" + std::to_string(i);
-    switch (event.kind) {
-      case TranscriptEvent::Kind::kOpen:
-        (void)service->Close(id);
-        return Status::InvalidArgument("transcript has a second open event");
-      case TranscriptEvent::Kind::kAsk: {
-        auto served = service->Ask(id, event.requested);
-        if (!served.ok()) {
-          mismatches.push_back(where + ": Ask failed: " +
-                               served.status().ToString());
-          break;
-        }
-        if (served.value().size() != event.questions.size()) {
-          mismatches.push_back(
-              where + ": served " + std::to_string(served.value().size()) +
-              " question(s), transcript has " +
-              std::to_string(event.questions.size()));
-          break;
-        }
-        for (size_t j = 0; j < served.value().size(); ++j) {
-          const std::string got = Serialize(served.value()[j]);
-          const std::string want = Serialize(event.questions[j]);
-          if (got != want) {
-            mismatches.push_back(where + " question " + std::to_string(j) +
-                                 ": got " + got + ", want " + want);
-          }
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kTell: {
-        const Status status = service->Tell(id, event.labels);
-        if (!status.ok()) {
-          mismatches.push_back(where + ": Tell failed: " + status.ToString());
-        }
-        break;
-      }
-      case TranscriptEvent::Kind::kClose: {
-        auto result = service->Close(id);
-        if (!result.ok()) {
-          mismatches.push_back(where + ": Close failed: " +
-                               result.status().ToString());
-          break;
-        }
-        closed = true;
-        const std::string got_hypothesis =
-            Serialize(result.value().hypothesis);
-        const std::string want_hypothesis = Serialize(event.hypothesis);
-        if (got_hypothesis != want_hypothesis) {
-          mismatches.push_back(where + " hypothesis: got " + got_hypothesis +
-                               ", want " + want_hypothesis);
-        }
-        const std::string got_stats = Serialize(result.value().stats);
-        const std::string want_stats = Serialize(event.stats);
-        if (got_stats != want_stats) {
-          mismatches.push_back(where + " stats: got " + got_stats +
-                               ", want " + want_stats);
-        }
-        break;
+template Result<std::vector<std::string>> ReplayTranscript(
+    SessionService* endpoint, const std::vector<TranscriptEvent>& events,
+    BoundaryHook on_boundary);
+template Result<std::vector<std::string>> ReplayTranscript(
+    net::Client* endpoint, const std::vector<TranscriptEvent>& events,
+    BoundaryHook on_boundary);
+
+std::string LoadSessionId(size_t connection, size_t session) {
+  return "load-" + std::to_string(connection) + "-" + std::to_string(session);
+}
+
+LoadReport ReplayGoldenLoad(uint16_t port,
+                            const std::function<void()>& on_all_opened) {
+  LoadReport report;
+  auto goldens = LoadGoldens();
+  if (!goldens.ok()) {
+    report.mismatches.push_back(goldens.status().ToString());
+    return report;
+  }
+  const std::vector<TranscriptCase>& cases = ConformanceCases();
+
+  std::mutex mu;  // guards report
+  std::atomic<size_t> opened{0};
+  auto connection = [&](size_t c) {
+    auto golden_of = [&](size_t k) {
+      return (c * kLoadSessionsPerConnection + k) % cases.size();
+    };
+    std::vector<TranscriptReplayer> sessions;
+    for (size_t k = 0; k < kLoadSessionsPerConnection; ++k) {
+      sessions.emplace_back(goldens.value()[golden_of(k)], BoundaryHook(),
+                            LoadSessionId(c, k));
+    }
+    auto client = net::Client::Connect("127.0.0.1", port);
+    if (client.ok()) {
+      // Every session's first step is its open.
+      for (TranscriptReplayer& session : sessions) session.Step(client.value());
+    }
+    if (opened.fetch_add(1) + 1 == kLoadConnections && on_all_opened) {
+      on_all_opened();
+    }
+    for (bool active = client.ok(); active;) {
+      active = false;
+      for (TranscriptReplayer& session : sessions) {
+        if (session.Step(client.value())) active = true;
       }
     }
+
+    std::lock_guard<std::mutex> lock(mu);
+    if (!client.ok()) {
+      report.mismatches.push_back("connection " + std::to_string(c) + ": " +
+                                  client.status().ToString());
+    }
+    for (size_t k = 0; k < sessions.size(); ++k) {
+      const TranscriptReplayer& session = sessions[k];
+      if (session.done() && session.ok()) ++report.sessions_closed;
+      report.sent.opens += session.sent().opens;
+      report.sent.asks += session.sent().asks;
+      report.sent.tells += session.sent().tells;
+      report.sent.closes += session.sent().closes;
+      for (const std::string& m : session.mismatches()) {
+        report.mismatches.push_back(LoadSessionId(c, k) + " (" +
+                                    cases[golden_of(k)].name + "): " + m);
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kLoadConnections; ++c) {
+    threads.emplace_back(connection, c);
   }
-  if (!closed) (void)service->Close(id);  // release the handle on bail-out
-  return mismatches;
+  for (std::thread& thread : threads) thread.join();
+  return report;
 }
 
 std::string GoldenPath(const std::string& name) {
   return std::string(QLEARN_GOLDEN_DIR) + "/" + name + ".jsonl";
+}
+
+Result<std::vector<std::vector<TranscriptEvent>>> LoadGoldens() {
+  std::vector<std::vector<TranscriptEvent>> goldens;
+  for (const TranscriptCase& c : ConformanceCases()) {
+    QLEARN_ASSIGN_OR_RETURN(const std::string text,
+                            ReadFileToString(GoldenPath(c.name)));
+    QLEARN_ASSIGN_OR_RETURN(std::vector<TranscriptEvent> events,
+                            service::wire::ParseTranscript(text));
+    goldens.push_back(std::move(events));
+  }
+  return goldens;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

@@ -14,7 +14,7 @@
 //   quit           shut down (EOF does the same)
 //
 // Clients point at the router port with the ordinary framed-TCP protocol
-// (e.g. tools/loadgen --port=<router port>); sharding is invisible to them.
+// (e.g. a net::Client connected to it); sharding is invisible to them.
 //
 // Usage:
 //   shardctl [--backends=2] [--port=0] [--reactors=1] [--server_workers=0]
