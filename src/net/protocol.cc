@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <array>
 #include <utility>
 
 #include "service/json.h"
@@ -186,55 +187,33 @@ void AppendLatencyArray(const service::LatencySnapshot& snapshot,
   out->push_back(']');
 }
 
+/// The `counters` frame's session gauges, in kSessionGaugeFields order.
+using SessionGauges = std::array<uint64_t, std::size(kSessionGaugeFields)>;
+
+/// Appends `"key":`, after a ',' unless it opens its object.
+void AppendKey(std::string_view key, std::string* out) {
+  if (out->back() != '{') out->push_back(',');
+  out->push_back('"');
+  out->append(key);
+  *out += "\":";
+}
+
 void AppendOkCounters(const service::ServiceCounters& counters,
-                      uint64_t open_sessions, uint64_t resident_sessions,
-                      uint64_t parked_sessions, std::string* out) {
-  *out += "{\"ok\":{\"opens\":";
-  AppendUInt(counters.opens, out);
-  *out += ",\"asks\":";
-  AppendUInt(counters.asks, out);
-  *out += ",\"tells\":";
-  AppendUInt(counters.tells, out);
-  *out += ",\"oracles\":";
-  AppendUInt(counters.oracles, out);
-  *out += ",\"statuses\":";
-  AppendUInt(counters.statuses, out);
-  *out += ",\"closes\":";
-  AppendUInt(counters.closes, out);
-  *out += ",\"errors\":";
-  AppendUInt(counters.errors, out);
-  *out += ",\"questions_served\":";
-  AppendUInt(counters.questions_served, out);
-  *out += ",\"labels_accepted\":";
-  AppendUInt(counters.labels_accepted, out);
-  *out += ",\"hibernates\":";
-  AppendUInt(counters.hibernates, out);
-  *out += ",\"rehydrates\":";
-  AppendUInt(counters.rehydrates, out);
-  *out += ",\"hibernate_errors\":";
-  AppendUInt(counters.hibernate_errors, out);
-  *out += ",\"exports\":";
-  AppendUInt(counters.exports, out);
-  *out += ",\"imports\":";
-  AppendUInt(counters.imports, out);
-  *out += ",\"open_sessions\":";
-  AppendUInt(open_sessions, out);
-  *out += ",\"resident_sessions\":";
-  AppendUInt(resident_sessions, out);
-  *out += ",\"parked_sessions\":";
-  AppendUInt(parked_sessions, out);
-  *out += ",\"latency_us\":{\"open\":";
-  AppendLatencyArray(counters.open_latency_us, out);
-  *out += ",\"ask\":";
-  AppendLatencyArray(counters.ask_latency_us, out);
-  *out += ",\"tell\":";
-  AppendLatencyArray(counters.tell_latency_us, out);
-  *out += ",\"oracle\":";
-  AppendLatencyArray(counters.oracle_latency_us, out);
-  *out += ",\"status\":";
-  AppendLatencyArray(counters.status_latency_us, out);
-  *out += ",\"close\":";
-  AppendLatencyArray(counters.close_latency_us, out);
+                      const SessionGauges& gauges, std::string* out) {
+  *out += "{\"ok\":{";
+  for (const auto& field : service::kServiceCounterFields) {
+    AppendKey(field.name, out);
+    AppendUInt(counters.*field.member, out);
+  }
+  for (size_t i = 0; i < gauges.size(); ++i) {
+    AppendKey(kSessionGaugeFields[i].name, out);
+    AppendUInt(gauges[i], out);
+  }
+  *out += ",\"latency_us\":{";
+  for (const auto& field : service::kServiceLatencyFields) {
+    AppendKey(field.name, out);
+    AppendLatencyArray(counters.*field.member, out);
+  }
   *out += "}}}";
 }
 
@@ -267,8 +246,9 @@ void AppendErrorFrame(const common::Status& status, std::string* out) {
 // ---------------------------------------------------------------------------
 // Ok-frame body parsing, one reader per op (strict, like the wire parsers).
 
-Status LatencyFromJson(const View* value, const std::string& what,
+Status LatencyFromJson(const View* value, std::string_view key,
                        service::LatencySnapshot* out) {
+  const std::string what(key);
   if (value == nullptr || value->type != Type::kArray) {
     return ShapeError("missing or non-array \"" + what +
                       "\" latency histogram");
@@ -356,67 +336,26 @@ Status ParseOkBody(Request::Op op, const View& body,
       break;
     }
     case Request::Op::kCounters: {
-      service::ServiceCounters& c = response->counters;
-      QLEARN_ASSIGN_OR_RETURN(c.opens,
-                              ToUInt(Find(body, "opens", &seen), "opens"));
-      QLEARN_ASSIGN_OR_RETURN(c.asks,
-                              ToUInt(Find(body, "asks", &seen), "asks"));
-      QLEARN_ASSIGN_OR_RETURN(c.tells,
-                              ToUInt(Find(body, "tells", &seen), "tells"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.oracles, ToUInt(Find(body, "oracles", &seen), "oracles"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.statuses, ToUInt(Find(body, "statuses", &seen), "statuses"));
-      QLEARN_ASSIGN_OR_RETURN(c.closes,
-                              ToUInt(Find(body, "closes", &seen), "closes"));
-      QLEARN_ASSIGN_OR_RETURN(c.errors,
-                              ToUInt(Find(body, "errors", &seen), "errors"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.questions_served,
-          ToUInt(Find(body, "questions_served", &seen), "questions_served"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.labels_accepted,
-          ToUInt(Find(body, "labels_accepted", &seen), "labels_accepted"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.hibernates, ToUInt(Find(body, "hibernates", &seen), "hibernates"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.rehydrates, ToUInt(Find(body, "rehydrates", &seen), "rehydrates"));
-      QLEARN_ASSIGN_OR_RETURN(
-          c.hibernate_errors,
-          ToUInt(Find(body, "hibernate_errors", &seen), "hibernate_errors"));
-      QLEARN_ASSIGN_OR_RETURN(c.exports,
-                              ToUInt(Find(body, "exports", &seen), "exports"));
-      QLEARN_ASSIGN_OR_RETURN(c.imports,
-                              ToUInt(Find(body, "imports", &seen), "imports"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->open_sessions,
-          ToUInt(Find(body, "open_sessions", &seen), "open_sessions"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->resident_sessions,
-          ToUInt(Find(body, "resident_sessions", &seen), "resident_sessions"));
-      QLEARN_ASSIGN_OR_RETURN(
-          response->parked_sessions,
-          ToUInt(Find(body, "parked_sessions", &seen), "parked_sessions"));
+      for (const auto& field : service::kServiceCounterFields) {
+        QLEARN_ASSIGN_OR_RETURN(response->counters.*field.member,
+                                ToUInt(Find(body, field.name, &seen),
+                                       field.name));
+      }
+      for (const auto& field : kSessionGaugeFields) {
+        QLEARN_ASSIGN_OR_RETURN(response->*field.member,
+                                ToUInt(Find(body, field.name, &seen),
+                                       field.name));
+      }
       const View* latency = Find(body, "latency_us", &seen);
       if (latency == nullptr || latency->type != Type::kObject) {
         return ShapeError("missing or non-object \"latency_us\"");
       }
       uint64_t latency_seen = 0;
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "open", &latency_seen), "open", &c.open_latency_us));
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "ask", &latency_seen), "ask", &c.ask_latency_us));
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "tell", &latency_seen), "tell", &c.tell_latency_us));
-      QLEARN_RETURN_IF_ERROR(
-          LatencyFromJson(Find(*latency, "oracle", &latency_seen), "oracle",
-                          &c.oracle_latency_us));
-      QLEARN_RETURN_IF_ERROR(
-          LatencyFromJson(Find(*latency, "status", &latency_seen), "status",
-                          &c.status_latency_us));
-      QLEARN_RETURN_IF_ERROR(LatencyFromJson(
-          Find(*latency, "close", &latency_seen), "close",
-          &c.close_latency_us));
+      for (const auto& field : service::kServiceLatencyFields) {
+        QLEARN_RETURN_IF_ERROR(
+            LatencyFromJson(Find(*latency, field.name, &latency_seen),
+                            field.name, &(response->counters.*field.member)));
+      }
       QLEARN_RETURN_IF_ERROR(
           CheckAllKeysKnown(*latency, latency_seen, "\"latency_us\""));
       break;
@@ -704,8 +643,11 @@ void HandleFrameInto(service::SessionService* service,
       return;
     }
     case Request::Op::kCounters:
-      AppendOkCounters(service->Counters(), service->OpenCount(),
-                       service->ResidentCount(), service->ParkedCount(), out);
+      // The gauges go in kSessionGaugeFields order.
+      AppendOkCounters(service->Counters(),
+                       {service->OpenCount(), service->ResidentCount(),
+                        service->ParkedCount()},
+                       out);
       return;
     case Request::Op::kSessions:
       AppendOkSessions(service->ListOpen(), out);
@@ -774,47 +716,26 @@ common::Result<std::string> MergeCountersFrames(
     return ShapeError("counters merge needs at least one frame");
   }
   service::ServiceCounters total;
-  uint64_t open_sessions = 0;
-  uint64_t resident_sessions = 0;
-  uint64_t parked_sessions = 0;
-  const auto add_latency = [](const service::LatencySnapshot& in,
-                              service::LatencySnapshot* out) {
-    for (size_t i = 0; i < service::LatencySnapshot::kBuckets; ++i) {
-      out->buckets[i] += in.buckets[i];
-    }
-  };
+  SessionGauges gauges{};
   for (const std::string& frame : frames) {
     QLEARN_ASSIGN_OR_RETURN(const Response response,
                             ParseResponse(Request::Op::kCounters, frame));
     if (!response.status.ok()) return frame;  // error frame wins, verbatim
-    const service::ServiceCounters& c = response.counters;
-    total.opens += c.opens;
-    total.asks += c.asks;
-    total.tells += c.tells;
-    total.oracles += c.oracles;
-    total.statuses += c.statuses;
-    total.closes += c.closes;
-    total.errors += c.errors;
-    total.questions_served += c.questions_served;
-    total.labels_accepted += c.labels_accepted;
-    total.hibernates += c.hibernates;
-    total.rehydrates += c.rehydrates;
-    total.hibernate_errors += c.hibernate_errors;
-    total.exports += c.exports;
-    total.imports += c.imports;
-    add_latency(c.open_latency_us, &total.open_latency_us);
-    add_latency(c.ask_latency_us, &total.ask_latency_us);
-    add_latency(c.tell_latency_us, &total.tell_latency_us);
-    add_latency(c.oracle_latency_us, &total.oracle_latency_us);
-    add_latency(c.status_latency_us, &total.status_latency_us);
-    add_latency(c.close_latency_us, &total.close_latency_us);
-    open_sessions += response.open_sessions;
-    resident_sessions += response.resident_sessions;
-    parked_sessions += response.parked_sessions;
+    for (const auto& field : service::kServiceCounterFields) {
+      total.*field.member += response.counters.*field.member;
+    }
+    for (size_t i = 0; i < gauges.size(); ++i) {
+      gauges[i] += response.*kSessionGaugeFields[i].member;
+    }
+    for (const auto& field : service::kServiceLatencyFields) {
+      for (size_t i = 0; i < service::LatencySnapshot::kBuckets; ++i) {
+        (total.*field.member).buckets[i] +=
+            (response.counters.*field.member).buckets[i];
+      }
+    }
   }
   std::string out;
-  AppendOkCounters(total, open_sessions, resident_sessions, parked_sessions,
-                   &out);
+  AppendOkCounters(total, gauges, &out);
   return out;
 }
 

@@ -47,6 +47,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "service/json.h"
 #include "service/session_service.h"
@@ -97,6 +98,13 @@ struct Request {
   std::string image;
 };
 
+/// The session gauges a `counters` frame carries after the op counters, in
+/// wire order: open sessions, those resident in memory, those hibernated.
+#define QLEARN_SESSION_GAUGES(X) \
+  X(open_sessions)               \
+  X(resident_sessions)           \
+  X(parked_sessions)
+
 /// One decoded response frame. `status` is the server-reported outcome:
 /// OK for an ok frame, the round-tripped error for an error frame. The
 /// other fields are meaningful per op (and only when status.ok()).
@@ -110,12 +118,16 @@ struct Response {
   service::wire::HypothesisPayload hypothesis;    // close
   session::SessionStats stats;                    // close
   service::ServiceCounters counters;              // counters
-  uint64_t open_sessions = 0;                     // counters
-  uint64_t resident_sessions = 0;                 // counters (in memory)
-  uint64_t parked_sessions = 0;                   // counters (hibernated)
+  QLEARN_SESSION_GAUGES(QLEARN_COUNTER_MEMBER)    // counters
   std::vector<std::string> session_ids;           // sessions
   std::string scenario;                           // export
   std::string image;                              // export (raw bytes)
+};
+
+inline constexpr common::CounterField<Response> kSessionGaugeFields[] = {
+#define QLEARN_FIELD(name) {#name, &Response::name},
+    QLEARN_SESSION_GAUGES(QLEARN_FIELD)
+#undef QLEARN_FIELD
 };
 
 /// Canonical serialization of a request (fixed key order, no whitespace).

@@ -35,14 +35,6 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-void AddStats(const ReactorStats& in, ReactorStats* out) {
-  out->connections_accepted += in.connections_accepted;
-  out->connections_open += in.connections_open;
-  out->frames_received += in.frames_received;
-  out->bad_frames += in.bad_frames;
-  out->truncated_frames += in.truncated_frames;
-}
-
 }  // namespace
 
 std::string BadFrameError(const FrameReader::Event& event) {
@@ -190,10 +182,7 @@ void Reactor::Shard::Close(Conn* conn, std::string_view reason) {
   const bool accepted = conn->accepted;
   CloseFd(&conn->fd);
   conns_.erase(conn->id);  // `conn` is dead past this line
-  if (accepted) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    --stats_.connections_open;
-  }
+  if (accepted) common::DropCounter(reactor_->stats_.connections_open);
 }
 
 /// A shard's thread: the poll loop over the shard's sockets, accept on
@@ -258,10 +247,13 @@ class ShardThread {
     }
     // Shutdown: drop every connection (answers still held by the handler
     // miss their lookup and are discarded).
-    for (auto& [id, conn] : s_.conns_) CloseFd(&conn->fd);
+    uint64_t accepted = 0;
+    for (auto& [id, conn] : s_.conns_) {
+      CloseFd(&conn->fd);
+      if (conn->accepted) ++accepted;
+    }
     s_.conns_.clear();
-    std::lock_guard<std::mutex> lock(s_.stats_mutex_);
-    s_.stats_.connections_open = 0;
+    common::DropCounter(reactor_.stats_.connections_open, accepted);
   }
 
  private:
@@ -306,9 +298,9 @@ class ShardThread {
       conn->fd = fd;
       s_.Register(std::move(conn));
     }
-    std::lock_guard<std::mutex> lock(s_.stats_mutex_);
-    s_.stats_.connections_accepted += incoming_.size();
-    s_.stats_.connections_open += incoming_.size();
+    common::BumpCounter(reactor_.stats_.connections_accepted,
+                        incoming_.size());
+    common::BumpCounter(reactor_.stats_.connections_open, incoming_.size());
     incoming_.clear();
   }
 
@@ -331,8 +323,7 @@ class ShardThread {
       reason = n == 0 ? "connection closed"
                       : std::string("recv: ") + std::strerror(errno);
       if (n == 0 && conn->accepted && conn->reader.MidFrame()) {
-        std::lock_guard<std::mutex> lock(s_.stats_mutex_);
-        ++s_.stats_.truncated_frames;
+        common::BumpCounter(reactor_.stats_.truncated_frames);
       }
       break;
     }
@@ -352,11 +343,8 @@ class ShardThread {
       (event.kind == FrameReader::Event::Kind::kFrame ? good : bad) += 1;
       conn->inputs.push_back(std::move(event));
     }
-    if (good + bad > 0) {
-      std::lock_guard<std::mutex> lock(s_.stats_mutex_);
-      s_.stats_.frames_received += good;
-      s_.stats_.bad_frames += bad;
-    }
+    if (good > 0) common::BumpCounter(reactor_.stats_.frames_received, good);
+    if (bad > 0) common::BumpCounter(reactor_.stats_.bad_frames, bad);
   }
 
   Reactor::Shard& s_;
@@ -376,17 +364,7 @@ common::Status Reactor::Start(const HandlerFactory& make_handler) {
     return Status::InvalidArgument("options.max_frame_bytes must be > 0");
   }
 
-  // Retire the previous cycle's shards (if any) before building new ones.
-  // retired_mutex_ guards the shards vector itself here so a concurrent
-  // stats() never iterates it mid-rebuild.
-  if (!shards_.empty()) {
-    std::lock_guard<std::mutex> lock(retired_mutex_);
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->stats_mutex_);
-      AddStats(shard->stats_, &retired_);
-    }
-    shards_.clear();
-  }
+  shards_.clear();  // the previous cycle's shards, if any
 
   auto fail = [this](Status status) {
     CloseFd(&listen_fd_);
@@ -419,30 +397,22 @@ common::Status Reactor::Start(const HandlerFactory& make_handler) {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   bound_port_ = ntohs(bound.sin_port);
 
-  // Build the new shard set off to the side and install it in one move
-  // under retired_mutex_, so stats() always sees either the old vector or
-  // the complete new one.
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(options_.reactors);
   for (size_t i = 0; i < options_.reactors; ++i) {
     auto shard = std::make_unique<Shard>(this, i);
     int pipe_fds[2];
     if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-      for (auto& built : shards) {
+      for (auto& built : shards_) {
         CloseFd(&built->wake_read_);
         CloseFd(&built->wake_write_);
       }
+      shards_.clear();
       return fail(Status::Internal(std::string("pipe2: ") +
                                    std::strerror(errno)));
     }
     shard->wake_read_ = pipe_fds[0];
     shard->wake_write_ = pipe_fds[1];
     shard->handler_ = make_handler(shard.get());
-    shards.push_back(std::move(shard));
-  }
-  {
-    std::lock_guard<std::mutex> lock(retired_mutex_);
-    shards_ = std::move(shards);
+    shards_.push_back(std::move(shard));
   }
 
   next_shard_.store(0, std::memory_order_relaxed);
@@ -477,13 +447,9 @@ void Reactor::Stop() {
 }
 
 ReactorStats Reactor::stats() const {
-  std::lock_guard<std::mutex> lock(retired_mutex_);
-  ReactorStats total = retired_;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->stats_mutex_);
-    AddStats(shard->stats_, &total);
-  }
-  return total;
+  ReactorStats snapshot;
+  common::LoadCounters(stats_, kReactorStatsFields, &snapshot);
+  return snapshot;
 }
 
 }  // namespace net

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "net/buffer_pool.h"
 #include "net/frame.h"
@@ -68,13 +69,22 @@ struct ReactorOptions {
   size_t pool_buffer_bytes = 64 * 1024;
 };
 
-/// Lifetime counters over accepted connections.
+/// Lifetime counters over accepted connections, across restarts.
+#define QLEARN_REACTOR_STATS(X)                                      \
+  X(connections_accepted)                                            \
+  X(connections_open) /* gauge: accepted and not yet closed */       \
+  X(frames_received)  /* complete, well-framed payloads */           \
+  X(bad_frames)       /* zero-length/oversized framing errors */     \
+  X(truncated_frames) /* peer EOF mid-frame */
+
 struct ReactorStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_open = 0;
-  uint64_t frames_received = 0;   ///< complete, well-framed payloads
-  uint64_t bad_frames = 0;        ///< zero-length/oversized framing errors
-  uint64_t truncated_frames = 0;  ///< peer EOF mid-frame
+  QLEARN_REACTOR_STATS(QLEARN_COUNTER_MEMBER)
+};
+
+inline constexpr common::CounterField<ReactorStats> kReactorStatsFields[] = {
+#define QLEARN_FIELD(name) {#name, &ReactorStats::name},
+    QLEARN_REACTOR_STATS(QLEARN_FIELD)
+#undef QLEARN_FIELD
 };
 
 /// One frame queued for a socket. The 4-byte length prefix and the body
@@ -201,9 +211,6 @@ class Reactor {
     std::mutex incoming_mutex_;
     std::vector<int> incoming_fds_;  ///< dealt by shard 0, not yet adopted
 
-    mutable std::mutex stats_mutex_;
-    ReactorStats stats_;
-
     std::map<uint64_t, std::unique_ptr<Conn>> conns_;  // shard thread only
     std::thread thread_;
   };
@@ -239,10 +246,9 @@ class Reactor {
   std::atomic<uint64_t> next_shard_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Stats of a previous Start/Stop cycle's shards. The mutex also guards
-  /// the `shards_` vector against Start() replacing it mid-stats().
-  mutable std::mutex retired_mutex_;
-  ReactorStats retired_;
+  /// The one live stats block every shard bumps; it outlives the shard
+  /// sets of successive Start/Stop cycles.
+  ReactorStats stats_;
 };
 
 }  // namespace net

@@ -138,15 +138,9 @@ struct Router::Impl {
   /// One rebalance at a time.
   std::mutex rebalance_mutex;
 
-  /// The routing counters (the reactor keeps the rest); lifetime totals
-  /// across restarts.
-  mutable std::mutex counters_mutex;
+  /// The live routing counters (the reactor keeps the base's, so those
+  /// stay 0 here); lifetime totals across restarts.
   RouterStats counters;
-
-  void Bump(uint64_t RouterStats::*field, uint64_t by = 1) {
-    std::lock_guard<std::mutex> lock(counters_mutex);
-    counters.*field += by;
-  }
 
   std::shared_ptr<const ShardMap> Map() const {
     std::lock_guard<std::mutex> lock(map_mutex);
@@ -247,7 +241,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     std::deque<Forwarded> orphans;
     orphans.swap(backend->in_flight);
     in_flight_count.fetch_sub(orphans.size(), std::memory_order_relaxed);
-    impl_->Bump(&RouterStats::backend_errors, orphans.size());
+    common::BumpCounter(impl_->counters.backend_errors, orphans.size());
     backends_.erase(backend->address);
     const std::string error = SerializeError(Status::Unavailable(
         "backend " + backend->address + ": " + std::string(reason)));
@@ -318,7 +312,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     Pending& slot = PushSlot(client);
     slot.ready = true;
     slot.body = std::move(body);
-    impl_->Bump(&RouterStats::local_answers);
+    common::BumpCounter(impl_->counters.local_answers);
   }
 
   /// The live connection to `address`, dialing if necessary. Null on
@@ -332,7 +326,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     if (failed != dial_failures_.end()) {
       if (std::chrono::steady_clock::now() < failed->second.until) {
         *error = failed->second.error;
-        impl_->Bump(&RouterStats::dial_backoffs);
+        common::BumpCounter(impl_->counters.dial_backoffs);
         return nullptr;
       }
       dial_failures_.erase(failed);
@@ -353,7 +347,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     auto* backend =
         static_cast<BackendConn*>(shard_->Register(std::move(conn)));
     backends_.emplace(key, backend);
-    impl_->Bump(&RouterStats::backend_reconnects);
+    common::BumpCounter(impl_->counters.backend_reconnects);
     return backend;
   }
 
@@ -365,7 +359,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     BackendConn* backend = EnsureBackend(address, &error);
     if (backend == nullptr) {
       shard_->pool().Release(std::move(payload));
-      impl_->Bump(&RouterStats::backend_errors);
+      common::BumpCounter(impl_->counters.backend_errors);
       PushLocal(client, SerializeError(Status::Unavailable(
                             "backend " + ToString(address) + ": " + error)));
       return;
@@ -374,7 +368,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     backend->in_flight.push_back({client->id, slot.seq, std::move(close_id)});
     in_flight_count.fetch_add(1, std::memory_order_relaxed);
     shard_->Enqueue(backend, std::move(payload));
-    impl_->Bump(&RouterStats::frames_forwarded);
+    common::BumpCounter(impl_->counters.frames_forwarded);
     shard_->Flush(backend);  // a dead socket fails the slot via OnClose
   }
 
@@ -392,7 +386,7 @@ class Router::Impl::Shard : public Reactor::Handler {
     slot.awaiting = static_cast<uint32_t>(targets.size());
     slot.parts.reserve(targets.size());
     const uint64_t seq = slot.seq;
-    impl_->Bump(&RouterStats::fanouts);
+    common::BumpCounter(impl_->counters.fanouts);
     for (const BackendAddress& address : targets) {
       std::string error;
       BackendConn* backend = EnsureBackend(address, &error);
@@ -400,7 +394,7 @@ class Router::Impl::Shard : public Reactor::Handler {
         // One unreachable backend fails the whole merge: a partial sum
         // would silently under-report. (`slot` stays valid: deque
         // references survive push_backs at the ends.)
-        impl_->Bump(&RouterStats::backend_errors);
+        common::BumpCounter(impl_->counters.backend_errors);
         slot.ready = true;
         slot.kind = Pending::Kind::kSingle;
         slot.awaiting = 0;
@@ -414,7 +408,7 @@ class Router::Impl::Shard : public Reactor::Handler {
       backend->in_flight.push_back({client->id, seq, std::string()});
       in_flight_count.fetch_add(1, std::memory_order_relaxed);
       shard_->Enqueue(backend, std::move(copy));
-      impl_->Bump(&RouterStats::frames_forwarded);
+      common::BumpCounter(impl_->counters.frames_forwarded);
       if (!shard_->Flush(backend)) break;  // OnClose completed the slot
     }
     shard_->pool().Release(std::move(payload));
@@ -526,7 +520,7 @@ class Router::Impl::Shard : public Reactor::Handler {
                               "limit")));
         return;
       }
-      impl_->Bump(&RouterStats::ids_minted);
+      common::BumpCounter(impl_->counters.ids_minted);
       Forward(client, Owner(minted, map), std::move(rebuilt), std::string());
       return;
     }
@@ -718,7 +712,7 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
           // Labels pending: the session cannot park. Pin it where it is
           // and migrate it on a later rebalance (or let close retire it).
           impl->AddOverride(id, source);
-          impl->Bump(&RouterStats::handoff_skipped);
+          common::BumpCounter(impl->counters.handoff_skipped);
           continue;
         }
         return abort_rebalance(exported.status());
@@ -744,7 +738,7 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
       }
       impl->EraseOverride(id);
       moved.emplace_back(id, target);
-      impl->Bump(&RouterStats::handoffs);
+      common::BumpCounter(impl->counters.handoffs);
     }
   }
 
@@ -752,19 +746,16 @@ common::Status Router::Rebalance(std::vector<BackendAddress> backends) {
   next.generation = old.generation + 1;
   next.backends = std::move(backends);
   impl->InstallMap(std::move(next));
-  impl->Bump(&RouterStats::rebalances);
+  common::BumpCounter(impl->counters.rebalances);
   resume();
   return Status::OK();
 }
 
 RouterStats Router::stats() const {
-  RouterStats total;
-  {
-    std::lock_guard<std::mutex> lock(impl_->counters_mutex);
-    total = impl_->counters;
-  }
-  static_cast<ReactorStats&>(total) = impl_->reactor.stats();
-  return total;
+  RouterStats snapshot;
+  common::LoadCounters(impl_->counters, kRouterStatsFields, &snapshot);
+  static_cast<ReactorStats&>(snapshot) = impl_->reactor.stats();
+  return snapshot;
 }
 
 }  // namespace net

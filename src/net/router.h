@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "net/frame.h"
 #include "net/reactor.h"
@@ -73,19 +74,30 @@ struct RouterOptions : ReactorOptions {
   int64_t drain_deadline_millis = 10000;
 };
 
+/// The routing counters, lifetime totals across restarts.
+#define QLEARN_ROUTER_STATS(X)                                            \
+  X(frames_forwarded)   /* frames dispatched to a backend */              \
+  X(local_answers)      /* answered without a backend round trip */       \
+  X(fanouts)            /* counters/sessions broadcasts */                \
+  X(ids_minted)         /* router-minted open ids */                      \
+  X(backend_reconnects) /* backend connections established */             \
+  X(backend_errors)     /* in-flight requests failed Unavailable */       \
+  X(dial_backoffs)      /* dials skipped by the failure cache */          \
+  X(handoffs)           /* sessions migrated by rebalances */             \
+  X(handoff_skipped)    /* non-quiescent sessions left behind */          \
+  X(rebalances)         /* successful map installs */
+
 /// Lifetime statistics of one router: the reactor's counters over client
 /// connections, plus the routing counters.
 struct RouterStats : ReactorStats {
-  uint64_t frames_forwarded = 0;  ///< frames dispatched to a backend
-  uint64_t local_answers = 0;     ///< answered without a backend round trip
-  uint64_t fanouts = 0;           ///< counters/sessions broadcasts
-  uint64_t ids_minted = 0;        ///< router-minted open ids
-  uint64_t backend_reconnects = 0;  ///< backend connections established
-  uint64_t backend_errors = 0;    ///< in-flight requests failed Unavailable
-  uint64_t dial_backoffs = 0;     ///< dials skipped by the failure cache
-  uint64_t handoffs = 0;          ///< sessions migrated by rebalances
-  uint64_t handoff_skipped = 0;   ///< non-quiescent sessions left behind
-  uint64_t rebalances = 0;        ///< successful map installs
+  QLEARN_ROUTER_STATS(QLEARN_COUNTER_MEMBER)
+};
+
+/// Every field: the reactor's, then the routing counters.
+inline constexpr common::CounterField<RouterStats> kRouterStatsFields[] = {
+#define QLEARN_FIELD(name) {#name, &RouterStats::name},
+    QLEARN_REACTOR_STATS(QLEARN_FIELD) QLEARN_ROUTER_STATS(QLEARN_FIELD)
+#undef QLEARN_FIELD
 };
 
 class Router {

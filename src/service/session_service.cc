@@ -1,7 +1,7 @@
 #include "service/session_service.h"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -61,12 +61,12 @@ Status ValidateHandle(std::string_view id) {
   return Status::OK();
 }
 
-/// Records wall time from construction to scope exit into a histogram.
+/// Records wall time from construction to scope exit into a live histogram.
 /// Deliberately on the raw steady clock (not the injectable service clock):
 /// the histograms report observed latency, not simulated time.
 class LatencyTimer {
  public:
-  explicit LatencyTimer(LatencyHistogram* histogram)
+  explicit LatencyTimer(LatencySnapshot* histogram)
       : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
   ~LatencyTimer() {
     histogram_->Record(static_cast<uint64_t>(
@@ -78,7 +78,7 @@ class LatencyTimer {
   LatencyTimer& operator=(const LatencyTimer&) = delete;
 
  private:
-  LatencyHistogram* histogram_;
+  LatencySnapshot* histogram_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -93,15 +93,16 @@ uint64_t LatencySnapshot::Count() const {
 uint64_t LatencySnapshot::QuantileUpperBoundMicros(double q) const {
   const uint64_t total = Count();
   if (total == 0) return 0;
-  const uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total));
+  q = std::isnan(q) ? 0 : std::clamp(q, 0.0, 1.0);
+  // 0-based rank of the sample; q = 1 names the last one, not one past it.
+  const uint64_t rank = std::min(
+      static_cast<uint64_t>(q * static_cast<double>(total)), total - 1);
   uint64_t cumulative = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
     cumulative += buckets[i];
-    if (cumulative > rank) {
-      return i == 0 ? 0 : (uint64_t{1} << i) - 1;
-    }
+    if (cumulative > rank) return i == 0 ? 0 : (uint64_t{1} << i) - 1;
   }
-  return (uint64_t{1} << (kBuckets - 1)) - 1;
+  return 0;  // unreachable: rank < total
 }
 
 SessionService::SessionService(session::ScenarioRegistry* registry)
@@ -125,7 +126,7 @@ SessionService::SessionService(const ServiceOptions& options)
 }
 
 common::Status SessionService::Fail(common::Status status) const {
-  errors_.fetch_add(1, std::memory_order_relaxed);
+  common::BumpCounter(counters_.errors);
   return status;
 }
 
@@ -136,8 +137,8 @@ double SessionService::ElapsedSeconds(
 
 Result<std::string> SessionService::Open(const std::string& scenario,
                                          const OpenOptions& options) {
-  const LatencyTimer timer(&open_latency_);
-  opens_.fetch_add(1, std::memory_order_relaxed);
+  const LatencyTimer timer(&counters_.open_latency_us);
+  common::BumpCounter(counters_.opens);
   if (options.budget.max_pending == 0) {
     // A session that may never serve a question would look converged on
     // the first Ask; refuse the budget up front instead.
@@ -192,30 +193,34 @@ std::shared_ptr<SessionService::Entry> SessionService::Find(
 
 common::Status SessionService::ParkLocked(const std::string& id,
                                           Entry* entry) {
-  std::string session_image;
-  QLEARN_RETURN_IF_ERROR(entry->session->SerializeSnapshot(&session_image));
-  const auto now = clock_();
-  session::SnapshotWriter writer;
-  writer.WriteU32(kHibernationMagic);
-  writer.WriteU32(kHibernationVersion);
-  writer.WriteBytes(entry->scenario);
-  writer.WriteU64(entry->budget.max_questions);
-  writer.WriteU64(static_cast<uint64_t>(entry->budget.max_pending));
-  writer.WriteU64(std::bit_cast<uint64_t>(entry->budget.max_wall_seconds));
-  writer.WriteU64(std::bit_cast<uint64_t>(
-      std::chrono::duration<double>(now - entry->opened_at).count()));
-  writer.WriteBytes(session_image);
-  std::string image = writer.TakeBytes();
-  const uint64_t checksum = Fnv1a64(image);
-  for (size_t i = 0; i < kChecksumBytes; ++i) {
-    image.push_back(static_cast<char>((checksum >> (8 * i)) & 0xff));
-  }
-  QLEARN_RETURN_IF_ERROR(snapshot_store_->Put(id, image));
-  entry->session.reset();
-  entry->parked_at = now;
-  entry->parked.store(true, std::memory_order_relaxed);
-  hibernates_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  common::Status status = [&]() -> common::Status {
+    std::string session_image;
+    QLEARN_RETURN_IF_ERROR(entry->session->SerializeSnapshot(&session_image));
+    const auto now = clock_();
+    session::SnapshotWriter writer;
+    writer.WriteU32(kHibernationMagic);
+    writer.WriteU32(kHibernationVersion);
+    writer.WriteBytes(entry->scenario);
+    writer.WriteU64(entry->budget.max_questions);
+    writer.WriteU64(static_cast<uint64_t>(entry->budget.max_pending));
+    writer.WriteU64(std::bit_cast<uint64_t>(entry->budget.max_wall_seconds));
+    writer.WriteU64(std::bit_cast<uint64_t>(
+        std::chrono::duration<double>(now - entry->opened_at).count()));
+    writer.WriteBytes(session_image);
+    std::string image = writer.TakeBytes();
+    const uint64_t checksum = Fnv1a64(image);
+    for (size_t i = 0; i < kChecksumBytes; ++i) {
+      image.push_back(static_cast<char>((checksum >> (8 * i)) & 0xff));
+    }
+    QLEARN_RETURN_IF_ERROR(snapshot_store_->Put(id, image));
+    entry->session.reset();
+    entry->parked_at = now;
+    entry->parked.store(true, std::memory_order_relaxed);
+    common::BumpCounter(counters_.hibernates);
+    return Status::OK();
+  }();
+  if (!status.ok()) common::BumpCounter(counters_.hibernate_errors);
+  return status;
 }
 
 common::Status SessionService::RehydrateLocked(const std::string& id,
@@ -315,12 +320,12 @@ common::Status SessionService::RehydrateLocked(const std::string& id,
         now - std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double>(total));
     entry->parked.store(false, std::memory_order_relaxed);
-    rehydrates_.fetch_add(1, std::memory_order_relaxed);
+    common::BumpCounter(counters_.rehydrates);
     snapshot_store_->Delete(id);
     return common::Status::OK();
   }();
   if (!status.ok()) {
-    hibernate_errors_.fetch_add(1, std::memory_order_relaxed);
+    common::BumpCounter(counters_.hibernate_errors);
   }
   return status;
 }
@@ -344,10 +349,7 @@ common::Status SessionService::Park(std::string_view id_view) {
         " unanswered question(s); only quiescent sessions park"));
   }
   common::Status status = ParkLocked(id, entry.get());
-  if (!status.ok()) {
-    hibernate_errors_.fetch_add(1, std::memory_order_relaxed);
-    return Fail(std::move(status));
-  }
+  if (!status.ok()) return Fail(std::move(status));
   return common::Status::OK();
 }
 
@@ -371,10 +373,7 @@ common::Result<ExportedSession> SessionService::ExportSession(
             " unanswered question(s); only quiescent sessions export"));
       }
       common::Status parked = ParkLocked(id, entry.get());
-      if (!parked.ok()) {
-        hibernate_errors_.fetch_add(1, std::memory_order_relaxed);
-        return Fail(std::move(parked));
-      }
+      if (!parked.ok()) return Fail(std::move(parked));
     }
     auto image_or = snapshot_store_->Get(id);
     if (!image_or.ok()) {
@@ -394,7 +393,7 @@ common::Result<ExportedSession> SessionService::ExportSession(
     sessions_.erase(id);
   }
   snapshot_store_->Delete(id);
-  exports_.fetch_add(1, std::memory_order_relaxed);
+  common::BumpCounter(counters_.exports);
   return out;
 }
 
@@ -470,7 +469,7 @@ common::Status SessionService::ImportSession(std::string_view id_view,
     sessions_.erase(id);
     return Fail(put);
   }
-  imports_.fetch_add(1, std::memory_order_relaxed);
+  common::BumpCounter(counters_.imports);
   return common::Status::OK();
 }
 
@@ -495,19 +494,15 @@ size_t SessionService::ParkIdleSessions() {
     const double idle =
         std::chrono::duration<double>(now - entry->last_touch).count();
     if (idle < hibernate_after_seconds_) continue;
-    if (ParkLocked(id, entry.get()).ok()) {
-      ++parked;
-    } else {
-      hibernate_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (ParkLocked(id, entry.get()).ok()) ++parked;
   }
   return parked;
 }
 
 Result<std::vector<wire::QuestionPayload>> SessionService::Ask(
     std::string_view id, size_t k) {
-  const LatencyTimer timer(&ask_latency_);
-  asks_.fetch_add(1, std::memory_order_relaxed);
+  const LatencyTimer timer(&counters_.ask_latency_us);
+  common::BumpCounter(counters_.asks);
   auto entry = Find(id);
   if (entry == nullptr) {
     return Fail(
@@ -564,15 +559,15 @@ Result<std::vector<wire::QuestionPayload>> SessionService::Ask(
     payloads.push_back(std::move(payload));
   }
   entry->pending = payloads.size();
-  questions_served_.fetch_add(payloads.size(), std::memory_order_relaxed);
+  common::BumpCounter(counters_.questions_served, payloads.size());
   return payloads;
 }
 
 template <typename MakeLabels>
 common::Status SessionService::TellImpl(std::string_view id, size_t count,
                                         MakeLabels&& make_labels) {
-  const LatencyTimer timer(&tell_latency_);
-  tells_.fetch_add(1, std::memory_order_relaxed);
+  const LatencyTimer timer(&counters_.tell_latency_us);
+  common::BumpCounter(counters_.tells);
   auto entry = Find(id);
   if (entry == nullptr) {
     return Fail(
@@ -600,7 +595,7 @@ common::Status SessionService::TellImpl(std::string_view id, size_t count,
   }
   entry->session->AnswerAll(make_labels());
   entry->pending = 0;
-  labels_accepted_.fetch_add(count, std::memory_order_relaxed);
+  common::BumpCounter(counters_.labels_accepted, count);
   return common::Status::OK();
 }
 
@@ -623,8 +618,8 @@ common::Status SessionService::Tell(std::string_view id, const bool* labels,
 }
 
 Result<std::vector<bool>> SessionService::OracleLabels(std::string_view id) {
-  const LatencyTimer timer(&oracle_latency_);
-  oracles_.fetch_add(1, std::memory_order_relaxed);
+  const LatencyTimer timer(&counters_.oracle_latency_us);
+  common::BumpCounter(counters_.oracles);
   auto entry = Find(id);
   if (entry == nullptr) {
     return Fail(
@@ -648,8 +643,8 @@ Result<std::vector<bool>> SessionService::OracleLabels(std::string_view id) {
 }
 
 Result<SessionStatus> SessionService::Status(std::string_view id) const {
-  const LatencyTimer timer(&status_latency_);
-  statuses_.fetch_add(1, std::memory_order_relaxed);
+  const LatencyTimer timer(&counters_.status_latency_us);
+  common::BumpCounter(counters_.statuses);
   auto entry = Find(id);
   if (entry == nullptr) {
     return Fail(
@@ -676,9 +671,9 @@ Result<SessionStatus> SessionService::Status(std::string_view id) const {
 }
 
 Result<CloseResult> SessionService::Close(std::string_view id_view) {
-  const LatencyTimer timer(&close_latency_);
+  const LatencyTimer timer(&counters_.close_latency_us);
   const std::string id(id_view);  // closes are once per session; keep simple
-  closes_.fetch_add(1, std::memory_order_relaxed);
+  common::BumpCounter(counters_.closes);
   auto entry = Find(id);
   if (entry == nullptr) {
     return Fail(common::Status::NotFound("unknown session: " + id));
@@ -750,30 +745,15 @@ size_t SessionService::ParkedCount() const {
 }
 
 ServiceCounters SessionService::Counters() const {
-  ServiceCounters counters;
-  counters.opens = opens_.load(std::memory_order_relaxed);
-  counters.asks = asks_.load(std::memory_order_relaxed);
-  counters.tells = tells_.load(std::memory_order_relaxed);
-  counters.oracles = oracles_.load(std::memory_order_relaxed);
-  counters.statuses = statuses_.load(std::memory_order_relaxed);
-  counters.closes = closes_.load(std::memory_order_relaxed);
-  counters.errors = errors_.load(std::memory_order_relaxed);
-  counters.questions_served =
-      questions_served_.load(std::memory_order_relaxed);
-  counters.labels_accepted = labels_accepted_.load(std::memory_order_relaxed);
-  counters.hibernates = hibernates_.load(std::memory_order_relaxed);
-  counters.rehydrates = rehydrates_.load(std::memory_order_relaxed);
-  counters.hibernate_errors =
-      hibernate_errors_.load(std::memory_order_relaxed);
-  counters.exports = exports_.load(std::memory_order_relaxed);
-  counters.imports = imports_.load(std::memory_order_relaxed);
-  counters.open_latency_us = open_latency_.Snapshot();
-  counters.ask_latency_us = ask_latency_.Snapshot();
-  counters.tell_latency_us = tell_latency_.Snapshot();
-  counters.oracle_latency_us = oracle_latency_.Snapshot();
-  counters.status_latency_us = status_latency_.Snapshot();
-  counters.close_latency_us = close_latency_.Snapshot();
-  return counters;
+  ServiceCounters snapshot;
+  common::LoadCounters(counters_, kServiceCounterFields, &snapshot);
+  for (const auto& field : kServiceLatencyFields) {
+    for (size_t i = 0; i < LatencySnapshot::kBuckets; ++i) {
+      (snapshot.*field.member).buckets[i] =
+          common::LoadCounter((counters_.*field.member).buckets[i]);
+    }
+  }
+  return snapshot;
 }
 
 }  // namespace service

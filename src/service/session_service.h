@@ -62,6 +62,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/status.h"
 #include "service/snapshot_store.h"
 #include "service/wire.h"
@@ -123,72 +124,79 @@ struct SessionStatus {
   std::string hypothesis;        ///< current rendering
 };
 
-/// Point-in-time copy of one LatencyHistogram: bucket i counts samples
-/// whose microsecond duration has bit width i, i.e. [2^(i-1), 2^i); bucket
-/// 0 is sub-microsecond. 28 buckets top out above two minutes.
+/// Log2 latency histogram: bucket i counts samples whose microsecond
+/// duration has bit width i, i.e. [2^(i-1), 2^i); bucket 0 is
+/// sub-microsecond. 28 buckets top out above two minutes. Like the
+/// counters (common/counters.h), one struct is both the live histogram and
+/// its snapshot.
 struct LatencySnapshot {
   static constexpr size_t kBuckets = 28;
   std::array<uint64_t, kBuckets> buckets{};
 
+  /// Counts one sample in a live histogram: one relaxed atomic add, cheap
+  /// enough for every request.
+  void Record(uint64_t micros) {
+    common::BumpCounter(
+        buckets[std::min<size_t>(std::bit_width(micros), kBuckets - 1)]);
+  }
   uint64_t Count() const;
   /// Upper edge (µs) of the bucket holding quantile q of the recorded
   /// samples — a factor-of-two estimate, which is all a log2 histogram
-  /// promises. Returns 0 when empty.
+  /// promises. q is clamped to [0, 1] (NaN reads as 0), so q = 1 is the
+  /// highest non-empty bucket. Returns 0 when empty.
   uint64_t QuantileUpperBoundMicros(double q) const;
 };
 
-/// Lock-free fixed-bucket (log2) latency histogram. Record is two relaxed
-/// atomic ops, cheap enough for every request; snapshots are torn-by-one
-/// like the counters.
-class LatencyHistogram {
- public:
-  void Record(uint64_t micros) {
-    const size_t b = std::min<size_t>(std::bit_width(micros),
-                                      LatencySnapshot::kBuckets - 1);
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  }
-  LatencySnapshot Snapshot() const {
-    LatencySnapshot snapshot;
-    for (size_t i = 0; i < LatencySnapshot::kBuckets; ++i) {
-      snapshot.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
-    return snapshot;
-  }
+/// The service's monotonic operation counters, in wire order.
+#define QLEARN_SERVICE_COUNTERS(X)                                         \
+  X(opens)                                                                 \
+  X(asks)                                                                  \
+  X(tells)                                                                 \
+  X(oracles)                                                               \
+  X(statuses)                                                              \
+  X(closes)                                                                \
+  X(errors)           /* calls that returned a non-OK Status */            \
+  X(questions_served) /* questions across all Ask batches */               \
+  X(labels_accepted)  /* labels across all Tell batches */                 \
+  X(hibernates)       /* sessions parked to the snapshot store */          \
+  X(rehydrates)       /* sessions restored from their image */             \
+  X(hibernate_errors) /* failed park or rehydrate attempts */              \
+  X(exports)          /* sessions shipped out via ExportSession */         \
+  X(imports)          /* sessions adopted via ImportSession */
 
- private:
-  std::array<std::atomic<uint64_t>, LatencySnapshot::kBuckets> buckets_{};
+/// Server-side per-op latency histograms (µs), measured around the whole
+/// service call, so latency is observable over the `counters` op without a
+/// client-side harness. X(member, key under "latency_us"), in wire order.
+#define QLEARN_SERVICE_LATENCIES(X) \
+  X(open_latency_us, "open")        \
+  X(ask_latency_us, "ask")          \
+  X(tell_latency_us, "tell")        \
+  X(oracle_latency_us, "oracle")    \
+  X(status_latency_us, "status")    \
+  X(close_latency_us, "close")
+
+/// Service-wide operation counters and latency histograms — what a front
+/// end or load generator reads to compute served throughput without
+/// instrumenting the transport. Snapshot semantics as in common/counters.h.
+struct ServiceCounters {
+  QLEARN_SERVICE_COUNTERS(QLEARN_COUNTER_MEMBER)
+#define QLEARN_LATENCY_MEMBER(member, key) LatencySnapshot member;
+  QLEARN_SERVICE_LATENCIES(QLEARN_LATENCY_MEMBER)
+#undef QLEARN_LATENCY_MEMBER
 };
 
-/// Monotonic service-wide operation counters — what a front end or load
-/// generator reads to compute served throughput without instrumenting the
-/// transport. Snapshot semantics: fields are read individually (relaxed),
-/// so a snapshot taken while calls are in flight can be torn by one call;
-/// each field on its own is exact.
-struct ServiceCounters {
-  uint64_t opens = 0;
-  uint64_t asks = 0;
-  uint64_t tells = 0;
-  uint64_t oracles = 0;
-  uint64_t statuses = 0;
-  uint64_t closes = 0;
-  uint64_t errors = 0;            ///< calls that returned a non-OK Status
-  uint64_t questions_served = 0;  ///< questions across all Ask batches
-  uint64_t labels_accepted = 0;   ///< labels across all Tell batches
-  uint64_t hibernates = 0;        ///< sessions parked to the snapshot store
-  uint64_t rehydrates = 0;        ///< sessions restored from their image
-  uint64_t hibernate_errors = 0;  ///< failed park or rehydrate attempts
-  uint64_t exports = 0;           ///< sessions shipped out via ExportSession
-  uint64_t imports = 0;           ///< sessions adopted via ImportSession
+inline constexpr common::CounterField<ServiceCounters> kServiceCounterFields[] =
+    {
+#define QLEARN_FIELD(name) {#name, &ServiceCounters::name},
+        QLEARN_SERVICE_COUNTERS(QLEARN_FIELD)
+#undef QLEARN_FIELD
+};
 
-  /// Server-side per-op latency histograms (µs, log2 buckets), measured
-  /// around the whole service call — so latency is observable over the
-  /// `counters` op without a client-side harness.
-  LatencySnapshot open_latency_us;
-  LatencySnapshot ask_latency_us;
-  LatencySnapshot tell_latency_us;
-  LatencySnapshot oracle_latency_us;
-  LatencySnapshot status_latency_us;
-  LatencySnapshot close_latency_us;
+inline constexpr common::CounterField<ServiceCounters, LatencySnapshot>
+    kServiceLatencyFields[] = {
+#define QLEARN_FIELD(member, key) {key, &ServiceCounters::member},
+        QLEARN_SERVICE_LATENCIES(QLEARN_FIELD)
+#undef QLEARN_FIELD
 };
 
 /// What Close() returns: the final hypothesis and final counters (the
@@ -332,6 +340,8 @@ class SessionService {
   double ElapsedSeconds(std::chrono::steady_clock::time_point since) const;
 
   /// Serializes + evicts one quiescent session. Caller holds entry->mutex.
+  /// On failure the session stays resident and hibernate_errors is
+  /// incremented.
   common::Status ParkLocked(const std::string& id, Entry* entry);
   /// Restores a parked session from its image. Caller holds entry->mutex.
   /// On failure the entry stays parked (a later call may retry) and
@@ -349,32 +359,9 @@ class SessionService {
   std::map<std::string, std::shared_ptr<Entry>, std::less<>> sessions_;
   uint64_t next_id_ = 1;
 
-  // Relaxed atomics: the counters are independent monotonic tallies, not
-  // a consistent tuple (see ServiceCounters).
-  mutable std::atomic<uint64_t> opens_{0};
-  mutable std::atomic<uint64_t> asks_{0};
-  mutable std::atomic<uint64_t> tells_{0};
-  mutable std::atomic<uint64_t> oracles_{0};
-  mutable std::atomic<uint64_t> statuses_{0};
-  mutable std::atomic<uint64_t> closes_{0};
-  mutable std::atomic<uint64_t> errors_{0};
-  mutable std::atomic<uint64_t> questions_served_{0};
-  mutable std::atomic<uint64_t> labels_accepted_{0};
-  mutable std::atomic<uint64_t> hibernates_{0};
-  mutable std::atomic<uint64_t> rehydrates_{0};
-  mutable std::atomic<uint64_t> hibernate_errors_{0};
-  mutable std::atomic<uint64_t> exports_{0};
-  mutable std::atomic<uint64_t> imports_{0};
-
-  // Per-op latency histograms (µs since op entry, including rehydration
-  // and learner work). Mutable like the counters: Status() is const but
-  // still observed.
-  mutable LatencyHistogram open_latency_;
-  mutable LatencyHistogram ask_latency_;
-  mutable LatencyHistogram tell_latency_;
-  mutable LatencyHistogram oracle_latency_;
-  mutable LatencyHistogram status_latency_;
-  mutable LatencyHistogram close_latency_;
+  // The live counters and histograms, bumped through common/counters.h.
+  // Mutable: Status() is const but still counted.
+  mutable ServiceCounters counters_;
 };
 
 }  // namespace service

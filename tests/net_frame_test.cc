@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -315,6 +316,98 @@ TEST(ProtocolTest, MergeCountersFramesRejections) {
   EXPECT_EQ(merged.value(), counters);  // a fresh service's counters are 0
 }
 
+// A `counters` frame with a distinct nonzero value in every counter, gauge
+// and histogram bucket (histogram lengths 0 to 28), written by hand so the
+// wire layout is pinned independently of the serializer.
+constexpr char kPinnedCountersA[] =
+    "{\"ok\":{\"opens\":1,\"asks\":2,\"tells\":3,\"oracles\":4,\"statuses\":5,"
+    "\"closes\":6,\"errors\":7,\"questions_served\":8,\"labels_accepted\":9,"
+    "\"hibernates\":10,\"rehydrates\":11,\"hibernate_errors\":12,"
+    "\"exports\":13,\"imports\":14,\"open_sessions\":15,"
+    "\"resident_sessions\":16,\"parked_sessions\":17,\"latency_us\":{"
+    "\"open\":[],\"ask\":[21],\"tell\":[31,32,33],"
+    "\"oracle\":[41,42,43,44,45,46,47,48,49],"
+    "\"status\":[51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66,67],"
+    "\"close\":[71,72,73,74,75,76,77,78,79,80,81,82,83,84,85,86,87,88,89,90,"
+    "91,92,93,94,95,96,97,98]}}}";
+constexpr char kPinnedCountersB[] =
+    "{\"ok\":{\"opens\":100,\"asks\":200,\"tells\":300,\"oracles\":400,"
+    "\"statuses\":500,\"closes\":600,\"errors\":700,\"questions_served\":800,"
+    "\"labels_accepted\":900,\"hibernates\":1000,\"rehydrates\":1100,"
+    "\"hibernate_errors\":1200,\"exports\":1300,\"imports\":1400,"
+    "\"open_sessions\":1500,\"resident_sessions\":1600,"
+    "\"parked_sessions\":1700,\"latency_us\":{"
+    "\"open\":[1000,2000],\"ask\":[2100],"
+    "\"tell\":[3100,3200,3300,3400,3500],\"oracle\":[4100,4200,4300,4400],"
+    "\"status\":[5100,5200,5300,5400,5500,5600,5700,5800,5900,6000,6100,6200,"
+    "6300,6400,6500,6600,6700,6800,6900,7000,7100,7200,7300,7400,7500,7600,"
+    "7700,7800],"
+    "\"close\":[7100,7200,7300,7400,7500,7600,7700,7800,7900,8000,8100,8200,"
+    "8300,8400,8500,8600,8700,8800,8900,9000,9100,9200,9300,9400,9500,9600,"
+    "9700,9800]}}}";
+
+/// `count` consecutive buckets counting up from `first`, zero beyond.
+std::array<uint64_t, service::LatencySnapshot::kBuckets> Ramp(uint64_t first,
+                                                              size_t count) {
+  std::array<uint64_t, service::LatencySnapshot::kBuckets> buckets{};
+  for (size_t i = 0; i < count; ++i) buckets[i] = first + i;
+  return buckets;
+}
+
+TEST(ProtocolTest, PinnedCountersFrameParsesAndMergesEveryField) {
+  auto parsed = ParseResponse(Request::Op::kCounters, kPinnedCountersA);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed.value().status.ok());
+  const service::ServiceCounters& c = parsed.value().counters;
+  EXPECT_EQ(c.opens, 1u);
+  EXPECT_EQ(c.asks, 2u);
+  EXPECT_EQ(c.tells, 3u);
+  EXPECT_EQ(c.oracles, 4u);
+  EXPECT_EQ(c.statuses, 5u);
+  EXPECT_EQ(c.closes, 6u);
+  EXPECT_EQ(c.errors, 7u);
+  EXPECT_EQ(c.questions_served, 8u);
+  EXPECT_EQ(c.labels_accepted, 9u);
+  EXPECT_EQ(c.hibernates, 10u);
+  EXPECT_EQ(c.rehydrates, 11u);
+  EXPECT_EQ(c.hibernate_errors, 12u);
+  EXPECT_EQ(c.exports, 13u);
+  EXPECT_EQ(c.imports, 14u);
+  EXPECT_EQ(parsed.value().open_sessions, 15u);
+  EXPECT_EQ(parsed.value().resident_sessions, 16u);
+  EXPECT_EQ(parsed.value().parked_sessions, 17u);
+  EXPECT_EQ(c.open_latency_us.buckets, Ramp(0, 0));
+  EXPECT_EQ(c.ask_latency_us.buckets, Ramp(21, 1));
+  EXPECT_EQ(c.tell_latency_us.buckets, Ramp(31, 3));
+  EXPECT_EQ(c.oracle_latency_us.buckets, Ramp(41, 9));
+  EXPECT_EQ(c.status_latency_us.buckets, Ramp(51, 17));
+  EXPECT_EQ(c.close_latency_us.buckets, Ramp(71, 28));
+
+  // One frame merges to itself byte for byte; two sum field by field.
+  auto merged = MergeCountersFrames({kPinnedCountersA});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), kPinnedCountersA);
+  merged = MergeCountersFrames({kPinnedCountersA, kPinnedCountersB});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(
+      merged.value(),
+      "{\"ok\":{\"opens\":101,\"asks\":202,\"tells\":303,\"oracles\":404,"
+      "\"statuses\":505,\"closes\":606,\"errors\":707,"
+      "\"questions_served\":808,\"labels_accepted\":909,"
+      "\"hibernates\":1010,\"rehydrates\":1111,\"hibernate_errors\":1212,"
+      "\"exports\":1313,\"imports\":1414,\"open_sessions\":1515,"
+      "\"resident_sessions\":1616,\"parked_sessions\":1717,\"latency_us\":{"
+      "\"open\":[1000,2000],\"ask\":[2121],"
+      "\"tell\":[3131,3232,3333,3400,3500],"
+      "\"oracle\":[4141,4242,4343,4444,45,46,47,48,49],"
+      "\"status\":[5151,5252,5353,5454,5555,5656,5757,5858,5959,6060,6161,"
+      "6262,6363,6464,6565,6666,6767,6800,6900,7000,7100,7200,7300,7400,"
+      "7500,7600,7700,7800],"
+      "\"close\":[7171,7272,7373,7474,7575,7676,7777,7878,7979,8080,8181,"
+      "8282,8383,8484,8585,8686,8787,8888,8989,9090,9191,9292,9393,9494,"
+      "9595,9696,9797,9898]}}}");
+}
+
 TEST(ProtocolTest, ErrorFrameRoundTripsStatusCode) {
   const Status in = Status::ResourceExhausted("question budget exhausted");
   auto parsed = ParseResponse(Request::Op::kAsk, SerializeError(in));
@@ -438,6 +531,25 @@ class ServerRobustnessTest : public ::testing::TestWithParam<FrontEnd> {
     return router_ != nullptr ? router_->stats() : server_->stats();
   }
 
+  /// Stops, and then restarts, the client-facing front end.
+  void StopFrontEnd() {
+    router_ != nullptr ? router_->Stop() : server_->Stop();
+  }
+  void RestartFrontEnd() {
+    ASSERT_TRUE((router_ != nullptr ? router_->Start() : server_->Start()).ok());
+  }
+
+  /// Polls until the connections_open gauge reads `want` (the reactor
+  /// accepts and notices closes asynchronously); returns the last reading.
+  uint64_t AwaitConnectionsOpen(uint64_t want) const {
+    uint64_t open = stats().connections_open;
+    for (int i = 0; i < 500 && open != want; ++i) {
+      ::usleep(10 * 1000);
+      open = stats().connections_open;
+    }
+    return open;
+  }
+
   service::SessionService service_;
   std::unique_ptr<Server> server_;
   std::unique_ptr<Router> router_;
@@ -497,6 +609,30 @@ TEST_P(ServerRobustnessTest, TruncatedFrameIsCountedOnDisconnect) {
   }
   EXPECT_EQ(stats().truncated_frames, 1u);
   EXPECT_EQ(stats().frames_received, 0u);
+}
+
+TEST_P(ServerRobustnessTest, ConnectionsOpenGaugeTracksClosesStopAndRestart) {
+  StartFrontEnd(ReactorOptions{});
+  auto first = std::make_unique<RawConnection>(port());
+  auto second = std::make_unique<RawConnection>(port());
+  auto third = std::make_unique<RawConnection>(port());
+  EXPECT_EQ(AwaitConnectionsOpen(3), 3u);
+
+  second.reset();
+  third.reset();
+  EXPECT_EQ(AwaitConnectionsOpen(1), 1u);
+
+  // Stop closes the last one; the gauge stays at 0 across the restart
+  // while connections_accepted accumulates.
+  StopFrontEnd();
+  EXPECT_EQ(stats().connections_open, 0u);
+  RestartFrontEnd();
+  EXPECT_EQ(stats().connections_open, 0u);
+  EXPECT_EQ(stats().connections_accepted, 3u);
+  first.reset();
+  RawConnection fourth(port());
+  EXPECT_EQ(AwaitConnectionsOpen(1), 1u);
+  EXPECT_EQ(stats().connections_accepted, 4u);
 }
 
 TEST_P(ServerRobustnessTest, PipelinedRequestsAnswerInOrder) {

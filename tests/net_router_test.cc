@@ -791,6 +791,17 @@ TEST_F(NetRouterTest, RebalanceMigratesSessionsMidTranscriptWithZeroErrors) {
   EXPECT_EQ(stats.rebalances, 1u);
 }
 
+/// Fails on every field of `fields` (the connections_open gauge aside)
+/// that reads lower in `now` than in `before`.
+template <typename Stats, typename Base, size_t N>
+void ExpectNonDecreasing(const Stats& before, const Stats& now,
+                         const common::CounterField<Base> (&fields)[N]) {
+  for (const auto& field : fields) {
+    if (field.name == "connections_open") continue;
+    EXPECT_GE(now.*field.member, before.*field.member) << field.name;
+  }
+}
+
 TEST_F(NetRouterTest, GoldenLoadSurvivesLiveRebalance) {
   StartBackends(2);
   StartRouter(/*reactors=*/2);
@@ -809,16 +820,50 @@ TEST_F(NetRouterTest, GoldenLoadSurvivesLiveRebalance) {
   }
   ASSERT_GT(min_moves, 0u) << "load ids need rechecking";
 
+  // The third backend exists before the load (its server starts mid-run),
+  // so a poller can read every backend's counters, and the router's stats,
+  // for the whole run: each monotonic field must never go backwards.
+  backends_.push_back(std::make_unique<Backend>());
+  std::atomic<bool> done{false};
+  size_t polls = 0;
+  std::thread poller([&] {
+    RouterStats router_before = router_->stats();
+    std::vector<service::ServiceCounters> before;
+    for (const auto& backend : backends_) {
+      before.push_back(backend->service.Counters());
+    }
+    while (!done.load(std::memory_order_relaxed)) {
+      const RouterStats router_now = router_->stats();
+      ExpectNonDecreasing(router_before, router_now, kRouterStatsFields);
+      router_before = router_now;
+      for (size_t b = 0; b < backends_.size(); ++b) {
+        const service::ServiceCounters now = backends_[b]->service.Counters();
+        ExpectNonDecreasing(before[b], now, service::kServiceCounterFields);
+        for (const auto& field : service::kServiceLatencyFields) {
+          for (size_t i = 0; i < service::LatencySnapshot::kBuckets; ++i) {
+            EXPECT_GE((now.*field.member).buckets[i],
+                      (before[b].*field.member).buckets[i])
+                << "backend " << b << " " << field.name << " bucket " << i;
+          }
+        }
+        before[b] = now;
+      }
+      ++polls;
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
   common::Status rebalanced = common::Status::Internal("never rebalanced");
   const testing::LoadReport report =
       testing::ReplayGoldenLoad(router_->port(), [&] {
-        backends_.push_back(std::make_unique<Backend>());
-        rebalanced = backends_.back()->server.Start();
+        rebalanced = backends_[2]->server.Start();
         if (!rebalanced.ok()) return;
         rebalanced = router_->Rebalance({backends_[0]->address(),
                                          backends_[1]->address(),
                                          backends_[2]->address()});
       });
+  done.store(true, std::memory_order_relaxed);
+  poller.join();
+  EXPECT_GT(polls, 0u);
   EXPECT_TRUE(rebalanced.ok()) << rebalanced.ToString();
   for (const std::string& m : report.mismatches) ADD_FAILURE() << m;
   EXPECT_EQ(report.sessions_closed, testing::kLoadSessions);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -330,6 +331,35 @@ TEST(SessionServiceConcurrencyTest, DisjointSessionsMatchSingleThreadedRuns) {
           << scenarios[scenario_index];
     }
   }
+}
+
+TEST(LatencySnapshotTest, QuantileUpperBoundClampsQAtTheEdges) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> qs = {0, 0.5, 1, 1.5, -1, kNaN};
+
+  // Empty: every quantile is 0.
+  const LatencySnapshot empty;
+  for (const double q : qs) EXPECT_EQ(empty.QuantileUpperBoundMicros(q), 0u);
+
+  // Five samples in bucket 3 (4-7 µs): every quantile is that bucket's
+  // upper edge — q = 1 included, not the histogram's last bucket.
+  LatencySnapshot one_bucket;
+  for (const uint64_t micros : {4, 5, 5, 6, 7}) one_bucket.Record(micros);
+  EXPECT_EQ(one_bucket.buckets[3], 5u);
+  for (const double q : qs) {
+    EXPECT_EQ(one_bucket.QuantileUpperBoundMicros(q), 7u) << "q=" << q;
+  }
+
+  // Samples in buckets 1, 4, 4 and 9: q below 0 and NaN read as 0, q
+  // above 1 as 1.
+  LatencySnapshot spread;
+  for (const uint64_t micros : {1, 8, 15, 300}) spread.Record(micros);
+  EXPECT_EQ(spread.QuantileUpperBoundMicros(0), 1u);
+  EXPECT_EQ(spread.QuantileUpperBoundMicros(0.5), 15u);
+  EXPECT_EQ(spread.QuantileUpperBoundMicros(1), 511u);
+  EXPECT_EQ(spread.QuantileUpperBoundMicros(1.5), 511u);
+  EXPECT_EQ(spread.QuantileUpperBoundMicros(-1), 1u);
+  EXPECT_EQ(spread.QuantileUpperBoundMicros(kNaN), 1u);
 }
 
 TEST(SessionServiceConcurrencyTest, ListOpenTracksConcurrentSessions) {

@@ -10,7 +10,8 @@
 //   remove         rebalance back onto one fewer backend, then retire the
 //                  drained backend
 //   map            print the shard map (generation + backend addresses)
-//   stats          print router stats and fleet-merged counters as JSON
+//   stats          print every router stat as JSON, then the
+//                  fleet-merged `counters` frame
 //   quit           shut down (EOF does the same)
 //
 // Clients point at the router port with the ordinary framed-TCP protocol
@@ -127,44 +128,23 @@ void PrintMap(const net::ShardMap& map) {
 }
 
 void PrintStats(const Fleet& fleet) {
-  const net::RouterStats s = fleet.router->stats();
-  std::printf(
-      "{\"connections_open\":%llu,\"frames_received\":%llu,"
-      "\"frames_forwarded\":%llu,\"local_answers\":%llu,"
-      "\"ids_minted\":%llu,\"fanouts\":%llu,\"backend_connects\":%llu,"
-      "\"backend_errors\":%llu,\"handoffs\":%llu,"
-      "\"handoff_skipped\":%llu,\"rebalances\":%llu}\n",
-      static_cast<unsigned long long>(s.connections_open),
-      static_cast<unsigned long long>(s.frames_received),
-      static_cast<unsigned long long>(s.frames_forwarded),
-      static_cast<unsigned long long>(s.local_answers),
-      static_cast<unsigned long long>(s.ids_minted),
-      static_cast<unsigned long long>(s.fanouts),
-      static_cast<unsigned long long>(s.backend_reconnects),
-      static_cast<unsigned long long>(s.backend_errors),
-      static_cast<unsigned long long>(s.handoffs),
-      static_cast<unsigned long long>(s.handoff_skipped),
-      static_cast<unsigned long long>(s.rebalances));
+  const net::RouterStats stats = fleet.router->stats();
+  const char* separator = "{";
+  for (const auto& field : net::kRouterStatsFields) {
+    std::printf("%s\"%.*s\":%llu", separator,
+                static_cast<int>(field.name.size()), field.name.data(),
+                static_cast<unsigned long long>(stats.*field.member));
+    separator = ",";
+  }
+  std::printf("}\n");
   auto probe =
       net::Client::Connect("127.0.0.1", fleet.router->port(),
                            net::kDefaultMaxFrameBytes, /*deadline=*/5000);
   if (!probe.ok()) return;
-  auto counters = probe.value().Counters();
-  if (!counters.ok()) {
-    std::printf("counters: %s\n", counters.status().ToString().c_str());
-    return;
-  }
-  const service::ServiceCounters& c = counters.value().first;
-  std::printf(
-      "{\"open_sessions\":%llu,\"opens\":%llu,\"asks\":%llu,"
-      "\"tells\":%llu,\"closes\":%llu,\"exports\":%llu,\"imports\":%llu}\n",
-      static_cast<unsigned long long>(counters.value().second),
-      static_cast<unsigned long long>(c.opens),
-      static_cast<unsigned long long>(c.asks),
-      static_cast<unsigned long long>(c.tells),
-      static_cast<unsigned long long>(c.closes),
-      static_cast<unsigned long long>(c.exports),
-      static_cast<unsigned long long>(c.imports));
+  // The fleet-merged `counters` frame, as the router answers it.
+  auto frame = probe.value().CallRaw("{\"op\":\"counters\"}");
+  std::printf("%s\n", frame.ok() ? frame.value().c_str()
+                                 : frame.status().ToString().c_str());
 }
 
 int Run(const Options& options) {
