@@ -86,7 +86,8 @@ int main() {
     const rlearn::ChainMask goal = FkGoal(chain);
 
     for (rlearn::ChainStrategy strategy :
-         {rlearn::ChainStrategy::kRandom, rlearn::ChainStrategy::kSplitHalf}) {
+         {rlearn::ChainStrategy::kRandom,
+          rlearn::ChainStrategy::kHuntThenSplit}) {
       // Random is seed-sensitive; average both strategies over 5 seeds.
       const int kSeeds = 5;
       double questions = 0;

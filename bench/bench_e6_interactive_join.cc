@@ -23,6 +23,8 @@ const char* StrategyName(rlearn::JoinStrategy s) {
       return "split-half";
     case rlearn::JoinStrategy::kLattice:
       return "lattice";
+    case rlearn::JoinStrategy::kHuntThenSplit:
+      return "hunt-then-split";
   }
   return "?";
 }

@@ -308,7 +308,7 @@ BENCHMARK(BM_SelectQuestion_Join)->Arg(20)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_SelectQuestion_Chain(benchmark::State& state) {
   const ChainSessionSetup setup(static_cast<int>(state.range(0)));
-  rlearn::ChainEngine engine(&*setup.chain, {});  // default kSplitHalf
+  rlearn::ChainEngine engine(&*setup.chain, {});  // default kHuntThenSplit
   common::Rng rng(123);
   WarmupSelection(&engine, &rng,
                   [&](const rlearn::ChainExample& example) {
@@ -543,7 +543,10 @@ void RunClassifyLoop(benchmark::State& state, Engine* engine,
   session::SessionStats stats;
   for (auto _ : state) {
     if (rebucket_variant) {
-      engine->InvalidateWitnessIndexForBench();
+      // Join and chain keep no witness index (the planes are the index).
+      if constexpr (requires { engine->InvalidateWitnessIndexForBench(); }) {
+        engine->InvalidateWitnessIndexForBench();
+      }
       engine->OnNegative(*negative);
     } else {
       engine->ForceFullRepropagation();

@@ -154,7 +154,7 @@ class TwigEngine {
   /// Hibernation: appends a versioned engine image (strategy, hypothesis
   /// tree, accumulated negatives, frontier states, candidate-store
   /// bit-vectors) to `writer`. Call only between answered turns (queued
-  /// deltas flushed). Follows the join/chain "QLJE"/"QLCE" pattern.
+  /// deltas flushed). Follows the relational engine's "QLCE" pattern.
   void SerializeSnapshot(session::SnapshotWriter* writer) const;
   /// Restores an image produced by SerializeSnapshot into an engine built
   /// over the same document/options. Mismatched geometry or strategy is

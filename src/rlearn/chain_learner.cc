@@ -31,6 +31,15 @@ Result<JoinChain> JoinChain::Create(
   return chain;
 }
 
+JoinChain JoinChain::ForJoin(const PairUniverse& universe,
+                             const relational::Relation* left,
+                             const relational::Relation* right) {
+  JoinChain chain;
+  chain.relations_ = {left, right};
+  chain.universes_.push_back(universe);
+  return chain;
+}
+
 PairMask JoinChain::AgreeOn(size_t edge,
                             const std::vector<size_t>& rows) const {
   return universes_[edge].AgreeMask(relations_[edge]->row(rows[edge]),
@@ -99,12 +108,16 @@ std::vector<PairMask> ChainVersionSpace::Agreements(
   return agree;
 }
 
-void ChainVersionSpace::AddPositive(const ChainExample& example) {
-  const std::vector<PairMask> agree = Agreements(example);
+bool ChainVersionSpace::AddPositive(const ChainExample& example) {
+  bool shrank = false;
   for (size_t e = 0; e < most_specific_.size(); ++e) {
-    most_specific_[e] &= agree[e];
+    const PairMask kept =
+        most_specific_[e] & chain_->AgreeOn(e, example.rows);
+    shrank |= kept != most_specific_[e];
+    most_specific_[e] = kept;
   }
   ++num_positives_;
+  return shrank;
 }
 
 void ChainVersionSpace::AddNegative(const ChainExample& example) {
@@ -130,7 +143,11 @@ bool ChainVersionSpace::Consistent() const {
 
 ChainVersionSpace::PathStatus ChainVersionSpace::Classify(
     const ChainExample& example) const {
-  const std::vector<PairMask> agree = Agreements(example);
+  return ClassifyAgreements(Agreements(example));
+}
+
+ChainVersionSpace::PathStatus ChainVersionSpace::ClassifyAgreements(
+    const std::vector<PairMask>& agree) const {
   // Forced positive: the most specific hypothesis vector selects the path,
   // hence so does every edge-wise subset in the version space.
   bool theta_star_selects = true;
@@ -145,15 +162,15 @@ ChainVersionSpace::PathStatus ChainVersionSpace::Classify(
   // Some consistent hypothesis selects the path iff the edge-wise maximal
   // candidate A_e = θ*_e ∩ agree_e is non-empty everywhere and excludes
   // every negative (shrinking any edge only makes exclusion harder).
-  std::vector<PairMask> a(most_specific_.size());
   for (size_t e = 0; e < most_specific_.size(); ++e) {
-    a[e] = most_specific_[e] & agree[e];
-    if (a[e] == 0) return PathStatus::kForcedNegative;
+    if ((most_specific_[e] & agree[e]) == 0) {
+      return PathStatus::kForcedNegative;
+    }
   }
   for (const std::vector<PairMask>& neg : negative_agreements_) {
     bool selected = true;
-    for (size_t e = 0; e < a.size(); ++e) {
-      if (!MaskSatisfied(a[e], neg[e])) {
+    for (size_t e = 0; e < most_specific_.size(); ++e) {
+      if (!MaskSatisfied(most_specific_[e] & agree[e], neg[e])) {
         selected = false;
         break;
       }

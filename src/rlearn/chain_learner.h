@@ -31,6 +31,11 @@ class JoinChain {
   /// has no compatible attributes.
   static common::Result<JoinChain> Create(
       std::vector<const relational::Relation*> relations);
+  /// The one-edge chain left ⋈ right over the caller's (non-empty) pair
+  /// universe, which is copied so edge 0's masks use its bit order.
+  static JoinChain ForJoin(const PairUniverse& universe,
+                           const relational::Relation* left,
+                           const relational::Relation* right);
 
   size_t length() const { return relations_.size(); }
   size_t num_edges() const { return universes_.size(); }
@@ -83,7 +88,9 @@ class ChainVersionSpace {
  public:
   explicit ChainVersionSpace(const JoinChain* chain);
 
-  void AddPositive(const ChainExample& example);
+  /// Intersects every edge's θ* with the example's agreement; true iff some
+  /// edge's θ* shrank.
+  bool AddPositive(const ChainExample& example);
   void AddNegative(const ChainExample& example);
 
   const ChainMask& most_specific() const { return most_specific_; }
@@ -95,6 +102,9 @@ class ChainVersionSpace {
   enum class PathStatus { kForcedPositive, kForcedNegative, kInformative };
   /// Classification of an unlabeled path by the entire version space.
   PathStatus Classify(const ChainExample& example) const;
+  /// Classify for a path given by its per-edge agreement masks; allocates
+  /// nothing, so a caller classifying many paths reuses one mask buffer.
+  PathStatus ClassifyAgreements(const std::vector<PairMask>& agree) const;
 
   const JoinChain& chain() const { return *chain_; }
   size_t num_positives() const { return num_positives_; }

@@ -55,20 +55,6 @@ class EquiJoinVersionSpace {
   const PairUniverse& universe() const { return *universe_; }
   size_t num_positives() const { return num_positives_; }
   size_t num_negatives() const { return negative_masks_.size(); }
-  /// Agreement masks of the negatives, in arrival order (the delta
-  /// propagation layer classifies witness buckets against them directly).
-  const std::vector<PairMask>& negative_masks() const {
-    return negative_masks_;
-  }
-
-  /// Hibernation restore: overwrites the accumulated state with a
-  /// snapshot's. The caller (JoinEngine::RestoreSnapshot) owns validation.
-  void RestoreState(PairMask most_specific, std::vector<PairMask> negatives,
-                    size_t num_positives) {
-    most_specific_ = most_specific;
-    negative_masks_ = std::move(negatives);
-    num_positives_ = num_positives;
-  }
 
  private:
   PairMask Agree(const PairExample& e) const;

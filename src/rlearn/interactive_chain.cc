@@ -16,30 +16,22 @@ using common::Status;
 
 namespace {
 
-/// "QLCE" little-endian: the chain-engine snapshot blob tag.
+/// "QLCE" little-endian: the relational-engine snapshot blob tag. Version
+/// 2 packs the planes by universe size and numbers the strategies of the
+/// merged join/chain enum; version 1 images are rejected.
 constexpr uint32_t kChainEngineMagic = 0x45434C51u;
-constexpr uint32_t kChainEngineVersion = 1;
+constexpr uint32_t kChainEngineVersion = 2;
 
-/// Enumerates up to `cap` candidate paths (row-index products, row-major).
-std::vector<ChainExample> EnumerateCandidates(const JoinChain& chain,
-                                              size_t cap) {
-  std::vector<ChainExample> out;
-  std::vector<size_t> sizes(chain.length());
+/// min(cap, |R_1| · … · |R_k|): the length of the capped row-major prefix
+/// of the chain's tuple paths.
+size_t CandidateCount(const JoinChain& chain, size_t cap) {
+  size_t count = 1;
   for (size_t i = 0; i < chain.length(); ++i) {
-    sizes[i] = chain.relation(i).size();
-    if (sizes[i] == 0) return out;
+    const size_t size = chain.relation(i).size();
+    if (size == 0) return 0;
+    count = count > cap / size ? cap : count * size;
   }
-  std::vector<size_t> idx(chain.length(), 0);
-  while (out.size() < cap) {
-    out.push_back(ChainExample{idx});
-    size_t pos = chain.length();
-    while (pos-- > 0) {
-      if (++idx[pos] < sizes[pos]) break;
-      idx[pos] = 0;
-      if (pos == 0) return out;
-    }
-  }
-  return out;
+  return std::min(count, cap);
 }
 
 }  // namespace
@@ -50,23 +42,30 @@ ChainEngine::ChainEngine(const JoinChain* chain,
       strategy_(options.strategy),
       vs_(chain),
       last_consistent_(vs_.most_specific()) {
-  std::vector<ChainExample> candidates =
-      EnumerateCandidates(*chain, options.max_candidates);
-  frontier_.Reserve(candidates.size());
-  // Per-edge agreement masks go bit-transposed into the store: 64 planes
-  // per edge, plane e*64+b = the paths agreeing on bit b of edge e.
-  store_.Reset(64 * chain->num_edges(), candidates.size());
-  for (ChainExample& candidate : candidates) {
-    std::vector<PairMask> agree(chain->num_edges());
-    for (size_t e = 0; e < chain->num_edges(); ++e) {
-      agree[e] = chain->AgreeOn(e, candidate.rows);
-    }
-    const size_t k = frontier_.Add(std::move(candidate));
-    for (size_t e = 0; e < chain->num_edges(); ++e) {
-      for (PairMask m = agree[e]; m != 0; m &= m - 1) {
-        store_.SetPlaneBit(e * 64 + static_cast<size_t>(std::countr_zero(m)),
-                           k);
+  const size_t n = CandidateCount(*chain, options.max_candidates);
+  const size_t edges = chain->num_edges();
+  size_t planes = 0;
+  for (size_t e = 0; e < edges; ++e) {
+    plane_base_.push_back(planes);
+    planes += chain->universe(e).size();
+  }
+  frontier_.Reserve(n);
+  // Per-edge agreement masks go bit-transposed into the store: plane
+  // plane_base_[e]+b = the paths agreeing on bit b of edge e. One row
+  // vector walks the row-major product as an odometer.
+  store_.Reset(planes, n);
+  std::vector<size_t> rows(chain->length(), 0);
+  for (size_t k = 0; k < n; ++k) {
+    frontier_.Add({});
+    for (size_t e = 0; e < edges; ++e) {
+      for (PairMask m = chain->AgreeOn(e, rows); m != 0; m &= m - 1) {
+        store_.SetPlaneBit(
+            plane_base_[e] + static_cast<size_t>(std::countr_zero(m)), k);
       }
+    }
+    for (size_t i = rows.size(); i-- > 0;) {
+      if (++rows[i] < chain->relation(i).size()) break;
+      rows[i] = 0;
     }
   }
 }
@@ -86,6 +85,21 @@ std::optional<size_t> ChainEngine::IndexOf(const ChainExample& item) const {
   return index;
 }
 
+void ChainEngine::RowsOf(size_t k, std::vector<size_t>* rows) const {
+  rows->resize(chain_->length());
+  for (size_t i = chain_->length(); i-- > 0;) {
+    const size_t size = chain_->relation(i).size();
+    (*rows)[i] = k % size;
+    k /= size;
+  }
+}
+
+ChainExample ChainEngine::candidate(size_t k) const {
+  ChainExample path;
+  RowsOf(k, &path.rows);
+  return path;
+}
+
 void ChainEngine::EnsureKeptCounts() {
   if (counts_valid_) return;
   const ChainMask& theta = vs_.most_specific();
@@ -93,49 +107,62 @@ void ChainEngine::EnsureKeptCounts() {
   kept_counts_.resize(edges);
   totals_.resize(edges);
   for (size_t e = 0; e < edges; ++e) {
-    store_.PlanePopcounts(e * 64, theta[e], &kept_counts_[e]);
+    store_.PlanePopcounts(plane_base_[e], theta[e], &kept_counts_[e]);
     totals_[e] = std::popcount(theta[e]);
   }
   counts_valid_ = true;
 }
 
-std::optional<ChainExample> ChainEngine::SelectQuestion(common::Rng* rng) {
-  std::optional<size_t> pick;
-  if (strategy_ == ChainStrategy::kRandom) {
-    pick = frontier_.Select(session::UniformRandomStrategy{}, rng);
-  } else {
-    // kSplitHalf in two phases. Until the first positive arrives, ask the
-    // most plausible match (the candidate keeping the most θ* pairs alive
-    // on every edge): a positive intersects every edge's θ* at once and
-    // carries far more information than any negative. Once θ* reflects a
-    // positive, switch to even-split probing of the surviving pairs.
-    //
-    // The per-edge kept-counts depend only on θ*, which changes exactly on
-    // positive answers — one bit-sliced popcount sweep per edge per change;
-    // the greedy scorer is then a row of array reads.
-    EnsureKeptCounts();
-    const bool hunting = vs_.num_positives() == 0;
-    const size_t edges = chain_->num_edges();
-    pick = frontier_.Select(
-        session::Greedy<SplitScore>(
-            SplitScore{std::numeric_limits<long>::min(),
-                       std::numeric_limits<long>::min()},
-            [this, hunting, edges](size_t k) -> std::optional<SplitScore> {
-              const size_t d = store_.DenseOf(k);
-              long total_kept = 0;
-              long split = 0;
-              for (size_t e = 0; e < edges; ++e) {
-                const int kept = kept_counts_[e][d];
-                total_kept += kept;
-                split += SplitHalfScore(totals_[e], kept);
-              }
-              return hunting ? SplitScore{total_kept, split}
-                             : SplitScore{split, total_kept};
-            }),
-        rng);
+long ChainEngine::ScoreOf(size_t d, bool hunting) const {
+  const long edges = static_cast<long>(kept_counts_.size());
+  long total_kept = 0;
+  long split = 0;
+  for (size_t e = 0; e < kept_counts_.size(); ++e) {
+    const int kept = kept_counts_[e][d];
+    total_kept += kept;
+    split += strategy_ == ChainStrategy::kLattice
+                 ? LatticeProbeScore(totals_[e], kept)
+                 : SplitHalfScore(totals_[e], kept);
   }
+  if (strategy_ != ChainStrategy::kHuntThenSplit) return split;
+  // The (primary, tie) pair in one long, ordered lexicographically: each
+  // component sums per-edge scores in [-64, 64], so tie + 64·edges lies in
+  // [0, 128·edges] and primary·(128·edges + 1) + that keeps the pair order.
+  const long primary = hunting ? total_kept : split;
+  const long tie = hunting ? split : total_kept;
+  return primary * (128 * edges + 1) + tie + 64 * edges;
+}
+
+std::optional<ChainExample> ChainEngine::SelectQuestion(common::Rng* rng) {
+  const std::optional<size_t> pick = SelectCandidate(rng);
   if (!pick.has_value()) return std::nullopt;
-  return frontier_.item(*pick);
+  return candidate(*pick);
+}
+
+std::optional<size_t> ChainEngine::SelectCandidate(common::Rng* rng) {
+  if (strategy_ == ChainStrategy::kRandom) {
+    return frontier_.Select(session::UniformRandomStrategy{}, rng);
+  }
+  // kSplitHalf and kLattice score every open path by its per-edge split (or
+  // necessity-probe) scores. kHuntThenSplit runs in two phases. Until the
+  // first positive arrives, ask the most plausible match (the candidate
+  // keeping the most θ* pairs alive on every edge): a positive intersects
+  // every edge's θ* at once and carries far more information than any
+  // negative. Once θ* reflects a positive, switch to even-split probing of
+  // the surviving pairs.
+  //
+  // The per-edge kept-counts depend only on θ*, which changes exactly on
+  // positive answers — one bit-sliced popcount sweep per edge per change;
+  // the greedy scorer is then a row of array reads.
+  EnsureKeptCounts();
+  const bool hunting = vs_.num_positives() == 0;
+  return frontier_.Select(
+      session::Greedy<long>(
+          std::numeric_limits<long>::min(),
+          [this, hunting](size_t k) -> std::optional<long> {
+            return ScoreOf(store_.DenseOf(k), hunting);
+          }),
+      rng);
 }
 
 void ChainEngine::MarkAsked(const ChainExample& item) {
@@ -155,9 +182,7 @@ void ChainEngine::Observe(const ChainExample& item, bool positive,
   }
   theta_advanced_ = false;
   if (positive) {
-    const ChainMask before = vs_.most_specific();
-    vs_.AddPositive(item);
-    theta_advanced_ = vs_.most_specific() != before;
+    theta_advanced_ = vs_.AddPositive(item);
     // θ* (and possibly the hunting phase) changed: memoized split scores
     // are stale. Negatives leave θ* untouched — nothing to invalidate.
     frontier_.InvalidateAll();
@@ -183,7 +208,7 @@ void ChainEngine::OnNegative(const ChainExample& /*item*/) {
   // Observe ran first, so the version space's newest negative agreement
   // vector is this path's (valid for slotless paths too — the version
   // space recomputes agreements itself).
-  prop_.RecordNegative(vs_.negative_agreements().back());
+  prop_.RecordNegative(vs_.num_negatives() - 1);
 }
 
 void ChainEngine::Propagate(session::SessionStats* stats) {
@@ -205,10 +230,22 @@ void ChainEngine::Propagate(session::SessionStats* stats) {
   if (store_.MaybeCompact()) counts_valid_ = false;
 }
 
+ChainVersionSpace::PathStatus ChainEngine::ReferenceClassify(
+    size_t k, std::vector<size_t>* rows, std::vector<PairMask>* agree) const {
+  RowsOf(k, rows);
+  agree->resize(chain_->num_edges());
+  for (size_t e = 0; e < agree->size(); ++e) {
+    (*agree)[e] = chain_->AgreeOn(e, *rows);
+  }
+  return vs_.ClassifyAgreements(*agree);
+}
+
 void ChainEngine::ReferencePropagate(session::SessionStats* stats) {
+  std::vector<size_t> rows;
+  std::vector<PairMask> agree;
   for (size_t k = 0; k < frontier_.size(); ++k) {
     if (!frontier_.IsOpen(k)) continue;
-    switch (vs_.Classify(frontier_.item(k))) {
+    switch (ReferenceClassify(k, &rows, &agree)) {
       case ChainVersionSpace::PathStatus::kForcedPositive:
         frontier_.MarkForced(k, /*positive=*/true);
         store_.OnSettled(k);
@@ -250,7 +287,7 @@ void ChainEngine::ConvictCovered(const std::vector<PairMask>& neg,
   for (size_t e = 0; e < chain_->num_edges(); ++e) {
     const PairMask surviving = theta[e] & ~neg[e];
     if (surviving != 0) {
-      store_.AndNotOrPlanes(e * 64, surviving, scratch_.data());
+      store_.AndNotOrPlanes(plane_base_[e], surviving, scratch_.data());
     }
   }
   ForceSweep(scratch_, /*positive=*/false, stats);
@@ -267,12 +304,12 @@ void ChainEngine::FullPropagate(session::SessionStats* stats) {
   store_.CopyOpen(&scratch_);
   for (size_t e = 0; e < edges; ++e) {
     assert(theta[e] != 0 && "propagating an inconsistent version space");
-    store_.AndPlanes(e * 64, theta[e], scratch_.data());
+    store_.AndPlanes(plane_base_[e], theta[e], scratch_.data());
   }
   ForceSweep(scratch_, /*positive=*/true, stats);
   for (size_t e = 0; e < edges; ++e) {
     store_.CopyOpen(&scratch_);
-    store_.AndNotOrPlanes(e * 64, theta[e], scratch_.data());
+    store_.AndNotOrPlanes(plane_base_[e], theta[e], scratch_.data());
     ForceSweep(scratch_, /*positive=*/false, stats);
   }
   for (const std::vector<PairMask>& neg : vs_.negative_agreements()) {
@@ -281,12 +318,10 @@ void ChainEngine::FullPropagate(session::SessionStats* stats) {
 }
 
 void ChainEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
-  std::vector<std::vector<PairMask>> deltas = prop_.TakeDeltas();
-  if (deltas.empty()) return;
   // θ* is untouched, so no new forced positives exist: each queued
   // negative is one conviction sweep over the still-open paths.
-  for (const std::vector<PairMask>& neg : deltas) {
-    ConvictCovered(neg, stats);
+  for (size_t neg : prop_.TakeDeltas()) {
+    ConvictCovered(vs_.negative_agreements()[neg], stats);
   }
 }
 
@@ -294,9 +329,11 @@ void ChainEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
 void ChainEngine::AssertPropagationFixpoint() const {
   // The historical per-candidate classification must find nothing left to
   // force after a flush.
+  std::vector<size_t> rows;
+  std::vector<PairMask> agree;
   for (size_t k = 0; k < frontier_.size(); ++k) {
     if (!frontier_.IsOpen(k)) continue;
-    assert(vs_.Classify(frontier_.item(k)) ==
+    assert(ReferenceClassify(k, &rows, &agree) ==
                ChainVersionSpace::PathStatus::kInformative &&
            "delta flush missed a forced path");
     assert(store_.IsOpen(k) && "store open bit out of sync with frontier");
@@ -304,7 +341,7 @@ void ChainEngine::AssertPropagationFixpoint() const {
 }
 #endif
 
-ChainMask ChainEngine::Finish(session::SessionStats* /*stats*/) {
+const ChainMask& ChainEngine::Finish(session::SessionStats* /*stats*/) {
   // No end-of-session audit beyond the per-answer consistency checks.
   return Current();
 }

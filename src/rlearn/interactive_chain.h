@@ -1,19 +1,23 @@
 // The interactive protocol for chains of joins (Section 3's extension of
-// the single-join scenario, experiment E12): the learner proposes tuple
-// paths, the user labels them, and after every answer the labels of all
-// *uninformative* paths (those on which every hypothesis in the current
+// the single-join scenario, experiments E6 and E12): the learner proposes
+// tuple paths, the user labels them, and after every answer the labels of
+// all *uninformative* paths (those on which every hypothesis in the current
 // chain version space agrees) are inferred so they are never asked.
 //
-// ChainEngine implements the unified session Engine concept
-// (session/session.h) over a capped row-major enumeration of the chain's
-// tuple paths; RunInteractiveChainSession is the legacy one-shot wrapper
-// over session::LearningSession<ChainEngine>.
+// ChainEngine is the one relational engine: it implements the unified
+// session Engine concept (session/session.h) over a capped row-major
+// enumeration of the chain's tuple paths, for any number of edges. A join
+// is the one-edge chain — rlearn::JoinEngine (interactive_join.h) is a thin
+// translation onto a ChainEngine over two relations.
+// RunInteractiveChainSession is the legacy one-shot wrapper over
+// session::LearningSession<ChainEngine>.
 #ifndef QLEARN_RLEARN_INTERACTIVE_CHAIN_H_
 #define QLEARN_RLEARN_INTERACTIVE_CHAIN_H_
 
 #include <cstdint>
 #include <optional>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,10 +52,16 @@ class GoalChainOracle : public ChainOracle {
   ChainMask goal_;
 };
 
-/// Question-selection strategies for the interactive chain session.
+/// Question-selection strategies of the relational engine (compared in E6
+/// and E12). The greedy scores sum per-edge (|θ*_e|, |θ*_e ∧ agree_e|)
+/// scores from rlearn/mask_scoring.h; a join is one edge, so JoinStrategy
+/// is this same enum.
 enum class ChainStrategy {
-  kRandom,      ///< uniform over informative paths
-  kSplitHalf,   ///< maximize candidate-pair eliminations per answer
+  kRandom,         ///< uniform over informative paths
+  kSplitHalf,      ///< aim to halve every edge's θ* with each question
+  kLattice,        ///< probe paths that test one candidate pair's necessity
+  kHuntThenSplit,  ///< ask the most plausible match until the first
+                   ///< positive, then split (see SelectCandidate)
 };
 
 /// Knob ownership contract (same split on all four engines' options
@@ -61,7 +71,7 @@ enum class ChainStrategy {
 /// session::SessionOptions — an engine driven directly through
 /// LearningSession ignores them.
 struct InteractiveChainOptions {
-  ChainStrategy strategy = ChainStrategy::kSplitHalf;
+  ChainStrategy strategy = ChainStrategy::kHuntThenSplit;
   uint64_t seed = session::SessionDefaults::kLegacyChainSeed;
   /// Cap on enumerated candidate paths (the full product can explode).
   size_t max_candidates = 20000;
@@ -100,6 +110,8 @@ class ChainEngine {
                        const InteractiveChainOptions& options = {});
 
   std::optional<Item> SelectQuestion(common::Rng* rng);
+  /// SelectQuestion's pick as a candidate index (see candidate()).
+  std::optional<size_t> SelectCandidate(common::Rng* rng);
   void MarkAsked(const Item& item);
   void Observe(const Item& item, bool positive, session::SessionStats* stats);
   /// Per-answer propagation deltas (engine concept, session/session.h): a
@@ -109,8 +121,8 @@ class ChainEngine {
   void OnNegative(const Item& item);
   /// Flushes queued deltas. Classification of a path is a pure function of
   /// its per-edge effective masks A_e = θ*_e ∧ agree_e, and the agreement
-  /// bits live bit-transposed in the candidate store (64 planes per edge,
-  /// plane e*64+b = "path agrees on bit b of edge e"), so each flush is a
+  /// bits live bit-transposed in the candidate store (one plane per pair of
+  /// each edge's universe, packed edge after edge), so each flush is a
   /// handful of word-at-a-time plane sweeps over the open set — no
   /// per-candidate loop and no witness hash index at all.
   void Propagate(session::SessionStats* stats);
@@ -120,11 +132,13 @@ class ChainEngine {
   /// Most specific hypothesis after the last consistent answer — never the
   /// post-conflict vector, which can violate the "one non-empty mask per
   /// edge" ChainMask invariant.
-  HypothesisT Current() const { return last_consistent_; }
-  HypothesisT Finish(session::SessionStats* stats);
+  const HypothesisT& Current() const { return last_consistent_; }
+  const HypothesisT& Finish(session::SessionStats* stats);
 
   size_t candidate_paths() const { return frontier_.size(); }
-  const ChainExample& candidate(size_t k) const { return frontier_.item(k); }
+  /// Candidate k's path: the k-th row vector of the row-major product (the
+  /// inverse of IndexOf; no per-candidate row vectors are stored).
+  ChainExample candidate(size_t k) const;
   const JoinChain& chain() const { return *chain_; }
 
   // Introspection for conformance tests and UIs. Paths without a candidate
@@ -138,11 +152,6 @@ class ChainEngine {
   void set_reference_propagation(bool on) { reference_propagation_ = on; }
   /// Test/bench hook: makes the next flush run the full classification pass.
   void ForceFullRepropagation() { prop_.RecordHypothesisChange(); }
-  /// Bench-parity hook: the SoA engine keeps no witness index (conviction
-  /// is a plane sweep), so the historical "drop the index before the next
-  /// negative" costs nothing to set up. Kept so BM_Classify measures the
-  /// same externally-triggered operation before and after the refactor.
-  void InvalidateWitnessIndexForBench() {}
   /// Test introspection of the structure-of-arrays candidate store.
   const session::CandidateStore& StoreForTest() const { return store_; }
 
@@ -156,22 +165,35 @@ class ChainEngine {
   common::Status RestoreSnapshot(session::SnapshotReader* reader);
 
  private:
-  /// Split scores are (primary, tie) pairs compared lexicographically; see
-  /// SelectQuestion for the two-phase hunting/splitting semantics.
-  using SplitScore = std::pair<long, long>;
-  using FrontierT = session::Frontier<ChainExample, SplitScore>;
-  /// Queued payloads are the new negatives' per-edge agreement vectors.
-  using PropagationT = session::PropagationIndex<std::vector<PairMask>>;
+  /// The frontier tracks states only: a candidate's path is derived from
+  /// its index. Greedy scores are (primary, tie) pairs packed into one long
+  /// (see ScoreOf).
+  using FrontierT = session::Frontier<std::monostate, long>;
+  /// Queued payloads index the new negatives' per-edge agreement vectors
+  /// in vs_.negative_agreements().
+  using PropagationT = session::PropagationIndex<size_t>;
 
   std::optional<size_t> IndexOf(const Item& item) const;
+  /// Writes candidate k's row vector into `rows` (mixed radix over the
+  /// relation sizes).
+  void RowsOf(size_t k, std::vector<size_t>* rows) const;
+  /// Greedy score of the candidate in dense slot `d` under strategy_; see
+  /// SelectCandidate for the two-phase hunting/splitting semantics.
+  long ScoreOf(size_t d, bool hunting) const;
 
+  /// The version space's per-candidate verdict on candidate k (the
+  /// reference the plane sweeps must match). `rows` and `agree` are
+  /// buffers reused across calls.
+  ChainVersionSpace::PathStatus ReferenceClassify(
+      size_t k, std::vector<size_t>* rows,
+      std::vector<PairMask>* agree) const;
   /// The historical per-candidate Classify rescan, verbatim.
   void ReferencePropagate(session::SessionStats* stats);
   /// Baseline / θ*-change pass: positive sweep (open ∧ AND of every edge's
   /// θ* planes) plus per-edge A_e == 0 sweeps plus one conviction sweep per
   /// accumulated negative.
   void FullPropagate(session::SessionStats* stats);
-  /// Steady-state flush: one conviction sweep per queued negative vector.
+  /// Steady-state flush: one conviction sweep per queued negative.
   void ApplyNegativeDeltas(session::SessionStats* stats);
   /// Convicts the open paths the negative's agreement vector covers
   /// edge-wise: open ∧ ∧_e ¬OR(planes of θ*_e ∧ ¬neg_e).
@@ -192,16 +214,19 @@ class ChainEngine {
   const JoinChain* chain_;
   ChainStrategy strategy_;
   FrontierT frontier_;  // row-major candidate paths, capped
+  /// plane_base_[e] = first plane of edge e: the universe sizes of the
+  /// edges before it.
+  std::vector<size_t> plane_base_;
   /// SoA agreement planes + open/active mirrors + dense compaction; plane
-  /// e*64+b holds "path agrees on bit b of edge e's universe".
+  /// plane_base_[e]+b holds "path agrees on bit b of edge e's universe".
   session::CandidateStore store_;
   ChainVersionSpace vs_;
   ChainMask last_consistent_;
   PropagationT prop_;
   /// Sweep scratch (dense words) reused across flushes.
   std::vector<uint64_t> scratch_;
-  /// kept_counts_[e][DenseOf(k)] = |θ*_e ∧ agree_e(k)|, the split-scoring
-  /// input; refreshed lazily per θ* change / compaction.
+  /// kept_counts_[e][DenseOf(k)] = |θ*_e ∧ agree_e(k)|, the greedy
+  /// scoring input; refreshed lazily per θ* change / compaction.
   std::vector<std::vector<uint8_t>> kept_counts_;
   /// totals_[e] = |θ*_e| under the same validity regime.
   std::vector<int> totals_;

@@ -5,22 +5,25 @@
 // asked. The session ends when every pair is labeled or uninformative; the
 // goal is to minimize questions (experiment E6).
 //
-// JoinEngine implements the unified session Engine concept
-// (session/session.h); RunInteractiveJoinSession is the legacy one-shot
-// wrapper over session::LearningSession<JoinEngine>.
+// A join is the chain of two relations, so JoinEngine is a thin
+// translation of the unified session Engine concept (session/session.h)
+// onto a ChainEngine (interactive_chain.h) over a one-edge JoinChain;
+// RunInteractiveJoinSession is the legacy one-shot wrapper over
+// session::LearningSession<JoinEngine>.
 #ifndef QLEARN_RLEARN_INTERACTIVE_JOIN_H_
 #define QLEARN_RLEARN_INTERACTIVE_JOIN_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "rlearn/chain_learner.h"
 #include "rlearn/equijoin_learner.h"
+#include "rlearn/interactive_chain.h"
 #include "session/candidate_store.h"
-#include "session/frontier.h"
-#include "session/propagation.h"
 #include "session/session.h"
 #include "session/snapshot.h"
 
@@ -51,12 +54,9 @@ class GoalJoinOracle : public JoinOracle {
   PairMask goal_;
 };
 
-/// Question-selection strategies (compared in E6).
-enum class JoinStrategy {
-  kRandom,     ///< uniform over informative pairs
-  kSplitHalf,  ///< aim to halve the hypothesis lattice each question
-  kLattice,    ///< probe pairs that test one candidate pair's necessity
-};
+/// Question-selection strategies (compared in E6): the relational engine's
+/// enum. Joins use kRandom, kSplitHalf and kLattice.
+using JoinStrategy = ChainStrategy;
 
 /// Knob ownership contract (same split on all four engines' options
 /// structs): `strategy` is consumed by the engine itself; `seed` and
@@ -83,8 +83,10 @@ struct InteractiveJoinResult {
 
 /// Session engine over all |left| x |right| tuple pairs. Questions are
 /// PairExamples; the version space settles uninformative pairs after every
-/// answer. `universe`, `left`, and `right` must outlive the engine, and the
-/// universe must be non-empty.
+/// answer. Every member translates onto the ChainEngine over the one-edge
+/// chain left ⋈ right, whose candidate k is the pair (k / |right|,
+/// k % |right|). `universe`, `left`, and `right` must outlive the engine,
+/// and the universe must be non-empty.
 class JoinEngine {
  public:
   using Item = PairExample;
@@ -103,106 +105,80 @@ class JoinEngine {
              const InteractiveJoinOptions& options = {});
 
   std::optional<Item> SelectQuestion(common::Rng* rng);
-  void MarkAsked(const Item& item);
-  void Observe(const Item& item, bool positive, session::SessionStats* stats);
-  /// Per-answer propagation deltas (engine concept, session/session.h): a
-  /// negative answer queues its agreement mask; a positive answer marks
-  /// the hypothesis changed iff it actually shrank θ*.
-  void OnPositive(const Item& item);
-  void OnNegative(const Item& item);
-  /// Flushes queued deltas. Classification of a pair is a pure function of
-  /// its effective mask A = θ* ∧ agree, and the agreement bits live
-  /// bit-transposed in the candidate store (one plane per universe pair),
-  /// so each flush is a handful of word-at-a-time plane sweeps over the
-  /// open set: a new negative m convicts open ∧ ¬OR(planes of θ* ∧ ¬m), a
-  /// θ* change additionally forces open ∧ AND(planes of θ*) positive — no
-  /// per-candidate loop and no witness hash index at all.
-  void Propagate(session::SessionStats* stats);
+  void MarkAsked(const Item& item) { engine_.MarkAsked(Path(item)); }
+  void Observe(const Item& item, bool positive, session::SessionStats* stats) {
+    engine_.Observe(Path(item), positive, stats);
+  }
+  void OnPositive(const Item& item) { engine_.OnPositive(Path(item)); }
+  void OnNegative(const Item& item) { engine_.OnNegative(Path(item)); }
+  void Propagate(session::SessionStats* stats) { engine_.Propagate(stats); }
   /// True once an answer contradicted the version space (target outside the
   /// equi-join hypothesis class).
-  bool Aborted() const { return aborted_; }
-  HypothesisT Current() const;
-  HypothesisT Finish(session::SessionStats* stats);
+  bool Aborted() const { return engine_.Aborted(); }
+  /// θ*, or 0 once a conflict aborted the session.
+  HypothesisT Current() const {
+    return Aborted() ? 0 : engine_.Current().front();
+  }
+  HypothesisT Finish(session::SessionStats* stats) {
+    engine_.Finish(stats);
+    return Current();
+  }
 
-  size_t candidate_pairs() const { return frontier_.size(); }
-  const relational::Tuple& LeftRow(const Item& item) const;
-  const relational::Tuple& RightRow(const Item& item) const;
+  size_t candidate_pairs() const { return engine_.candidate_paths(); }
+  const relational::Tuple& LeftRow(const Item& item) const {
+    return chain_->relation(0).row(item.left_row);
+  }
+  const relational::Tuple& RightRow(const Item& item) const {
+    return chain_->relation(1).row(item.right_row);
+  }
 
-  // Introspection for conformance tests and UIs.
-  bool WasAsked(const Item& item) const;
-  bool HasForcedLabel(const Item& item) const;
+  // Introspection for conformance tests and UIs. Pairs outside the
+  // |left| x |right| grid report false.
+  bool WasAsked(const Item& item) const {
+    return engine_.WasAsked(ChainExample{{item.left_row, item.right_row}});
+  }
+  bool HasForcedLabel(const Item& item) const {
+    return engine_.HasForcedLabel(
+        ChainExample{{item.left_row, item.right_row}});
+  }
 
   /// Test/bench hook: every flush replays the historical full-universe
   /// rescan instead of the delta pass (identical behavior, different cost).
-  void set_reference_propagation(bool on) { reference_propagation_ = on; }
+  void set_reference_propagation(bool on) {
+    engine_.set_reference_propagation(on);
+  }
   /// Test/bench hook: makes the next flush run the full classification pass.
-  void ForceFullRepropagation() { prop_.RecordHypothesisChange(); }
-  /// Bench-parity hook: the SoA engine keeps no witness index (conviction
-  /// is a plane sweep), so the historical "drop the index before the next
-  /// negative" costs nothing to set up. Kept so BM_Classify measures the
-  /// same externally-triggered operation before and after the refactor.
-  void InvalidateWitnessIndexForBench() {}
-  /// Test introspection of the structure-of-arrays candidate store.
-  const session::CandidateStore& StoreForTest() const { return store_; }
+  void ForceFullRepropagation() { engine_.ForceFullRepropagation(); }
+  /// Test introspection of the structure-of-arrays candidate store (one
+  /// plane per universe pair).
+  const session::CandidateStore& StoreForTest() const {
+    return engine_.StoreForTest();
+  }
 
-  /// Hibernation: appends a versioned engine image (strategy, version
-  /// space, frontier states, candidate-store planes) to `writer`. Call only
+  /// Hibernation: the chain engine's versioned image ("QLCE"). Call only
   /// between answered turns (queued deltas flushed).
-  void SerializeSnapshot(session::SnapshotWriter* writer) const;
+  void SerializeSnapshot(session::SnapshotWriter* writer) const {
+    engine_.SerializeSnapshot(writer);
+  }
   /// Restores an image produced by SerializeSnapshot into an engine built
   /// over the same relations/universe/options. Mismatched geometry or
   /// strategy is rejected with InvalidArgument.
-  common::Status RestoreSnapshot(session::SnapshotReader* reader);
+  common::Status RestoreSnapshot(session::SnapshotReader* reader) {
+    return engine_.RestoreSnapshot(reader);
+  }
 
  private:
-  using FrontierT = session::Frontier<PairExample, long>;
-  /// Queued payloads are the new negatives' agreement masks.
-  using PropagationT = session::PropagationIndex<PairMask>;
+  /// `item` as a two-row path, in a buffer the per-answer calls reuse so
+  /// they allocate nothing.
+  const ChainExample& Path(const Item& item) {
+    path_.rows = {item.left_row, item.right_row};
+    return path_;
+  }
 
-  size_t IndexOf(const Item& item) const;
-
-  /// The historical per-candidate Classify rescan, verbatim.
-  void ReferencePropagate(session::SessionStats* stats);
-  /// Baseline / θ*-change pass: positive sweep (open ∧ AND θ* planes) plus
-  /// one conviction sweep per accumulated negative.
-  void FullPropagate(session::SessionStats* stats);
-  /// Steady-state flush: one conviction sweep per queued negative mask.
-  void ApplyNegativeDeltas(session::SessionStats* stats);
-  /// Convicts the open candidates whose effective mask the negative `neg`
-  /// covers: open ∧ ¬OR(planes of θ* ∧ ¬neg). neg = 0 convicts the A == 0
-  /// set.
-  void ConvictCovered(PairMask neg, session::SessionStats* stats);
-  /// Forces every candidate whose bit is set in `bits` (a sweep result over
-  /// the dense axis; all bits are open by construction).
-  void ForceSweep(const std::vector<uint64_t>& bits, bool positive,
-                  session::SessionStats* stats);
-  /// Recomputes the per-candidate |θ* ∧ agree| counts (bit-sliced popcount
-  /// over the θ* planes) if θ* changed or the store compacted.
-  void EnsureKeptCounts();
-#ifndef NDEBUG
-  void AssertPropagationFixpoint() const;
-#endif
-
-  const PairUniverse* universe_;
-  const relational::Relation* left_;
-  const relational::Relation* right_;
-  JoinStrategy strategy_;
-  FrontierT frontier_;  // row-major over (left, right)
-  /// SoA agreement planes + open/active mirrors + dense compaction; plane b
-  /// holds "candidate agrees on universe pair b".
-  session::CandidateStore store_;
-  EquiJoinVersionSpace vs_;
-  PropagationT prop_;
-  /// Sweep scratch (dense words) reused across flushes.
-  std::vector<uint64_t> scratch_;
-  /// kept_counts_[DenseOf(k)] = |θ* ∧ agree_k|, the split/lattice scoring
-  /// input; refreshed lazily per θ* change / compaction.
-  std::vector<uint8_t> kept_counts_;
-  bool counts_valid_ = false;
-  /// Did the last positive Observe actually shrink θ*?
-  bool theta_advanced_ = false;
-  bool reference_propagation_ = false;
-  bool aborted_ = false;
+  /// Heap-held so the engine's pointer to it survives moves of JoinEngine.
+  std::unique_ptr<JoinChain> chain_;
+  ChainEngine engine_;
+  ChainExample path_;
 };
 
 /// Runs the protocol over all |left| x |right| tuple pairs. Thin wrapper

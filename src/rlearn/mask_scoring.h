@@ -1,7 +1,6 @@
 // Shared popcount-based mask scorers for the relational question-selection
-// strategies. Three sites historically hand-rolled the same split-half
-// arithmetic (JoinEngine, ChainEngine, crowd_join); this header is the one
-// definition.
+// strategies. The relational engine (ChainEngine, which also serves joins)
+// and crowd_join score with them; this header is the one definition.
 //
 // All scores are functions of (total, kept) where total = |θ*| is the
 // surviving hypothesis-pair count and kept = |θ* ∧ agree| is how many of

@@ -29,8 +29,8 @@ namespace {
 using common::Result;
 using common::Status;
 
-/// ScenarioSession over a typed engine: the shared glue between the three
-/// built-in scenarios. `context` keeps the scenario's dataset (documents,
+/// ScenarioSession over a typed engine: the shared glue of every built-in
+/// scenario, whatever its engine. `context` keeps the scenario's dataset (documents,
 /// relations, graph, interner, goal) alive for the session's lifetime.
 template <typename Engine>
 class TypedScenarioSession : public ScenarioSession {
@@ -320,7 +320,7 @@ struct ChainContext {
 
 Result<std::unique_ptr<ScenarioSession>> MakeChainScenario(
     const SessionOptions& options,
-    rlearn::ChainStrategy strategy = rlearn::ChainStrategy::kSplitHalf) {
+    rlearn::ChainStrategy strategy = rlearn::ChainStrategy::kHuntThenSplit) {
   auto context = std::make_shared<ChainContext>();
   context->relations = relational::TinyStoreChainRelations();
 
@@ -471,7 +471,8 @@ void RegisterBuiltinScenarios() {
     // Strategy variants of the four datasets, so every selection strategy
     // the shared frontier drives is reachable by name — and pinned by a
     // golden transcript (the plain names above pin the default strategies:
-    // twig kGreedyImpact, join/chain kSplitHalf, path kFrontier).
+    // twig kGreedyImpact, join kSplitHalf, chain kHuntThenSplit, path
+    // kFrontier).
     (void)registry->Register(
         {"twig-random", "the twig scenario under uniform-random selection"},
         [](const SessionOptions& options) {

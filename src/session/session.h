@@ -250,7 +250,7 @@ class LearningSession {
   /// question(s) first, and a finished session has nothing left to resume.
   /// Instantiated only for engines implementing
   /// SerializeSnapshot(SnapshotWriter*) / RestoreSnapshot(SnapshotReader*)
-  /// (join and chain today).
+  /// (all four engines do).
   common::Status SerializeSnapshot(std::string* out) const {
     if (!pending_.empty()) {
       return common::Status::FailedPrecondition(

@@ -223,7 +223,7 @@ TEST_F(ChainFixture, InteractiveSessionLearnsTheFkChain) {
   const ChainMask goal = FkGoal(chain);
   GoalChainOracle oracle(goal);
   for (ChainStrategy strategy :
-       {ChainStrategy::kSplitHalf, ChainStrategy::kRandom}) {
+       {ChainStrategy::kHuntThenSplit, ChainStrategy::kRandom}) {
     InteractiveChainOptions options;
     options.strategy = strategy;
     auto result = RunInteractiveChainSession(chain, &oracle, options);
@@ -392,7 +392,7 @@ TEST(ChainSplitHalf, ScorerSurvivesAllNegativeSplitScores) {
   ASSERT_EQ(chain.num_edges(), 4u);
   ASSERT_EQ(chain.universe(3).size(), 3u);
 
-  ChainEngine engine(&chain, {});  // kSplitHalf
+  ChainEngine engine(&chain, {});  // kHuntThenSplit
   session::SessionStats stats;
   common::Rng rng(1);
   const ChainExample positive{{0, 0, 0, 0, 0}};  // agrees on all pairs

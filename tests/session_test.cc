@@ -341,7 +341,8 @@ class ChainSessionFixture : public ::testing::Test {
 
 TEST_F(ChainSessionFixture, IncrementalDriverMatchesLegacyWrapper) {
   for (rlearn::ChainStrategy strategy :
-       {rlearn::ChainStrategy::kRandom, rlearn::ChainStrategy::kSplitHalf}) {
+       {rlearn::ChainStrategy::kRandom,
+        rlearn::ChainStrategy::kHuntThenSplit}) {
     rlearn::InteractiveChainOptions options;
     options.strategy = strategy;
     options.seed = 77;

@@ -226,7 +226,7 @@ class ChainSnapshotFixture : public ::testing::Test {
 
   LearningSession<rlearn::ChainEngine> MakeSession() const {
     rlearn::InteractiveChainOptions options;
-    options.strategy = rlearn::ChainStrategy::kSplitHalf;
+    options.strategy = rlearn::ChainStrategy::kHuntThenSplit;
     SessionOptions session_options;
     session_options.seed = 77;
     return LearningSession<rlearn::ChainEngine>(

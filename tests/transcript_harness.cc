@@ -151,8 +151,8 @@ const std::vector<TranscriptCase>& ConformanceCases() {
   // One case per paper experiment with an interactive-session analogue,
   // plus one per non-default selection strategy ("s_" cases) so every
   // strategy the shared frontier drives is replay-checked, not only the
-  // defaults the experiment cases exercise (twig kGreedyImpact, join and
-  // chain kSplitHalf, path kFrontier).
+  // defaults the experiment cases exercise (twig kGreedyImpact, join
+  // kSplitHalf, chain kHuntThenSplit, path kFrontier).
   // Batch sizes differ on purpose: 1 pins the ask/answer ping-pong flow,
   // >1 pins the batched flow (whose question sequences legitimately differ
   // from one-at-a-time — propagation runs once per batch).
