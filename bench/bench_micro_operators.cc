@@ -365,7 +365,7 @@ BENCHMARK(BM_SelectQuestion_Path)->Arg(3)->Arg(4)->Arg(6);
 // witness payload of an already-labeled negative is re-queued each
 // iteration, so the flush does the steady-state scan without mutating the
 // session), `pos`=1 times the hypothesis-change full pass
-// (ForceFullRepropagation; the per-candidate memo refill a real positive
+// (ForceFullRepropagation; the memo refill a real positive
 // additionally triggers is accounted under BM_SelectQuestion's epoch
 // rescoring). The engine is warmed up with real oracle exchanges first.
 template <typename Engine, typename OracleFn>

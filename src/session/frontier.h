@@ -11,7 +11,14 @@
 //
 //   * candidate states  — one CandidateState per item (unknown / asked /
 //                         labeled / forced) plus a persistent was-asked bit;
-//   * memoized scores   — per-candidate Memo slots with epoch-based
+//   * candidate classes — Add(item, class_id) groups candidates that every
+//                         scorer and propagation predicate treats alike
+//                         (the path engine's equal label words); memos,
+//                         greedy scores and forced labels are then decided
+//                         once per class (MarkForcedClass). Add(item) is
+//                         the identity mapping: each candidate is its own
+//                         class, with no per-class tables at all;
+//   * memoized scores   — per-class Memo slots with epoch-based
 //                         dirty-marking: an Observe that changes the
 //                         hypothesis bumps the epoch (everything rescores
 //                         lazily), an Observe that does not (negative
@@ -20,18 +27,21 @@
 //   * selection         — strategy objects the frontier drives:
 //                         UniformRandomStrategy (every engine's kRandom)
 //                         and GreedyScoreStrategy (kGreedyImpact /
-//                         kSplitHalf / kLattice / kFrontier / kWorkload,
-//                         each engine binding its model-specific scorer).
-//                         Greedy selection runs off a lazy max-heap, so the
-//                         per-question cost between hypothesis changes is
-//                         O(log n) instead of a full rescan.
+//                         kSplitHalf / kHuntThenSplit / kLattice /
+//                         kFrontier / kWorkload, each engine binding its
+//                         model-specific scorer). Greedy selection runs
+//                         off a lazy max-heap with one entry per class, so
+//                         the per-question cost between hypothesis changes
+//                         is O(log classes) instead of a full rescan.
 //
 // Bit-identity contract: GreedyScoreStrategy reproduces exactly the
 // historical first-wins linear scan — the smallest-index candidate among
 // the best-scoring open ones wins, and when no score strictly beats the
-// strategy's sentinel the first open candidate wins. The heap relies on
+// strategy's sentinel the first open candidate wins. With classes that is
+// the first open member of the best class, ties going to the class whose
+// first open member has the smallest index. The heap relies on
 // scores never *improving* within an epoch (they may decay as the open set
-// shrinks, e.g. the twig impact count); call Invalidate(k)/InvalidateAll()
+// shrinks, e.g. the twig impact count); call Invalidate(c)/InvalidateAll()
 // before a score can rise. Debug builds cross-check every greedy pick
 // against the reference linear scan.
 //
@@ -86,11 +96,12 @@ struct UniformRandomStrategy {
 
 /// Greedy argmax of an engine-bound scorer: the shape of every non-random
 /// strategy the engines had (twig kGreedyImpact, join kSplitHalf/kLattice,
-/// chain kSplitHalf, path kFrontier/kWorkload). `score_of(k)` returns the
-/// candidate's score, or nullopt when the candidate cannot be scored (e.g.
-/// no anchored twig generalization exists); higher scores win, ties go to
-/// the smallest index, and when nothing strictly beats `sentinel` the first
-/// open candidate wins — exactly the historical linear-scan semantics.
+/// chain kHuntThenSplit, path kFrontier/kWorkload). `score_of(c)` returns
+/// the score of class `c` (the candidate itself under the identity
+/// mapping), or nullopt when it cannot be scored (e.g. no anchored twig
+/// generalization exists); higher scores win, ties go to the smallest open
+/// index, and when nothing strictly beats `sentinel` the first open
+/// candidate wins — exactly the historical linear-scan semantics.
 /// Strategies that historically minimized a cost negate it.
 template <typename Score, typename ScoreFn>
 class GreedyScoreStrategy {
@@ -121,28 +132,50 @@ GreedyScoreStrategy<Score, ScoreFn> Greedy(Score sentinel, ScoreFn score_of) {
 ///          owned by the frontier, index-stable for its lifetime.
 ///   Score  the ordering type of greedy strategies; needs operator< (e.g.
 ///          long, std::pair<long, long>).
-///   Memo   the expensive per-candidate intermediate a scorer caches via
+///   Memo   the expensive per-class intermediate a scorer caches via
 ///          MemoOf (defaults to Score when the score itself is the memo).
+///
+/// A frontier is built either with Add(item) only (identity mapping: class
+/// id == candidate index) or with Add(item, class_id) only.
 template <typename Item, typename Score = long, typename Memo = Score>
 class Frontier {
  public:
-  void Reserve(size_t n) {
+  /// Reserves room for `n` candidates in `classes` classes; Reserve(n) is
+  /// the identity mapping's n classes.
+  void Reserve(size_t n, size_t classes) {
     items_.reserve(n);
     states_.reserve(n);
     asked_.reserve(n);
-    memos_.reserve(n);
-    memo_epoch_.reserve(n);
+    memos_.reserve(classes);
+    memo_epoch_.reserve(classes);
   }
+  void Reserve(size_t n) { Reserve(n, n); }
 
-  /// Appends a candidate (state kUnknown) and returns its index.
+  /// Appends a candidate (state kUnknown) as its own class and returns its
+  /// index.
   size_t Add(Item item) {
-    items_.push_back(std::move(item));
-    states_.push_back(CandidateState::kUnknown);
-    asked_.push_back(false);
+    assert(class_of_.empty() && "identity Add on a class-keyed frontier");
     memos_.emplace_back();
     memo_epoch_.push_back(0);
-    ++open_count_;
-    return items_.size() - 1;
+    return Append(std::move(item));
+  }
+
+  /// Appends a candidate (state kUnknown) as a member of class `class_id`
+  /// and returns its index. Class ids are small dense integers; members
+  /// are recorded in ascending candidate order.
+  size_t Add(Item item, size_t class_id) {
+    assert(class_of_.size() == items_.size() &&
+           "class-keyed Add on an identity frontier");
+    if (class_id >= classes_.size()) {
+      classes_.resize(class_id + 1);
+      memos_.resize(class_id + 1);
+      memo_epoch_.resize(class_id + 1, 0);
+    }
+    const size_t k = Append(std::move(item));
+    class_of_.push_back(static_cast<uint32_t>(class_id));
+    classes_[class_id].members.push_back(static_cast<uint32_t>(k));
+    ++classes_[class_id].open;
+    return k;
   }
 
   size_t size() const { return items_.size(); }
@@ -159,6 +192,32 @@ class Frontier {
   bool HasForcedLabel(size_t k) const {
     return states_[k] == CandidateState::kForcedPositive ||
            states_[k] == CandidateState::kForcedNegative;
+  }
+
+  /// Number of classes: the candidate count under the identity mapping.
+  size_t num_classes() const {
+    return class_of_.empty() ? items_.size() : classes_.size();
+  }
+  size_t ClassOf(size_t k) const {
+    return class_of_.empty() ? k : class_of_[k];
+  }
+  /// Open members of class `c`.
+  size_t ClassOpenCount(size_t c) const {
+    if (class_of_.empty()) return IsOpen(c) ? 1 : 0;
+    return classes_[c].open;
+  }
+  /// Smallest open member of class `c`, or nullopt when the class is
+  /// settled. Amortized O(1): the per-class cursor only moves forward.
+  std::optional<size_t> FirstOpenMember(size_t c) {
+    if (class_of_.empty()) {
+      return IsOpen(c) ? std::optional<size_t>(c) : std::nullopt;
+    }
+    ClassInfo& info = classes_[c];
+    if (info.open == 0) return std::nullopt;
+    while (states_[info.members[info.cursor]] != CandidateState::kUnknown) {
+      ++info.cursor;
+    }
+    return info.members[info.cursor];
   }
 
   /// kUnknown -> kAsked: the candidate is in flight and leaves the open
@@ -185,7 +244,7 @@ class Frontier {
     } else if (states_[k] == CandidateState::kAsked) {
       states_[k] = next;
     }
-    ReleaseMemo(k);
+    ReleaseMemoIfSettled(k);
   }
 
   /// Records an inferred label. Allowed from kUnknown (both polarities),
@@ -198,11 +257,11 @@ class Frontier {
     switch (states_[k]) {
       case CandidateState::kUnknown:
         Close(k, next);
-        ReleaseMemo(k);
+        ReleaseMemoIfSettled(k);
         return true;
       case CandidateState::kAsked:
         states_[k] = next;
-        ReleaseMemo(k);
+        ReleaseMemoIfSettled(k);
         return true;
       case CandidateState::kForcedNegative:
         if (positive) {
@@ -216,55 +275,72 @@ class Frontier {
     }
   }
 
+  /// Forces every open member of class `c` (asked and labeled members keep
+  /// their state) and returns how many it settled — the count the engine
+  /// adds to SessionStats::forced_*.
+  size_t MarkForcedClass(size_t c, bool positive) {
+    size_t settled = 0;
+    for (std::optional<size_t> k = FirstOpenMember(c); k.has_value();
+         k = FirstOpenMember(c)) {
+      MarkForced(*k, positive);
+      ++settled;
+    }
+    return settled;
+  }
+
   /// Marks every memoized score stale (epoch bump). Call when the
   /// hypothesis — anything scores depend on beyond the open set — changed.
   /// O(1); rescoring happens lazily at the next greedy selection.
   void InvalidateAll() { ++epoch_; }
 
-  /// Marks one candidate's memo stale and reschedules it for the greedy
-  /// heap. Unlike the decay the heap tolerates implicitly, this also
-  /// handles a score that *rises*.
-  void Invalidate(size_t k) {
-    memo_epoch_[k] = 0;
-    dirty_.push_back(k);
+  /// Marks one class's memo stale and reschedules it for the greedy heap.
+  /// Unlike the decay the heap tolerates implicitly, this also handles a
+  /// score that *rises*.
+  void Invalidate(size_t c) {
+    memo_epoch_[c] = 0;
+    dirty_.push_back(c);
   }
 
-  /// Memoized access to the expensive per-candidate intermediate:
-  /// recomputes via `recompute(k)` only when the slot is stale (never
-  /// computed, single-candidate Invalidate, or epoch bump). A nullopt memo
-  /// is cached too — "cannot be scored" is itself a per-epoch fact.
+  /// Memoized access to the expensive per-class intermediate: recomputes
+  /// via `recompute(c)` only when class `c`'s slot is stale (never
+  /// computed, single-class Invalidate, or epoch bump). A nullopt memo is
+  /// cached too — "cannot be scored" is itself a per-epoch fact.
   template <typename RecomputeFn>
-  const std::optional<Memo>& MemoOf(size_t k, RecomputeFn&& recompute) {
-    if (memo_epoch_[k] != epoch_) {
-      memos_[k] = recompute(k);
-      memo_epoch_[k] = epoch_;
+  const std::optional<Memo>& MemoOf(size_t c, RecomputeFn&& recompute) {
+    if (memo_epoch_[c] != epoch_) {
+      memos_[c] = recompute(c);
+      memo_epoch_[c] = epoch_;
     }
-    return memos_[k];
+    return memos_[c];
   }
 
   /// First-wins greedy selection (see GreedyScoreStrategy for semantics).
-  /// Runs off a lazy max-heap: a full rescore happens only on the first
-  /// selection after an epoch bump; otherwise the pick costs O(log n)
+  /// Runs off a lazy max-heap holding one entry per class, keyed by (score,
+  /// first open member): a full rescore happens only on the first selection
+  /// after an epoch bump; otherwise the pick costs O(log classes)
   /// amortized. Within an epoch cached scores must not improve — they may
-  /// decay (the heap re-sifts stale entries) or vanish into nullopt.
+  /// decay or vanish into nullopt, and a class's first open member only
+  /// moves forward; the heap re-sifts such stale entries.
   template <typename ScoreFn>
   std::optional<size_t> SelectBest(const Score& sentinel, ScoreFn&& score_of) {
     if (open_count_ == 0) return std::nullopt;
     if (heap_epoch_ != epoch_) {
       heap_.clear();
       dirty_.clear();
-      for (size_t k = 0; k < states_.size(); ++k) {
-        if (states_[k] != CandidateState::kUnknown) continue;
-        std::optional<Score> s = score_of(k);
-        if (s.has_value()) heap_.push_back(HeapEntry{std::move(*s), k});
+      for (size_t c = 0; c < num_classes(); ++c) {
+        const std::optional<size_t> first = FirstOpenMember(c);
+        if (!first.has_value()) continue;
+        std::optional<Score> s = score_of(c);
+        if (s.has_value()) heap_.push_back(HeapEntry{std::move(*s), *first});
       }
       std::make_heap(heap_.begin(), heap_.end(), EntryLess);
       heap_epoch_ = epoch_;
     } else if (!dirty_.empty()) {
-      for (size_t k : dirty_) {
-        if (states_[k] != CandidateState::kUnknown) continue;
-        std::optional<Score> s = score_of(k);
-        if (s.has_value()) PushHeap(HeapEntry{std::move(*s), k});
+      for (size_t c : dirty_) {
+        const std::optional<size_t> first = FirstOpenMember(c);
+        if (!first.has_value()) continue;
+        std::optional<Score> s = score_of(c);
+        if (s.has_value()) PushHeap(HeapEntry{std::move(*s), *first});
       }
       dirty_.clear();
     }
@@ -272,24 +348,28 @@ class Frontier {
     std::optional<size_t> picked;
     while (!heap_.empty()) {
       const HeapEntry& top = heap_.front();
-      if (states_[top.index] != CandidateState::kUnknown) {
+      const size_t c = ClassOf(top.index);
+      const std::optional<size_t> first = FirstOpenMember(c);
+      if (!first.has_value()) {
         PopHeap();
         continue;
       }
-      std::optional<Score> current = score_of(top.index);
+      std::optional<Score> current = score_of(c);
       if (!current.has_value()) {
         PopHeap();
         continue;
       }
-      if (*current < top.score || top.score < *current) {
+      if (*first != top.index || *current < top.score ||
+          top.score < *current) {
         // Stale entry: the score decayed since it was pushed (e.g. the open
-        // set shrank under an impact count). Re-sift at its true score.
-        const size_t index = top.index;
+        // set shrank under an impact count), or the class's first open
+        // member was asked or settled. Re-sift at its true key.
         PopHeap();
-        PushHeap(HeapEntry{std::move(*current), index});
+        PushHeap(HeapEntry{std::move(*current), *first});
         continue;
       }
-      // Fresh top: the best-scored open candidate, smallest index on ties.
+      // Fresh top: the best-scored class, smallest first open member on
+      // ties — i.e. the best-scored open candidate with the smallest index.
       picked = sentinel < top.score ? std::optional<size_t>(top.index)
                                     : FirstOpen();
       break;
@@ -375,19 +455,35 @@ class Frontier {
       asked_[k] = raw != 0;
     }
     open_count_ = 0;
-    for (CandidateState state : states_) {
-      if (state == CandidateState::kUnknown) ++open_count_;
+    for (ClassInfo& info : classes_) {
+      info.open = 0;
+      info.cursor = 0;
+    }
+    for (size_t k = 0; k < states_.size(); ++k) {
+      if (states_[k] != CandidateState::kUnknown) continue;
+      ++open_count_;
+      if (!class_of_.empty()) ++classes_[class_of_[k]].open;
     }
     first_open_hint_ = 0;
-    for (size_t k = 0; k < memos_.size(); ++k) ReleaseMemo(k);
+    for (size_t c = 0; c < memos_.size(); ++c) ReleaseMemo(c);
     InvalidateAll();  // restart heap and memos stale
     return common::Status::OK();
   }
 
  private:
+  /// One greedy-heap entry per class: its score and its first open member
+  /// when pushed (which also names the class).
   struct HeapEntry {
     Score score;
     size_t index;
+  };
+
+  /// A class of a class-keyed frontier: its members in ascending order, how
+  /// many are open, and a cursor at or before its first open member.
+  struct ClassInfo {
+    std::vector<uint32_t> members;
+    uint32_t open = 0;
+    uint32_t cursor = 0;
   };
 
   /// Max-heap order: higher score first, smaller index first among equals
@@ -408,20 +504,35 @@ class Frontier {
     heap_.pop_back();
   }
 
+  size_t Append(Item item) {
+    items_.push_back(std::move(item));
+    states_.push_back(CandidateState::kUnknown);
+    asked_.push_back(false);
+    ++open_count_;
+    return items_.size() - 1;
+  }
+
   void Close(size_t k, CandidateState next) {
     assert(states_[k] == CandidateState::kUnknown);
     states_[k] = next;
     --open_count_;
+    if (!class_of_.empty()) --classes_[class_of_[k]].open;
   }
 
-  /// Frees a settled candidate's memo: labeled/forced candidates are never
-  /// scored again, and twig selected-sets are large enough that keeping
-  /// them for the frontier's lifetime would hold O(n^2) dead cache in a
-  /// parked session. The epoch reset keeps MemoOf correct if anything does
-  /// read the slot later (it recomputes instead of serving a freed value).
-  void ReleaseMemo(size_t k) {
-    memos_[k].reset();
-    memo_epoch_[k] = 0;
+  /// Frees the memo of candidate `k`'s class once no member is open:
+  /// settled classes are never scored again, and twig selected-sets are
+  /// large enough that keeping them for the frontier's lifetime would hold
+  /// O(n^2) dead cache in a parked session.
+  void ReleaseMemoIfSettled(size_t k) {
+    const size_t c = ClassOf(k);
+    if (ClassOpenCount(c) == 0) ReleaseMemo(c);
+  }
+
+  /// The epoch reset keeps MemoOf correct if anything does read the slot
+  /// later (it recomputes instead of serving a freed value).
+  void ReleaseMemo(size_t c) {
+    memos_[c].reset();
+    memo_epoch_[c] = 0;
   }
 
 #ifndef NDEBUG
@@ -436,7 +547,7 @@ class Frontier {
     Score best = sentinel;
     for (size_t k = *pick; k < states_.size(); ++k) {
       if (states_[k] != CandidateState::kUnknown) continue;
-      std::optional<Score> s = score_of(k);
+      std::optional<Score> s = score_of(ClassOf(k));
       if (s.has_value() && best < *s) {
         best = std::move(*s);
         pick = k;
@@ -452,7 +563,11 @@ class Frontier {
   size_t open_count_ = 0;
   size_t first_open_hint_ = 0;
 
-  // Score memoization. Epoch 0 is reserved as "never valid".
+  // Class tables; both empty under the identity mapping.
+  std::vector<uint32_t> class_of_;
+  std::vector<ClassInfo> classes_;
+
+  // Per-class score memoization. Epoch 0 is reserved as "never valid".
   std::vector<std::optional<Memo>> memos_;
   std::vector<uint64_t> memo_epoch_;
   uint64_t epoch_ = 1;

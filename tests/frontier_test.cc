@@ -1,7 +1,8 @@
 // Unit tests for the shared candidate-frontier layer (session/frontier.h):
-// the state machine, score memoization with epoch/dirty invalidation, and
-// the lazy-heap greedy selection's bit-compatibility with the historical
-// first-wins linear scan (tie-breaks, sentinel fallback, score decay).
+// the state machine, score memoization with epoch/dirty invalidation, the
+// lazy-heap greedy selection's bit-compatibility with the historical
+// first-wins linear scan (tie-breaks, sentinel fallback, score decay), and
+// the class-keyed frontier (per-class memos, heap entries and forcing).
 #include "session/frontier.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "session/snapshot.h"
 
 namespace qlearn {
 namespace session {
@@ -230,6 +232,135 @@ TEST(FrontierSelectTest, StrategyObjectsDriveTheFrontier) {
   });
   EXPECT_EQ(f.Select(greedy, &rng), std::optional<size_t>(1));
   EXPECT_TRUE(f.Select(UniformRandomStrategy{}, &rng).has_value());
+}
+
+// --- Class-keyed frontiers ---
+
+/// Candidates 0..n-1 with the given class ids.
+IntFrontier MakeClassFrontier(const std::vector<size_t>& class_of) {
+  IntFrontier frontier;
+  for (size_t k = 0; k < class_of.size(); ++k) {
+    frontier.Add(static_cast<int>(k) * 10, class_of[k]);
+  }
+  return frontier;
+}
+
+TEST(FrontierClassTest, IdentityMappingWithoutClassIds) {
+  IntFrontier f = MakeFrontier(3);
+  EXPECT_EQ(f.num_classes(), 3u);
+  EXPECT_EQ(f.ClassOf(2), 2u);
+  EXPECT_EQ(f.ClassOpenCount(1), 1u);
+  EXPECT_EQ(f.FirstOpenMember(1), std::optional<size_t>(1));
+  EXPECT_EQ(f.MarkForcedClass(1, false), 1u);
+  EXPECT_EQ(f.state(1), CandidateState::kForcedNegative);
+  EXPECT_EQ(f.ClassOpenCount(1), 0u);
+  EXPECT_EQ(f.FirstOpenMember(1), std::nullopt);
+  EXPECT_EQ(f.MarkForcedClass(1, true), 0u);
+}
+
+TEST(FrontierClassTest, MarkForcedClassSettlesOnlyOpenMembers) {
+  IntFrontier f = MakeClassFrontier({0, 1, 0, 0, 1, 0});
+  EXPECT_EQ(f.num_classes(), 2u);
+  EXPECT_EQ(f.ClassOpenCount(0), 4u);
+  f.MarkAsked(0);
+  f.MarkLabeled(2, false);
+  EXPECT_EQ(f.ClassOpenCount(0), 2u);
+  EXPECT_EQ(f.FirstOpenMember(0), std::optional<size_t>(3));
+
+  EXPECT_EQ(f.MarkForcedClass(0, true), 2u);
+  EXPECT_EQ(f.state(0), CandidateState::kAsked);  // in flight: untouched
+  EXPECT_EQ(f.state(2), CandidateState::kLabeledNegative);
+  EXPECT_EQ(f.state(3), CandidateState::kForcedPositive);
+  EXPECT_EQ(f.state(5), CandidateState::kForcedPositive);
+  EXPECT_EQ(f.ClassOpenCount(0), 0u);
+  EXPECT_EQ(f.FirstOpenMember(0), std::nullopt);
+  EXPECT_EQ(f.MarkForcedClass(0, false), 0u);  // nothing left to settle
+  // The other class is untouched.
+  EXPECT_EQ(f.ClassOpenCount(1), 2u);
+  EXPECT_EQ(f.open_count(), 2u);
+}
+
+TEST(FrontierClassTest, MemoIsSharedByMembersAndFreedWhenSettled) {
+  IntFrontier f = MakeClassFrontier({0, 0, 1});
+  int recomputes = 0;
+  auto memo_fn = [&recomputes](size_t c) -> std::optional<long> {
+    ++recomputes;
+    return static_cast<long>(c) + 100;
+  };
+  EXPECT_EQ(f.MemoOf(f.ClassOf(1), memo_fn), std::optional<long>(100));
+  EXPECT_EQ(f.MemoOf(f.ClassOf(0), memo_fn), std::optional<long>(100));
+  EXPECT_EQ(recomputes, 1);  // one slot for both members
+  f.MarkForced(0, false);    // a member remains open: the memo stays
+  EXPECT_EQ(f.MemoOf(0, memo_fn), std::optional<long>(100));
+  EXPECT_EQ(recomputes, 1);
+  f.MarkForced(1, false);    // the class is settled: the memo is freed
+  EXPECT_EQ(f.MemoOf(0, memo_fn), std::optional<long>(100));
+  EXPECT_EQ(recomputes, 2);
+}
+
+TEST(FrontierClassTest, TieGoesToSmallestFirstOpenMember) {
+  // Class 1 holds candidate 0, so it beats class 0 on a tied score even
+  // though its id is larger.
+  IntFrontier f = MakeClassFrontier({1, 0, 1, 0});
+  auto flat = [](size_t) -> std::optional<long> { return 5; };
+  EXPECT_EQ(f.SelectBest(0L, flat), std::optional<size_t>(0));
+  // A strictly better class wins regardless of its members' positions.
+  IntFrontier g = MakeClassFrontier({1, 0, 1, 0});
+  auto prefer_zero = [](size_t c) -> std::optional<long> {
+    return c == 0 ? 6 : 5;
+  };
+  EXPECT_EQ(g.SelectBest(0L, prefer_zero), std::optional<size_t>(1));
+}
+
+TEST(FrontierClassTest, HeapResiftsWhenFirstOpenMemberIsAsked) {
+  // Class A = {0, 3}, class B = {1, 2}, equal scores: the pick walks the
+  // open candidates in index order as each pick is asked, the stale class
+  // entry re-sifting at its new first open member every time.
+  IntFrontier f = MakeClassFrontier({0, 1, 1, 0});
+  auto flat = [](size_t) -> std::optional<long> { return 5; };
+  for (size_t want : {0u, 1u, 2u, 3u}) {
+    const std::optional<size_t> pick = f.SelectBest(0L, flat);
+    EXPECT_EQ(pick, std::optional<size_t>(want));
+    if (pick.has_value()) f.MarkAsked(*pick);
+  }
+  EXPECT_EQ(f.SelectBest(0L, flat), std::nullopt);
+
+  // A better class keeps winning until its members run out.
+  IntFrontier g = MakeClassFrontier({0, 1, 1, 0});
+  auto prefer_a = [](size_t c) -> std::optional<long> {
+    return c == 0 ? 6 : 5;
+  };
+  for (size_t want : {0u, 3u, 1u, 2u}) {
+    const std::optional<size_t> pick = g.SelectBest(0L, prefer_a);
+    EXPECT_EQ(pick, std::optional<size_t>(want));
+    if (pick.has_value()) g.MarkAsked(*pick);
+  }
+}
+
+TEST(FrontierClassTest, RestoreRebuildsClassOpenCounts) {
+  const std::vector<size_t> classes = {0, 1, 0, 2, 1, 0};
+  IntFrontier f = MakeClassFrontier(classes);
+  f.MarkAsked(0);
+  f.MarkLabeled(0, true);
+  f.MarkForcedClass(1, false);
+  SnapshotWriter writer;
+  f.SerializeState(&writer);
+
+  IntFrontier restored = MakeClassFrontier(classes);
+  SnapshotReader reader(writer.bytes());
+  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  EXPECT_EQ(restored.open_count(), 3u);
+  EXPECT_EQ(restored.ClassOpenCount(0), 2u);
+  EXPECT_EQ(restored.ClassOpenCount(1), 0u);
+  EXPECT_EQ(restored.ClassOpenCount(2), 1u);
+  EXPECT_EQ(restored.FirstOpenMember(0), std::optional<size_t>(2));
+  EXPECT_EQ(restored.FirstOpenMember(1), std::nullopt);
+  auto score = [](size_t c) -> std::optional<long> {
+    return static_cast<long>(c);
+  };
+  EXPECT_EQ(restored.SelectBest(-1L, score), std::optional<size_t>(3));
+  EXPECT_EQ(restored.MarkForcedClass(0, true), 2u);
+  EXPECT_EQ(restored.open_count(), 1u);
 }
 
 }  // namespace

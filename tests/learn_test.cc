@@ -360,6 +360,12 @@ TEST_F(LearnFixture, InteractiveRejectsNegativeSeed) {
       RunInteractiveTwigSession(doc, FindNode(doc, "n"), &oracle, {}).ok());
 }
 
+TEST_F(LearnFixture, InteractiveSessionRejectsNullOracle) {
+  const XmlTree doc = Doc("<r><n/></r>");
+  EXPECT_FALSE(
+      RunInteractiveTwigSession(doc, FindNode(doc, "n"), nullptr, {}).ok());
+}
+
 TEST_F(LearnFixture, ApproximateConsistentWhenPossible) {
   const XmlTree d = Doc("<r><p><a/><n/></p><p><n/></p></r>");
   auto result = LearnTwigApproximate({TreeExample{&d, FindNode(d, "n", 0)}},
