@@ -566,6 +566,97 @@ TEST(RelationalQuestionPins, ChainSessionsReplayRecordedDigests) {
       << DigestList(actual);
 }
 
+TEST(RelationalQuestionPins, LargeJoinSessionsReplayRecordedDigests) {
+  // The small-instance pins above give almost every agreement mask a single
+  // pair. These 200 x 200 joins (arity 4, domain 6: learn-large's shape)
+  // give most masks many pairs, so they pin the tie-breaks among equal-mask
+  // pairs: 4 instances x {kRandom, kSplitHalf, kLattice}, in batches of 1-3,
+  // with the first answer flipped on instance 3.
+  static constexpr uint64_t kExpected[12] = {
+      0x708ccf2b7c2391e8ULL, 0x30f1ca7d00f98722ULL, 0x8be1515c2cb005d8ULL,
+      0xa723e27950d56201ULL, 0x673654a8130e0d81ULL, 0x673654a8130e0d81ULL,
+      0x67894d98a7526b8cULL, 0x1021fd77834d8387ULL, 0x19cda2d21e2821a2ULL,
+      0x425d56aedb1525a3ULL, 0xd7789e12de29000aULL, 0xd7789e12de29000aULL,
+  };
+  std::vector<uint64_t> actual;
+  for (int i = 0; i < 4; ++i) {
+    JoinInstanceOptions opts;
+    opts.seed = 1 + 4 * static_cast<uint64_t>(i);
+    opts.left_rows = 200;
+    opts.right_rows = 200;
+    opts.left_arity = 4;
+    opts.right_arity = 4;
+    opts.domain_size = 6;
+    const JoinInstance inst = relational::GenerateJoinInstance(opts, 2);
+    auto u = PairUniverse::AllCompatible(inst.left.schema(),
+                                         inst.right.schema());
+    ASSERT_TRUE(u.ok());
+    const PairUniverse& universe = u.value();
+    PairMask goal = 0;
+    for (size_t b = 0; b < universe.size(); ++b) {
+      for (const AttributePair& g : inst.goal) {
+        if (universe.pairs()[b] == g) goal |= (1ULL << b);
+      }
+    }
+    for (JoinStrategy strategy : {JoinStrategy::kRandom,
+                                  JoinStrategy::kSplitHalf,
+                                  JoinStrategy::kLattice}) {
+      InteractiveJoinOptions options;
+      options.strategy = strategy;
+      actual.push_back(SessionDigest(
+          JoinEngine(&universe, &inst.left, &inst.right, options),
+          /*seed=*/90 + static_cast<uint64_t>(i), /*batch=*/1 + i % 3,
+          /*flip_first=*/i == 3, [&](const PairExample& pair) {
+            return MaskSatisfied(
+                goal, universe.AgreeMask(inst.left.row(pair.left_row),
+                                         inst.right.row(pair.right_row)));
+          }));
+    }
+  }
+  EXPECT_EQ(actual, std::vector<uint64_t>(std::begin(kExpected),
+                                          std::end(kExpected)))
+      << "actual digests:\n"
+      << DigestList(actual);
+}
+
+TEST(RelationalQuestionPins, LargeChainSessionsReplayRecordedDigests) {
+  // 3 x 24-row FK chains (learn-large's shape: 13,824 paths over a few
+  // hundred mask tuples) x {kRandom, kHuntThenSplit}, in batches of 1-3,
+  // with the first answer flipped on instance 3.
+  static constexpr uint64_t kExpected[8] = {
+      0x7b927ecc07916070ULL, 0x4a0f20e4570ed923ULL, 0x327847ff29969f77ULL,
+      0x06e525e2fb1704d8ULL, 0x9dca0f9cf04035e4ULL, 0xe9818389b324125cULL,
+      0x125e614cb6395222ULL, 0x2b51806352e53946ULL,
+  };
+  std::vector<uint64_t> actual;
+  for (int i = 0; i < 4; ++i) {
+    relational::ChainInstanceOptions opts;
+    opts.seed = 1 + 4 * static_cast<uint64_t>(i);
+    opts.num_relations = 3;
+    opts.rows = 24;
+    const relational::ChainInstance inst =
+        relational::GenerateChainInstance(opts);
+    auto chain = JoinChain::Create(inst.pointers);
+    ASSERT_TRUE(chain.ok());
+    const ChainMask goal = NamePairChainGoal(chain.value(), "fk", "key");
+    for (ChainStrategy strategy :
+         {ChainStrategy::kRandom, ChainStrategy::kHuntThenSplit}) {
+      InteractiveChainOptions options;
+      options.strategy = strategy;
+      actual.push_back(SessionDigest(
+          ChainEngine(&chain.value(), options),
+          /*seed=*/110 + static_cast<uint64_t>(i), /*batch=*/1 + i % 3,
+          /*flip_first=*/i == 3, [&](const ChainExample& example) {
+            return ChainSatisfied(chain.value(), goal, example);
+          }));
+    }
+  }
+  EXPECT_EQ(actual, std::vector<uint64_t>(std::begin(kExpected),
+                                          std::end(kExpected)))
+      << "actual digests:\n"
+      << DigestList(actual);
+}
+
 }  // namespace
 }  // namespace rlearn
 }  // namespace qlearn
