@@ -109,12 +109,18 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
   // Questions point into candidates_ and word_classes_; element pointers
   // stay valid for the engine's lifetime, including after it is moved into
   // a LearningSession (vector moves keep the heap buffer).
-  frontier_.Reserve(candidates_.size(), word_classes_.size());
+  std::vector<Question> questions;
+  std::vector<uint32_t> class_of;
+  questions.reserve(candidates_.size());
+  class_of.reserve(candidates_.size());
   for (size_t k = 0; k < candidates_.size(); ++k) {
     const uint32_t c = candidates_[k].word_class;
-    frontier_.Add(
-        Question{k, &candidates_[k].path, &word_classes_[c].word}, c);
+    questions.push_back(
+        Question{k, &candidates_[k].path, &word_classes_[c].word});
+    class_of.push_back(c);
   }
+  frontier_.AddClassed(std::move(questions), std::move(class_of),
+                       word_classes_.size());
 }
 
 std::optional<PathEngine::Question> PathEngine::SelectQuestion(

@@ -1,13 +1,40 @@
 #include "rlearn/chain_learner.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <unordered_map>
 
 namespace qlearn {
 namespace rlearn {
 
 using common::Result;
 using common::Status;
+using relational::Value;
+using relational::ValueType;
+
+namespace {
+
+/// Hash consistent with Value::EqualsSql on non-NULL, non-NaN cells:
+/// -0.0 and 0.0 are equal there, so both hash as 0.0.
+struct SqlValueHash {
+  size_t operator()(const Value* v) const {
+    if (v->type() == ValueType::kDouble && v->AsDouble() == 0.0) {
+      return std::hash<double>{}(0.0);
+    }
+    return v->Hash();
+  }
+};
+
+struct SqlValueEqual {
+  bool operator()(const Value* a, const Value* b) const {
+    return a->EqualsSql(*b);
+  }
+};
+
+}  // namespace
 
 Result<JoinChain> JoinChain::Create(
     std::vector<const relational::Relation*> relations) {
@@ -28,6 +55,7 @@ Result<JoinChain> JoinChain::Create(
     }
     chain.universes_.push_back(std::move(u));
   }
+  chain.InternCells();
   return chain;
 }
 
@@ -37,13 +65,90 @@ JoinChain JoinChain::ForJoin(const PairUniverse& universe,
   JoinChain chain;
   chain.relations_ = {left, right};
   chain.universes_.push_back(universe);
+  chain.InternCells();
   return chain;
 }
 
-PairMask JoinChain::AgreeOn(size_t edge,
-                            const std::vector<size_t>& rows) const {
-  return universes_[edge].AgreeMask(relations_[edge]->row(rows[edge]),
-                                    relations_[edge + 1]->row(rows[edge + 1]));
+void JoinChain::InternCells() {
+  // One id space for the whole chain: cells equal under EqualsSql share an
+  // id. NULL equals nothing and NaN not even itself, so such a cell takes
+  // a fresh id no other cell has.
+  std::unordered_map<const Value*, uint32_t, SqlValueHash, SqlValueEqual> ids;
+  uint32_t next = 0;
+  auto id_of = [&](const Value& v) {
+    if (v.is_null() ||
+        (v.type() == ValueType::kDouble && std::isnan(v.AsDouble()))) {
+      return next++;
+    }
+    const auto [it, inserted] = ids.try_emplace(&v, next);
+    if (inserted) ++next;
+    return it->second;
+  };
+  edge_ids_.resize(universes_.size());
+  // Counting-sort scratch, indexed by id and reset after each pair.
+  std::vector<uint32_t> run_end, run_count, used;
+  for (size_t e = 0; e < universes_.size(); ++e) {
+    const std::vector<relational::AttributePair>& pairs = universes_[e].pairs();
+    const relational::Relation& left = *relations_[e];
+    const relational::Relation& right = *relations_[e + 1];
+    EdgeIds& out = edge_ids_[e];
+    out.left.resize(left.size() * pairs.size());
+    out.right.resize(right.size() * pairs.size());
+    for (size_t row = 0; row < left.size(); ++row) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        out.left[row * pairs.size() + i] = id_of(left.row(row)[pairs[i].left]);
+      }
+    }
+    for (size_t row = 0; row < right.size(); ++row) {
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        out.right[row * pairs.size() + i] =
+            id_of(right.row(row)[pairs[i].right]);
+      }
+    }
+    run_end.resize(next, 0);
+    run_count.resize(next, 0);
+    // Per pair, the right rows grouped by id (a counting sort over the ids
+    // the pair's right cells use), and each left cell's run of equal ids.
+    out.right_by_id.resize(pairs.size() * right.size());
+    out.left_match.resize(left.size() * pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      used.clear();
+      for (size_t row = 0; row < right.size(); ++row) {
+        const uint32_t id = out.right[row * pairs.size() + i];
+        if (run_count[id]++ == 0) used.push_back(id);
+      }
+      // run_end[id] starts at the run's first slot and ends one past its
+      // last, after the fill.
+      uint32_t begin = 0;
+      for (uint32_t id : used) {
+        run_end[id] = begin;
+        begin += run_count[id];
+      }
+      uint32_t* run = out.right_by_id.data() + i * right.size();
+      for (size_t row = 0; row < right.size(); ++row) {
+        const uint32_t id = out.right[row * pairs.size() + i];
+        run[run_end[id]++] = static_cast<uint32_t>(row);
+      }
+      for (size_t row = 0; row < left.size(); ++row) {
+        const uint32_t id = out.left[row * pairs.size() + i];
+        out.left_match[row * pairs.size() + i] = {run_end[id] - run_count[id],
+                                                  run_end[id]};
+      }
+      for (uint32_t id : used) run_end[id] = run_count[id] = 0;
+    }
+  }
+}
+
+void JoinChain::AgreeRow(size_t edge, size_t left, PairMask* out) const {
+  const EdgeIds& ids = edge_ids_[edge];
+  const size_t width = universes_[edge].size();
+  const size_t right_rows = relations_[edge + 1]->size();
+  std::fill(out, out + right_rows, PairMask{0});
+  for (size_t i = 0; i < width; ++i) {
+    const uint32_t* run = ids.right_by_id.data() + i * right_rows;
+    const auto [begin, end] = ids.left_match[left * width + i];
+    for (uint32_t j = begin; j < end; ++j) out[run[j]] |= PairMask{1} << i;
+  }
 }
 
 namespace {
@@ -99,15 +204,6 @@ ChainVersionSpace::ChainVersionSpace(const JoinChain* chain) : chain_(chain) {
   }
 }
 
-std::vector<PairMask> ChainVersionSpace::Agreements(
-    const ChainExample& e) const {
-  std::vector<PairMask> agree(chain_->num_edges());
-  for (size_t edge = 0; edge < chain_->num_edges(); ++edge) {
-    agree[edge] = chain_->AgreeOn(edge, e.rows);
-  }
-  return agree;
-}
-
 bool ChainVersionSpace::AddPositive(const ChainExample& example) {
   bool shrank = false;
   for (size_t e = 0; e < most_specific_.size(); ++e) {
@@ -121,14 +217,17 @@ bool ChainVersionSpace::AddPositive(const ChainExample& example) {
 }
 
 void ChainVersionSpace::AddNegative(const ChainExample& example) {
-  negative_agreements_.push_back(Agreements(example));
+  for (size_t e = 0; e < most_specific_.size(); ++e) {
+    negative_agreements_.push_back(chain_->AgreeOn(e, example.rows));
+  }
 }
 
 bool ChainVersionSpace::Consistent() const {
   for (PairMask m : most_specific_) {
     if (m == 0) return false;  // some edge has no non-empty hypothesis left
   }
-  for (const std::vector<PairMask>& neg : negative_agreements_) {
+  for (size_t i = 0, n = num_negatives(); i < n; ++i) {
+    const PairMask* neg = negative(i);
     bool selected = true;
     for (size_t e = 0; e < most_specific_.size(); ++e) {
       if (!MaskSatisfied(most_specific_[e], neg[e])) {
@@ -143,7 +242,11 @@ bool ChainVersionSpace::Consistent() const {
 
 ChainVersionSpace::PathStatus ChainVersionSpace::Classify(
     const ChainExample& example) const {
-  return ClassifyAgreements(Agreements(example));
+  std::vector<PairMask> agree(most_specific_.size());
+  for (size_t e = 0; e < agree.size(); ++e) {
+    agree[e] = chain_->AgreeOn(e, example.rows);
+  }
+  return ClassifyAgreements(agree);
 }
 
 ChainVersionSpace::PathStatus ChainVersionSpace::ClassifyAgreements(
@@ -167,7 +270,8 @@ ChainVersionSpace::PathStatus ChainVersionSpace::ClassifyAgreements(
       return PathStatus::kForcedNegative;
     }
   }
-  for (const std::vector<PairMask>& neg : negative_agreements_) {
+  for (size_t i = 0, n = num_negatives(); i < n; ++i) {
+    const PairMask* neg = negative(i);
     bool selected = true;
     for (size_t e = 0; e < most_specific_.size(); ++e) {
       if (!MaskSatisfied(most_specific_[e] & agree[e], neg[e])) {

@@ -12,7 +12,9 @@
 #ifndef QLEARN_RLEARN_CHAIN_LEARNER_H_
 #define QLEARN_RLEARN_CHAIN_LEARNER_H_
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -23,12 +25,18 @@ namespace qlearn {
 namespace rlearn {
 
 /// A chain of k relations with k-1 pair universes between neighbours.
+///
+/// The chain interns every cell its universes compare once, at
+/// construction, into ids that are equal iff the cells are equal under
+/// Value::EqualsSql (a NULL or NaN cell gets an id of its own, so it
+/// matches nothing). AgreeOn then compares integers, not variants. The
+/// relations must therefore not change while the chain is alive.
 class JoinChain {
  public:
-  /// Builds a chain over `relations` (not owned, must outlive the chain)
-  /// using all type-compatible pairs between each adjacent pair of schemas.
-  /// Fails when fewer than two relations are given or some adjacent pair
-  /// has no compatible attributes.
+  /// Builds a chain over `relations` (not owned, must outlive the chain and
+  /// stay unchanged) using all type-compatible pairs between each adjacent
+  /// pair of schemas. Fails when fewer than two relations are given or some
+  /// adjacent pair has no compatible attributes.
   static common::Result<JoinChain> Create(
       std::vector<const relational::Relation*> relations);
   /// The one-edge chain left ⋈ right over the caller's (non-empty) pair
@@ -44,12 +52,47 @@ class JoinChain {
   }
   const PairUniverse& universe(size_t edge) const { return universes_[edge]; }
 
-  /// Agreement mask of a path on one edge.
-  PairMask AgreeOn(size_t edge, const std::vector<size_t>& rows) const;
+  /// Agreement mask of a path on one edge: bit i set iff the path's rows
+  /// agree on universe pair i (PairUniverse::AgreeMask, from interned ids).
+  PairMask AgreeOn(size_t edge, const std::vector<size_t>& rows) const {
+    const EdgeIds& ids = edge_ids_[edge];
+    const size_t width = universes_[edge].size();
+    const uint32_t* l = ids.left.data() + rows[edge] * width;
+    const uint32_t* r = ids.right.data() + rows[edge + 1] * width;
+    PairMask mask = 0;
+    for (size_t i = 0; i < width; ++i) {
+      mask |= static_cast<PairMask>(l[i] == r[i]) << i;
+    }
+    return mask;
+  }
+  /// Agreement masks of row `left` of relation `edge` with every row of
+  /// relation `edge + 1`: out[r] is AgreeOn's mask for that row pair. It
+  /// visits only the agreeing cells, so it costs |R_{edge+1}| plus the
+  /// number of agreements rather than |R_{edge+1}| · |U|.
+  void AgreeRow(size_t edge, size_t left, PairMask* out) const;
 
  private:
+  /// Interned cells of one edge, row-major with one column per universe
+  /// pair: left[row * |U| + i] is the id of the pair-i left attribute of
+  /// that row of relation `edge`, right[...] likewise for relation
+  /// `edge + 1`.
+  struct EdgeIds {
+    std::vector<uint32_t> left;
+    std::vector<uint32_t> right;
+    /// Pair i's run right_by_id[i * |R| .. (i + 1) * |R|) lists the rows of
+    /// relation `edge + 1` grouped by their pair-i id.
+    std::vector<uint32_t> right_by_id;
+    /// left_match[row * |U| + i] = the [begin, end) of pair i's run holding
+    /// the right rows whose pair-i id equals that left row's.
+    std::vector<std::pair<uint32_t, uint32_t>> left_match;
+  };
+
+  /// Fills edge_ids_ from the relations and universes.
+  void InternCells();
+
   std::vector<const relational::Relation*> relations_;
   std::vector<PairUniverse> universes_;
+  std::vector<EdgeIds> edge_ids_;
 };
 
 /// A hypothesis: one non-empty mask per chain edge.
@@ -108,17 +151,24 @@ class ChainVersionSpace {
 
   const JoinChain& chain() const { return *chain_; }
   size_t num_positives() const { return num_positives_; }
-  size_t num_negatives() const { return negative_agreements_.size(); }
-  /// Per-edge agreement masks of the negatives, in arrival order (the
-  /// delta propagation layer classifies witness buckets against them).
-  const std::vector<std::vector<PairMask>>& negative_agreements() const {
+  size_t num_negatives() const {
+    return negative_agreements_.size() / most_specific_.size();
+  }
+  /// Per-edge agreement masks of the i-th negative in arrival order: one
+  /// mask per chain edge.
+  const PairMask* negative(size_t i) const {
+    return negative_agreements_.data() + i * most_specific_.size();
+  }
+  /// Every negative's per-edge masks, edge-strided: negative i's mask on
+  /// edge e is at i * num_edges + e.
+  const std::vector<PairMask>& negative_agreements() const {
     return negative_agreements_;
   }
 
   /// Hibernation restore: overwrites the accumulated state with a
-  /// snapshot's. The caller (ChainEngine::RestoreSnapshot) owns validation.
-  void RestoreState(ChainMask most_specific,
-                    std::vector<std::vector<PairMask>> negatives,
+  /// snapshot's (`negatives` edge-strided, as negative_agreements()). The
+  /// caller (ChainEngine::RestoreSnapshot) owns validation.
+  void RestoreState(ChainMask most_specific, std::vector<PairMask> negatives,
                     size_t num_positives) {
     most_specific_ = std::move(most_specific);
     negative_agreements_ = std::move(negatives);
@@ -126,11 +176,10 @@ class ChainVersionSpace {
   }
 
  private:
-  std::vector<PairMask> Agreements(const ChainExample& e) const;
-
   const JoinChain* chain_;
   ChainMask most_specific_;
-  std::vector<std::vector<PairMask>> negative_agreements_;
+  /// One flat edge-strided array, so a negative answer appends in place.
+  std::vector<PairMask> negative_agreements_;
   size_t num_positives_ = 0;
 };
 

@@ -17,10 +17,11 @@ using common::Status;
 namespace {
 
 /// "QLCE" little-endian: the relational-engine snapshot blob tag. Version
-/// 2 packs the planes by universe size and numbers the strategies of the
-/// merged join/chain enum; version 1 images are rejected.
+/// 3 stores the candidate-store planes over agreement-mask classes instead
+/// of candidates; version 2 (per-candidate planes) and version 1 images are
+/// rejected.
 constexpr uint32_t kChainEngineMagic = 0x45434C51u;
-constexpr uint32_t kChainEngineVersion = 2;
+constexpr uint32_t kChainEngineVersion = 3;
 
 /// min(cap, |R_1| · … · |R_k|): the length of the capped row-major prefix
 /// of the chain's tuple paths.
@@ -33,6 +34,65 @@ size_t CandidateCount(const JoinChain& chain, size_t cap) {
   }
   return std::min(count, cap);
 }
+
+/// Interns per-edge mask tuples into dense class ids, in order of first
+/// appearance: one open-addressing hash table of class ids over the
+/// distinct tuples, which are kept edge-strided (class c's tuple starts at
+/// c * edges).
+class MaskTupleInterner {
+ public:
+  explicit MaskTupleInterner(size_t edges)
+      : edges_(edges), slots_(64, kEmpty), slot_mask_(63) {}
+
+  uint32_t Intern(const PairMask* tuple) {
+    if (2 * (count_ + 1) > slots_.size()) Grow();
+    size_t slot = SlotOf(tuple);
+    for (uint32_t c; (c = slots_[slot]) != kEmpty;
+         slot = (slot + 1) & slot_mask_) {
+      const PairMask* key = masks_.data() + c * edges_;
+      if (key[0] == tuple[0] &&
+          std::equal(tuple + 1, tuple + edges_, key + 1)) {
+        return c;
+      }
+    }
+    const uint32_t c = static_cast<uint32_t>(count_++);
+    masks_.insert(masks_.end(), tuple, tuple + edges_);
+    slots_[slot] = c;
+    return c;
+  }
+
+  size_t size() const { return count_; }
+  /// Class c's mask on edge e is masks()[c * edges + e].
+  const std::vector<PairMask>& masks() const { return masks_; }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  size_t SlotOf(const PairMask* tuple) const {
+    uint64_t h = tuple[0];
+    for (size_t e = 1; e < edges_; ++e) {
+      h = h * 0x9E3779B97F4A7C15ULL + tuple[e];
+    }
+    h *= 0xBF58476D1CE4E5B9ULL;
+    return static_cast<size_t>(h ^ (h >> 29)) & slot_mask_;
+  }
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kEmpty);
+    slot_mask_ = slots_.size() - 1;
+    for (size_t c = 0; c < count_; ++c) {
+      size_t slot = SlotOf(masks_.data() + c * edges_);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & slot_mask_;
+      slots_[slot] = static_cast<uint32_t>(c);
+    }
+  }
+
+  size_t edges_;
+  size_t count_ = 0;
+  std::vector<uint32_t> slots_;
+  size_t slot_mask_;
+  std::vector<PairMask> masks_;
+};
 
 }  // namespace
 
@@ -49,23 +109,54 @@ ChainEngine::ChainEngine(const JoinChain* chain,
     plane_base_.push_back(planes);
     planes += chain->universe(e).size();
   }
-  frontier_.Reserve(n);
-  // Per-edge agreement masks go bit-transposed into the store: plane
-  // plane_base_[e]+b = the paths agreeing on bit b of edge e. One row
-  // vector walks the row-major product as an odometer.
-  store_.Reset(planes, n);
-  std::vector<size_t> rows(chain->length(), 0);
-  for (size_t k = 0; k < n; ++k) {
-    frontier_.Add({});
-    for (size_t e = 0; e < edges; ++e) {
-      for (PairMask m = chain->AgreeOn(e, rows); m != 0; m &= m - 1) {
-        store_.SetPlaneBit(
-            plane_base_[e] + static_cast<size_t>(std::countr_zero(m)), k);
-      }
+  // Walk the row-major product and key each path by its per-edge mask
+  // tuple: paths with equal tuples are classified and scored alike, so they
+  // share one frontier class. An odometer moves the rows of every relation
+  // but the last; the inner loop runs over the last relation's rows.
+  // row_masks[e] holds the masks of edge e's current left row against
+  // every right row, refreshed only when that left row moves.
+  MaskTupleInterner classes(edges);
+  std::vector<uint32_t> class_of;
+  class_of.reserve(n);
+  std::vector<std::vector<PairMask>> row_masks(edges);
+  for (size_t e = 0; e < edges; ++e) {
+    row_masks[e].resize(chain->relation(e + 1).size());
+  }
+  const size_t last = edges;  // the last relation's position
+  std::vector<size_t> rows(last, 0);
+  std::vector<PairMask> agree(edges);
+  size_t moved = 0;  // lowest row position changed since the last prefix
+  for (size_t k = 0; k < n;) {
+    for (size_t e = moved; e < edges; ++e) {
+      chain->AgreeRow(e, rows[e], row_masks[e].data());
     }
-    for (size_t i = rows.size(); i-- > 0;) {
-      if (++rows[i] < chain->relation(i).size()) break;
-      rows[i] = 0;
+    for (size_t e = 0; e + 1 < edges; ++e) {
+      agree[e] = row_masks[e][rows[e + 1]];
+    }
+    for (PairMask m : row_masks[last - 1]) {
+      if (k == n) break;
+      agree[last - 1] = m;
+      class_of.push_back(classes.Intern(agree.data()));
+      ++k;
+    }
+    for (moved = last; moved > 0;) {
+      --moved;
+      if (++rows[moved] < chain->relation(moved).size()) break;
+      rows[moved] = 0;
+    }
+  }
+  frontier_.AddClassed(std::vector<std::monostate>(n), std::move(class_of),
+                       classes.size());
+  // Per-edge agreement masks go bit-transposed into the store, one slot
+  // per class: plane plane_base_[e]+b = the classes agreeing on bit b of
+  // edge e.
+  store_.Reset(planes, classes.size());
+  for (size_t c = 0; c < classes.size(); ++c) {
+    for (size_t e = 0; e < edges; ++e) {
+      for (PairMask m = classes.masks()[c * edges + e]; m != 0; m &= m - 1) {
+        store_.SetPlaneBit(
+            plane_base_[e] + static_cast<size_t>(std::countr_zero(m)), c);
+      }
     }
   }
 }
@@ -159,8 +250,8 @@ std::optional<size_t> ChainEngine::SelectCandidate(common::Rng* rng) {
   return frontier_.Select(
       session::Greedy<long>(
           std::numeric_limits<long>::min(),
-          [this, hunting](size_t k) -> std::optional<long> {
-            return ScoreOf(store_.DenseOf(k), hunting);
+          [this, hunting](size_t c) -> std::optional<long> {
+            return ScoreOf(store_.DenseOf(c), hunting);
           }),
       rng);
 }
@@ -170,7 +261,12 @@ void ChainEngine::MarkAsked(const ChainExample& item) {
   assert(k.has_value() && "asked path outside the enumerated candidates");
   if (!k.has_value()) return;
   frontier_.MarkAsked(*k);
-  store_.OnAsked(*k);
+  CloseClassIfDrained(*k);
+}
+
+void ChainEngine::CloseClassIfDrained(size_t k) {
+  const size_t c = frontier_.ClassOf(k);
+  if (frontier_.ClassOpenCount(c) == 0) store_.OnSettled(c);
 }
 
 void ChainEngine::Observe(const ChainExample& item, bool positive,
@@ -178,7 +274,7 @@ void ChainEngine::Observe(const ChainExample& item, bool positive,
   const std::optional<size_t> k = IndexOf(item);
   if (k.has_value()) {
     frontier_.MarkLabeled(*k, positive);
-    store_.OnSettled(*k);
+    CloseClassIfDrained(*k);
   }
   theta_advanced_ = false;
   if (positive) {
@@ -248,12 +344,12 @@ void ChainEngine::ReferencePropagate(session::SessionStats* stats) {
     switch (ReferenceClassify(k, &rows, &agree)) {
       case ChainVersionSpace::PathStatus::kForcedPositive:
         frontier_.MarkForced(k, /*positive=*/true);
-        store_.OnSettled(k);
+        CloseClassIfDrained(k);
         ++stats->forced_positive;
         break;
       case ChainVersionSpace::PathStatus::kForcedNegative:
         frontier_.MarkForced(k, /*positive=*/false);
-        store_.OnSettled(k);
+        CloseClassIfDrained(k);
         ++stats->forced_negative;
         break;
       case ChainVersionSpace::PathStatus::kInformative:
@@ -265,18 +361,14 @@ void ChainEngine::ReferencePropagate(session::SessionStats* stats) {
 void ChainEngine::ForceSweep(const std::vector<uint64_t>& bits, bool positive,
                              session::SessionStats* stats) {
   session::ForEachSetBit(bits.data(), bits.size(), [&](size_t d) {
-    const size_t k = store_.IdOf(d);
-    frontier_.MarkForced(k, positive);
-    store_.OnSettled(k);
-    if (positive) {
-      ++stats->forced_positive;
-    } else {
-      ++stats->forced_negative;
-    }
+    const size_t c = store_.IdOf(d);
+    const size_t settled = frontier_.MarkForcedClass(c, positive);
+    store_.OnSettled(c);
+    (positive ? stats->forced_positive : stats->forced_negative) += settled;
   });
 }
 
-void ChainEngine::ConvictCovered(const std::vector<PairMask>& neg,
+void ChainEngine::ConvictCovered(const PairMask* neg,
                                  session::SessionStats* stats) {
   // The negative covers a path iff on every edge A_e ∧ ¬neg_e == 0, i.e.
   // the path agrees on none of the surviving pairs θ*_e ∧ ¬neg_e. An edge
@@ -312,8 +404,8 @@ void ChainEngine::FullPropagate(session::SessionStats* stats) {
     store_.AndNotOrPlanes(plane_base_[e], theta[e], scratch_.data());
     ForceSweep(scratch_, /*positive=*/false, stats);
   }
-  for (const std::vector<PairMask>& neg : vs_.negative_agreements()) {
-    ConvictCovered(neg, stats);
+  for (size_t i = 0, n = vs_.num_negatives(); i < n; ++i) {
+    ConvictCovered(vs_.negative(i), stats);
   }
 }
 
@@ -321,7 +413,7 @@ void ChainEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
   // θ* is untouched, so no new forced positives exist: each queued
   // negative is one conviction sweep over the still-open paths.
   for (size_t neg : prop_.DrainDeltas()) {
-    ConvictCovered(vs_.negative_agreements()[neg], stats);
+    ConvictCovered(vs_.negative(neg), stats);
   }
 }
 
@@ -336,7 +428,11 @@ void ChainEngine::AssertPropagationFixpoint() const {
     assert(ReferenceClassify(k, &rows, &agree) ==
                ChainVersionSpace::PathStatus::kInformative &&
            "delta flush missed a forced path");
-    assert(store_.IsOpen(k) && "store open bit out of sync with frontier");
+  }
+  // A class's store open bit is set iff some member is open.
+  for (size_t c = 0; c < frontier_.num_classes(); ++c) {
+    assert(store_.IsOpen(c) == (frontier_.ClassOpenCount(c) > 0) &&
+           "store open bit out of sync with frontier");
   }
 }
 #endif
@@ -356,10 +452,8 @@ void ChainEngine::SerializeSnapshot(session::SnapshotWriter* writer) const {
   for (PairMask m : vs_.most_specific()) writer->WriteU64(m);
   for (PairMask m : last_consistent_) writer->WriteU64(m);
   writer->WriteU64(vs_.num_positives());
-  writer->WriteU64(vs_.negative_agreements().size());
-  for (const std::vector<PairMask>& neg : vs_.negative_agreements()) {
-    for (PairMask m : neg) writer->WriteU64(m);
-  }
+  writer->WriteU64(vs_.num_negatives());
+  for (PairMask m : vs_.negative_agreements()) writer->WriteU64(m);
   frontier_.SerializeState(writer);
   store_.SerializeSnapshot(writer);
 }
@@ -397,13 +491,14 @@ common::Status ChainEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   if (s.ok()) s = reader->ReadU64(&num_positives);
   if (s.ok()) s = reader->ReadU64(&num_negatives);
   if (!s.ok()) return s;
-  std::vector<std::vector<PairMask>> negatives(num_negatives);
-  for (uint64_t i = 0; i < num_negatives; ++i) {
-    negatives[i].resize(edges);
-    for (uint64_t e = 0; e < edges; ++e) {
-      s = reader->ReadU64(&negatives[i][e]);
-      if (!s.ok()) return s;
-    }
+  std::vector<PairMask> negatives;
+  negatives.reserve(static_cast<size_t>(
+      std::min<uint64_t>(num_negatives, frontier_.size()) * edges));
+  for (uint64_t i = 0; i < num_negatives * edges; ++i) {
+    PairMask m = 0;
+    s = reader->ReadU64(&m);
+    if (!s.ok()) return s;
+    negatives.push_back(m);
   }
   s = frontier_.RestoreState(reader);
   if (!s.ok()) return s;

@@ -94,6 +94,14 @@ struct InteractiveChainResult {
 /// Session engine over (a capped row-major enumeration of) all tuple paths
 /// of the chain. Questions are ChainExamples; the version space settles
 /// uninformative paths after every answer. `chain` must outlive the engine.
+///
+/// Whether a path is forced, and how the greedy strategies score it, depend
+/// only on its per-edge agreement-mask tuple. The engine therefore keys its
+/// frontier on mask classes (paths with equal tuples) and decides each
+/// class once: the candidate store holds one slot per class, a sweep
+/// settles a whole class with Frontier::MarkForcedClass, and a greedy pick
+/// is the first open member of the best class. Open states, random picks,
+/// question ids and forced counts stay per path.
 class ChainEngine {
  public:
   using Item = ChainExample;
@@ -106,6 +114,10 @@ class ChainEngine {
     return std::vector<uint64_t>(item.rows.begin(), item.rows.end());
   }
 
+  /// Enumerates the candidate paths, computes each one's per-edge mask
+  /// tuple once (from the chain's interned cells), interns the tuples into
+  /// dense class ids by first appearance, and fills the store planes once
+  /// per class.
   explicit ChainEngine(const JoinChain* chain,
                        const InteractiveChainOptions& options = {});
 
@@ -120,11 +132,12 @@ class ChainEngine {
   void OnPositive(const Item& item);
   void OnNegative(const Item& item);
   /// Flushes queued deltas. Classification of a path is a pure function of
-  /// its per-edge effective masks A_e = θ*_e ∧ agree_e, and the agreement
-  /// bits live bit-transposed in the candidate store (one plane per pair of
-  /// each edge's universe, packed edge after edge), so each flush is a
-  /// handful of word-at-a-time plane sweeps over the open set — no
-  /// per-candidate loop and no witness hash index at all.
+  /// its per-edge effective masks A_e = θ*_e ∧ agree_e, so it is decided
+  /// per mask class. The agreement bits live bit-transposed in the
+  /// candidate store over the classes (one plane per pair of each edge's
+  /// universe, packed edge after edge; bit d of a plane is the class in
+  /// dense slot d), so each flush is a handful of word-at-a-time plane
+  /// sweeps over the open classes, and each swept class is settled whole.
   void Propagate(session::SessionStats* stats);
   /// True once an answer contradicted the version space (target outside the
   /// chain-of-joins hypothesis class).
@@ -152,8 +165,11 @@ class ChainEngine {
   void set_reference_propagation(bool on) { reference_propagation_ = on; }
   /// Test/bench hook: makes the next flush run the full classification pass.
   void ForceFullRepropagation() { prop_.RecordHypothesisChange(); }
-  /// Test introspection of the structure-of-arrays candidate store.
+  /// Test introspection of the structure-of-arrays candidate store, whose
+  /// ids are mask classes.
   const session::CandidateStore& StoreForTest() const { return store_; }
+  /// Mask class of candidate k (test introspection).
+  size_t ClassOfForTest(size_t k) const { return frontier_.ClassOf(k); }
 
   /// Hibernation: appends a versioned engine image (strategy, version
   /// space, frontier states, candidate-store planes) to `writer`. Call only
@@ -169,15 +185,14 @@ class ChainEngine {
   /// its index. Greedy scores are (primary, tie) pairs packed into one long
   /// (see ScoreOf).
   using FrontierT = session::Frontier<std::monostate, long>;
-  /// Queued payloads index the new negatives' per-edge agreement vectors
-  /// in vs_.negative_agreements().
+  /// Queued payloads index the new negatives in vs_ (vs_.negative(i)).
   using PropagationT = session::PropagationIndex<size_t>;
 
   std::optional<size_t> IndexOf(const Item& item) const;
   /// Writes candidate k's row vector into `rows` (mixed radix over the
   /// relation sizes).
   void RowsOf(size_t k, std::vector<size_t>* rows) const;
-  /// Greedy score of the candidate in dense slot `d` under strategy_; see
+  /// Greedy score of the class in dense slot `d` under strategy_; see
   /// SelectCandidate for the two-phase hunting/splitting semantics.
   long ScoreOf(size_t d, bool hunting) const;
 
@@ -195,17 +210,20 @@ class ChainEngine {
   void FullPropagate(session::SessionStats* stats);
   /// Steady-state flush: one conviction sweep per queued negative.
   void ApplyNegativeDeltas(session::SessionStats* stats);
-  /// Convicts the open paths the negative's agreement vector covers
-  /// edge-wise: open ∧ ∧_e ¬OR(planes of θ*_e ∧ ¬neg_e).
-  void ConvictCovered(const std::vector<PairMask>& neg,
-                      session::SessionStats* stats);
-  /// Forces every candidate whose bit is set in `bits` (a sweep result over
-  /// the dense axis; all bits are open by construction).
+  /// Convicts the open paths the negative's agreement vector (one mask per
+  /// edge) covers edge-wise: open ∧ ∧_e ¬OR(planes of θ*_e ∧ ¬neg_e).
+  void ConvictCovered(const PairMask* neg, session::SessionStats* stats);
+  /// Forces the open members of every class whose bit is set in `bits` (a
+  /// sweep result over the dense axis; all bits are open by construction)
+  /// and counts them in `stats`.
   void ForceSweep(const std::vector<uint64_t>& bits, bool positive,
                   session::SessionStats* stats);
-  /// Recomputes the per-edge per-candidate |θ*_e ∧ agree_e| counts
-  /// (bit-sliced popcount over each edge's θ* planes) if θ* changed or the
-  /// store compacted.
+  /// Clears the store's open bit of candidate k's class once no member of
+  /// it is open.
+  void CloseClassIfDrained(size_t k);
+  /// Recomputes the per-edge per-class |θ*_e ∧ agree_e| counts (bit-sliced
+  /// popcount over each edge's θ* planes) if θ* changed or the store
+  /// compacted.
   void EnsureKeptCounts();
 #ifndef NDEBUG
   void AssertPropagationFixpoint() const;
@@ -213,20 +231,21 @@ class ChainEngine {
 
   const JoinChain* chain_;
   ChainStrategy strategy_;
-  FrontierT frontier_;  // row-major candidate paths, capped
+  FrontierT frontier_;  // row-major candidate paths, capped; mask classes
   /// plane_base_[e] = first plane of edge e: the universe sizes of the
   /// edges before it.
   std::vector<size_t> plane_base_;
-  /// SoA agreement planes + open/active mirrors + dense compaction; plane
-  /// plane_base_[e]+b holds "path agrees on bit b of edge e's universe".
+  /// SoA agreement planes over the mask classes + open mirror + dense
+  /// compaction; plane plane_base_[e]+b holds "the class agrees on bit b of
+  /// edge e's universe", and a class is open iff some member is.
   session::CandidateStore store_;
   ChainVersionSpace vs_;
   ChainMask last_consistent_;
   PropagationT prop_;
   /// Sweep scratch (dense words) reused across flushes.
   std::vector<uint64_t> scratch_;
-  /// kept_counts_[e][DenseOf(k)] = |θ*_e ∧ agree_e(k)|, the greedy
-  /// scoring input; refreshed lazily per θ* change / compaction.
+  /// kept_counts_[e][DenseOf(c)] = |θ*_e ∧ agree_e(c)| for class c, the
+  /// greedy scoring input; refreshed lazily per θ* change / compaction.
   std::vector<std::vector<uint8_t>> kept_counts_;
   /// totals_[e] = |θ*_e| under the same validity regime.
   std::vector<int> totals_;

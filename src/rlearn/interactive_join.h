@@ -150,10 +150,12 @@ class JoinEngine {
   /// Test/bench hook: makes the next flush run the full classification pass.
   void ForceFullRepropagation() { engine_.ForceFullRepropagation(); }
   /// Test introspection of the structure-of-arrays candidate store (one
-  /// plane per universe pair).
+  /// plane per universe pair, one slot per agreement-mask class).
   const session::CandidateStore& StoreForTest() const {
     return engine_.StoreForTest();
   }
+  /// Mask class of the pair (k / |right|, k % |right|).
+  size_t ClassOfForTest(size_t k) const { return engine_.ClassOfForTest(k); }
 
   /// Hibernation: the chain engine's versioned image ("QLCE"). Call only
   /// between answered turns (queued deltas flushed).

@@ -297,7 +297,7 @@ void CandidateStore::Compact() {
 
 bool CandidateStore::MaybeCompact() {
   if (has_rows()) return false;
-  if (dense_size_ < 128 || open_count_ * 2 >= dense_size_) return false;
+  if (dense_size_ <= 64 || open_count_ * 2 >= dense_size_) return false;
   Compact();
   return true;
 }

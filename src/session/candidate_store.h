@@ -1,12 +1,16 @@
 // Arena-backed structure-of-arrays candidate store: the bit-parallel data
 // layout under the interactive engines' propagation and scoring hot paths.
 //
-// The layout is bit-transposed relative to the engines' historical
-// candidate-major mask vectors: plane p is one contiguous run of uint64_t
-// words in which bit d says "candidate in dense slot d agrees on pair p"
-// (for join/chain engines, one plane per pair bit of each edge's universe;
-// for the twig engine, one witness plane per document node). Classification
-// then stops being a per-candidate loop and becomes a handful of
+// The store indexes slots: whatever unit its engine classifies at once.
+// For the relational (join/chain) engine a slot is an agreement-mask class,
+// the set of tuple paths with one per-edge mask tuple, which every
+// propagation predicate and greedy score treats alike; for the twig engine
+// a slot is a candidate node. The layout is bit-transposed relative to
+// slot-major mask vectors: plane p is one contiguous run of uint64_t words
+// in which bit d says "the slot in dense position d agrees on pair p" (for
+// the relational engine, one plane per pair bit of each edge's universe;
+// for the twig engine, one witness plane per document node).
+// Classification then stops being a per-slot loop and becomes a handful of
 // word-at-a-time sweeps:
 //
 //   forced positive   open ∧ AND_{b∈θ*} plane_b          (A == θ*)
@@ -15,11 +19,12 @@
 //   split scoring     popcount per candidate over the θ* planes, bit-sliced
 //
 // Alongside the planes the store mirrors two frontier bit-vectors — `open`
-// (state kUnknown: the only candidates propagation may force in the
-// join/chain engines) and `active` (kUnknown | kAsked: the twig engine's
-// conviction eligibility) — and a dense↔candidate-id mapping that compacts
-// the dense axis as candidates settle, so sweep cost tracks the live set,
-// not the historical universe. The twig engine additionally keeps its
+// (a slot propagation may still force: for the relational engine, a class
+// with at least one member in state kUnknown) and `active` (kUnknown |
+// kAsked: the twig engine's conviction eligibility) — and a dense↔slot-id
+// mapping that compacts the dense axis as slots settle, so sweep cost
+// tracks the live set, not the historical universe. The API below says
+// "candidate" for a slot. The twig engine additionally keeps its
 // memoized selected-sets as bitset rows here and derives the node→candidate
 // witness index by transposing those rows into the planes (64×64 bit-block
 // transpose).
@@ -174,7 +179,8 @@ class CandidateStore {
   /// ascending id order, so sweep iteration order over survivors is
   /// unchanged. Not available once rows are configured.
   void Compact();
-  /// Compacts when at least half the (non-trivial) dense axis has settled;
+  /// Compacts when at least half the dense axis has settled and the axis
+  /// spans more than one word (within one word a sweep costs the same);
   /// returns true if compaction ran. The policy keeps amortized cost O(1)
   /// per settle while sweeps track the live set within 2×.
   bool MaybeCompact();

@@ -11,13 +11,17 @@
 //
 //   * candidate states  — one CandidateState per item (unknown / asked /
 //                         labeled / forced) plus a persistent was-asked bit;
-//   * candidate classes — Add(item, class_id) groups candidates that every
-//                         scorer and propagation predicate treats alike
-//                         (the path engine's equal label words); memos,
-//                         greedy scores and forced labels are then decided
-//                         once per class (MarkForcedClass). Add(item) is
-//                         the identity mapping: each candidate is its own
-//                         class, with no per-class tables at all;
+//   * candidate classes — AddClassed(items, class_of) groups candidates
+//                         that every scorer and propagation predicate
+//                         treats alike (the path engine's equal label
+//                         words, the relational engine's equal agreement
+//                         masks); memos, greedy scores and forced labels
+//                         are then decided once per class
+//                         (MarkForcedClass). The member lists are one CSR
+//                         array, built by a count pass and a fill pass.
+//                         Add(item) is the identity mapping: each
+//                         candidate is its own class, with no per-class
+//                         tables at all;
 //   * memoized scores   — per-class Memo slots with epoch-based
 //                         dirty-marking: an Observe that changes the
 //                         hypothesis bumps the epoch (everything rescores
@@ -136,20 +140,18 @@ GreedyScoreStrategy<Score, ScoreFn> Greedy(Score sentinel, ScoreFn score_of) {
 ///          MemoOf (defaults to Score when the score itself is the memo).
 ///
 /// A frontier is built either with Add(item) only (identity mapping: class
-/// id == candidate index) or with Add(item, class_id) only.
+/// id == candidate index) or with one AddClassed call.
 template <typename Item, typename Score = long, typename Memo = Score>
 class Frontier {
  public:
-  /// Reserves room for `n` candidates in `classes` classes; Reserve(n) is
-  /// the identity mapping's n classes.
-  void Reserve(size_t n, size_t classes) {
+  /// Reserves room for `n` candidates of the identity mapping.
+  void Reserve(size_t n) {
     items_.reserve(n);
     states_.reserve(n);
     asked_.reserve(n);
-    memos_.reserve(classes);
-    memo_epoch_.reserve(classes);
+    memos_.reserve(n);
+    memo_epoch_.reserve(n);
   }
-  void Reserve(size_t n) { Reserve(n, n); }
 
   /// Appends a candidate (state kUnknown) as its own class and returns its
   /// index.
@@ -160,22 +162,39 @@ class Frontier {
     return Append(std::move(item));
   }
 
-  /// Appends a candidate (state kUnknown) as a member of class `class_id`
-  /// and returns its index. Class ids are small dense integers; members
-  /// are recorded in ascending candidate order.
-  size_t Add(Item item, size_t class_id) {
-    assert(class_of_.size() == items_.size() &&
-           "class-keyed Add on an identity frontier");
-    if (class_id >= classes_.size()) {
-      classes_.resize(class_id + 1);
-      memos_.resize(class_id + 1);
-      memo_epoch_.resize(class_id + 1, 0);
+  /// Fills an empty frontier with `items` (state kUnknown), candidate k a
+  /// member of class `class_of[k]` < `num_classes`. The member lists are
+  /// one CSR array: a count pass sizes each class's run, a fill pass walks
+  /// the candidates in ascending order, so every run is ascending.
+  void AddClassed(std::vector<Item> items, std::vector<uint32_t> class_of,
+                  size_t num_classes) {
+    assert(items_.empty() && "AddClassed on a non-empty frontier");
+    assert(items.size() == class_of.size());
+    const size_t n = items.size();
+    items_ = std::move(items);
+    states_.assign(n, CandidateState::kUnknown);
+    asked_.assign(n, false);
+    open_count_ = n;
+    class_of_ = std::move(class_of);
+    memos_.resize(num_classes);
+    memo_epoch_.assign(num_classes, 0);
+
+    member_begin_.assign(num_classes + 1, 0);
+    for (uint32_t c : class_of_) {
+      assert(c < num_classes);
+      ++member_begin_[c + 1];
     }
-    const size_t k = Append(std::move(item));
-    class_of_.push_back(static_cast<uint32_t>(class_id));
-    classes_[class_id].members.push_back(static_cast<uint32_t>(k));
-    ++classes_[class_id].open;
-    return k;
+    class_open_.resize(num_classes);
+    for (size_t c = 0; c < num_classes; ++c) {
+      class_open_[c] = member_begin_[c + 1];
+      member_begin_[c + 1] += member_begin_[c];
+    }
+    members_.resize(n);
+    class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
+    for (size_t k = 0; k < n; ++k) {
+      members_[class_cursor_[class_of_[k]]++] = static_cast<uint32_t>(k);
+    }
+    class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
   }
 
   size_t size() const { return items_.size(); }
@@ -196,7 +215,7 @@ class Frontier {
 
   /// Number of classes: the candidate count under the identity mapping.
   size_t num_classes() const {
-    return class_of_.empty() ? items_.size() : classes_.size();
+    return class_of_.empty() ? items_.size() : class_open_.size();
   }
   size_t ClassOf(size_t k) const {
     return class_of_.empty() ? k : class_of_[k];
@@ -204,7 +223,7 @@ class Frontier {
   /// Open members of class `c`.
   size_t ClassOpenCount(size_t c) const {
     if (class_of_.empty()) return IsOpen(c) ? 1 : 0;
-    return classes_[c].open;
+    return class_open_[c];
   }
   /// Smallest open member of class `c`, or nullopt when the class is
   /// settled. Amortized O(1): the per-class cursor only moves forward.
@@ -212,12 +231,10 @@ class Frontier {
     if (class_of_.empty()) {
       return IsOpen(c) ? std::optional<size_t>(c) : std::nullopt;
     }
-    ClassInfo& info = classes_[c];
-    if (info.open == 0) return std::nullopt;
-    while (states_[info.members[info.cursor]] != CandidateState::kUnknown) {
-      ++info.cursor;
-    }
-    return info.members[info.cursor];
+    if (class_open_[c] == 0) return std::nullopt;
+    uint32_t& cursor = class_cursor_[c];
+    while (states_[members_[cursor]] != CandidateState::kUnknown) ++cursor;
+    return members_[cursor];
   }
 
   /// kUnknown -> kAsked: the candidate is in flight and leaves the open
@@ -279,12 +296,21 @@ class Frontier {
   /// their state) and returns how many it settled — the count the engine
   /// adds to SessionStats::forced_*.
   size_t MarkForcedClass(size_t c, bool positive) {
-    size_t settled = 0;
-    for (std::optional<size_t> k = FirstOpenMember(c); k.has_value();
-         k = FirstOpenMember(c)) {
-      MarkForced(*k, positive);
-      ++settled;
+    if (class_of_.empty()) return IsOpen(c) && MarkForced(c, positive);
+    // One pass over the class's run from its cursor: every member before
+    // the cursor is closed already.
+    const size_t settled = class_open_[c];
+    const CandidateState next = positive ? CandidateState::kForcedPositive
+                                         : CandidateState::kForcedNegative;
+    for (uint32_t i = class_cursor_[c], left = class_open_[c]; left > 0; ++i) {
+      CandidateState& state = states_[members_[i]];
+      if (state != CandidateState::kUnknown) continue;
+      state = next;
+      --left;
     }
+    open_count_ -= settled;
+    class_open_[c] = 0;
+    ReleaseMemo(c);
     return settled;
   }
 
@@ -455,14 +481,14 @@ class Frontier {
       asked_[k] = raw != 0;
     }
     open_count_ = 0;
-    for (ClassInfo& info : classes_) {
-      info.open = 0;
-      info.cursor = 0;
+    std::fill(class_open_.begin(), class_open_.end(), 0);
+    if (!class_of_.empty()) {
+      class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
     }
     for (size_t k = 0; k < states_.size(); ++k) {
       if (states_[k] != CandidateState::kUnknown) continue;
       ++open_count_;
-      if (!class_of_.empty()) ++classes_[class_of_[k]].open;
+      if (!class_of_.empty()) ++class_open_[class_of_[k]];
     }
     first_open_hint_ = 0;
     for (size_t c = 0; c < memos_.size(); ++c) ReleaseMemo(c);
@@ -476,14 +502,6 @@ class Frontier {
   struct HeapEntry {
     Score score;
     size_t index;
-  };
-
-  /// A class of a class-keyed frontier: its members in ascending order, how
-  /// many are open, and a cursor at or before its first open member.
-  struct ClassInfo {
-    std::vector<uint32_t> members;
-    uint32_t open = 0;
-    uint32_t cursor = 0;
   };
 
   /// Max-heap order: higher score first, smaller index first among equals
@@ -516,7 +534,7 @@ class Frontier {
     assert(states_[k] == CandidateState::kUnknown);
     states_[k] = next;
     --open_count_;
-    if (!class_of_.empty()) --classes_[class_of_[k]].open;
+    if (!class_of_.empty()) --class_open_[class_of_[k]];
   }
 
   /// Frees the memo of candidate `k`'s class once no member is open:
@@ -563,9 +581,15 @@ class Frontier {
   size_t open_count_ = 0;
   size_t first_open_hint_ = 0;
 
-  // Class tables; both empty under the identity mapping.
+  // Class tables; all empty under the identity mapping. Class c's members
+  // are members_[member_begin_[c] .. member_begin_[c + 1]), ascending;
+  // class_cursor_[c] is an index into members_ at or before its first open
+  // member.
   std::vector<uint32_t> class_of_;
-  std::vector<ClassInfo> classes_;
+  std::vector<uint32_t> class_open_;
+  std::vector<uint32_t> member_begin_;
+  std::vector<uint32_t> members_;
+  std::vector<uint32_t> class_cursor_;
 
   // Per-class score memoization. Epoch 0 is reserved as "never valid".
   std::vector<std::optional<Memo>> memos_;

@@ -1,12 +1,17 @@
 // Tests for chains of joins: hypothesis semantics, the PTIME consistency
 // check (lifting the single-join tractability result), version-space path
-// classification, chain materialization, and the interactive protocol with
-// uninformative-path propagation.
+// classification, chain materialization, the interactive protocol with
+// uninformative-path propagation, and the chain's interned agreement masks
+// against PairUniverse::AgreeMask.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "relational/generator.h"
 #include "relational/relation.h"
 #include "rlearn/chain_learner.h"
@@ -435,6 +440,166 @@ TEST_F(ChainFixture, FourRelationChain) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().conflicts, 0u);
   EXPECT_LT(result.value().questions, result.value().candidate_paths / 2);
+}
+
+// --- Interned agreement ---
+
+/// A cell drawn from a pool that hits every EqualsSql corner: NULL, int 1
+/// against double 1.0 (different types, never equal), NaN (equal to
+/// nothing, not even itself), -0.0 against 0.0 (equal), and strings.
+Value RandomCell(common::Rng* rng) {
+  switch (rng->Index(11)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value(static_cast<int64_t>(1));
+    case 2:
+      return Value(1.0);
+    case 3:
+      return Value(std::numeric_limits<double>::quiet_NaN());
+    case 4:
+      return Value(-0.0);
+    case 5:
+      return Value(0.0);
+    case 6:
+      return Value(static_cast<int64_t>(0));
+    case 7:
+      return Value(std::string("a"));
+    case 8:
+      return Value(std::string("1"));
+    case 9:
+      return Value(std::string());
+    default:
+      return Value(static_cast<int64_t>(rng->Index(3)));
+  }
+}
+
+/// `rows` rows of `arity` random cells. Every attribute is declared
+/// double, so all pairs of two such schemas are type-compatible; the cells
+/// ignore the declaration on purpose.
+Relation RandomRelation(const std::string& name, size_t arity, size_t rows,
+                        common::Rng* rng) {
+  std::vector<Attribute> attributes;
+  for (size_t a = 0; a < arity; ++a) {
+    attributes.push_back({"c" + std::to_string(a), ValueType::kDouble});
+  }
+  Relation relation(RelationSchema(name, std::move(attributes)));
+  for (size_t r = 0; r < rows; ++r) {
+    relational::Tuple t;
+    for (size_t a = 0; a < arity; ++a) t.push_back(RandomCell(rng));
+    relation.InsertUnchecked(std::move(t));
+  }
+  return relation;
+}
+
+TEST(InternedAgreement, MatchesPairUniverseAgreeMaskOnRandomRelations) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    common::Rng rng(seed);
+    std::vector<Relation> rels;
+    rels.reserve(3);
+    for (size_t i = 0; i < 3; ++i) {
+      rels.push_back(RandomRelation("r" + std::to_string(i), 2 + rng.Index(3),
+                                    1 + rng.Index(12), &rng));
+    }
+    auto chain = JoinChain::Create({&rels[0], &rels[1], &rels[2]});
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    ASSERT_EQ(chain.value().num_edges(), 2u);
+    for (size_t e = 0; e < 2; ++e) {
+      const PairUniverse& universe = chain.value().universe(e);
+      std::vector<PairMask> row_masks(rels[e + 1].size());
+      for (size_t l = 0; l < rels[e].size(); ++l) {
+        chain.value().AgreeRow(e, l, row_masks.data());
+        for (size_t r = 0; r < rels[e + 1].size(); ++r) {
+          std::vector<size_t> rows(3, 0);
+          rows[e] = l;
+          rows[e + 1] = r;
+          const PairMask want =
+              universe.AgreeMask(rels[e].row(l), rels[e + 1].row(r));
+          EXPECT_EQ(chain.value().AgreeOn(e, rows), want)
+              << "seed " << seed << " edge " << e << " rows " << l << ","
+              << r;
+          EXPECT_EQ(row_masks[r], want)
+              << "seed " << seed << " edge " << e << " rows " << l << ","
+              << r;
+        }
+      }
+    }
+    // The one-edge chain over a caller's universe (the join engine's
+    // shape), including pairs the schemas would not call compatible.
+    std::vector<relational::AttributePair> pairs;
+    for (size_t a = 0; a < rels[0].schema().arity(); ++a) {
+      for (size_t b = 0; b < rels[2].schema().arity(); ++b) {
+        pairs.push_back({a, b});
+      }
+    }
+    auto universe = PairUniverse::Create(std::move(pairs));
+    ASSERT_TRUE(universe.ok());
+    const JoinChain join =
+        JoinChain::ForJoin(universe.value(), &rels[0], &rels[2]);
+    std::vector<PairMask> row_masks(rels[2].size());
+    for (size_t l = 0; l < rels[0].size(); ++l) {
+      join.AgreeRow(0, l, row_masks.data());
+      for (size_t r = 0; r < rels[2].size(); ++r) {
+        const PairMask want =
+            universe.value().AgreeMask(rels[0].row(l), rels[2].row(r));
+        EXPECT_EQ(join.AgreeOn(0, {l, r}), want)
+            << "seed " << seed << " rows " << l << "," << r;
+        EXPECT_EQ(row_masks[r], want)
+            << "seed " << seed << " rows " << l << "," << r;
+      }
+    }
+  }
+}
+
+TEST(InternedAgreement, SqlEqualityCorners) {
+  // Column pairs (i, i) of one row each: bit i says whether the two cells
+  // are EqualsSql-equal.
+  const std::vector<std::pair<Value, Value>> cells = {
+      {Value::Null(), Value::Null()},                  // 0: never equal
+      {Value(static_cast<int64_t>(1)), Value(1.0)},    // 1: int vs double
+      {Value(std::numeric_limits<double>::quiet_NaN()),
+       Value(std::numeric_limits<double>::quiet_NaN())},  // 2: NaN
+      {Value(-0.0), Value(0.0)},                       // 3: equal
+      {Value(std::string("a")), Value(std::string("a"))},  // 4: equal
+      {Value(std::string("a")), Value(std::string("b"))},  // 5: differ
+      {Value(static_cast<int64_t>(7)),
+       Value(static_cast<int64_t>(7))},                // 6: equal
+  };
+  std::vector<Attribute> attributes;
+  std::vector<relational::AttributePair> pairs;
+  relational::Tuple left_row, right_row;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    attributes.push_back({"c" + std::to_string(i), ValueType::kDouble});
+    pairs.push_back({i, i});
+    left_row.push_back(cells[i].first);
+    right_row.push_back(cells[i].second);
+  }
+  Relation left(RelationSchema("L", attributes));
+  Relation right(RelationSchema("R", attributes));
+  // Each row goes into both relations, so identical rows meet too.
+  left.InsertUnchecked(left_row);
+  left.InsertUnchecked(right_row);
+  right.InsertUnchecked(right_row);
+  right.InsertUnchecked(left_row);
+  auto universe = PairUniverse::Create(pairs);
+  ASSERT_TRUE(universe.ok());
+  const JoinChain join = JoinChain::ForJoin(universe.value(), &left, &right);
+  const PairMask equal = (1u << 3) | (1u << 4) | (1u << 6);
+  EXPECT_EQ(join.AgreeOn(0, {0, 0}), equal);
+  EXPECT_EQ(join.AgreeOn(0, {1, 1}), equal);
+  // Identical rows: NULL and NaN still agree with nothing.
+  const PairMask identical = equal | (1u << 1) | (1u << 5);
+  EXPECT_EQ(join.AgreeOn(0, {0, 1}), identical);
+  EXPECT_EQ(join.AgreeOn(0, {1, 0}), identical);
+  PairMask row_masks[2];
+  for (size_t l = 0; l < 2; ++l) {
+    join.AgreeRow(0, l, row_masks);
+    for (size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(join.AgreeOn(0, {l, r}),
+                universe.value().AgreeMask(left.row(l), right.row(r)));
+      EXPECT_EQ(row_masks[r], join.AgreeOn(0, {l, r}));
+    }
+  }
 }
 
 }  // namespace

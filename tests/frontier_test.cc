@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -238,10 +240,16 @@ TEST(FrontierSelectTest, StrategyObjectsDriveTheFrontier) {
 
 /// Candidates 0..n-1 with the given class ids.
 IntFrontier MakeClassFrontier(const std::vector<size_t>& class_of) {
-  IntFrontier frontier;
+  std::vector<int> items;
+  std::vector<uint32_t> classes;
+  size_t num_classes = 0;
   for (size_t k = 0; k < class_of.size(); ++k) {
-    frontier.Add(static_cast<int>(k) * 10, class_of[k]);
+    items.push_back(static_cast<int>(k) * 10);
+    classes.push_back(static_cast<uint32_t>(class_of[k]));
+    num_classes = std::max(num_classes, class_of[k] + 1);
   }
+  IntFrontier frontier;
+  frontier.AddClassed(std::move(items), std::move(classes), num_classes);
   return frontier;
 }
 
@@ -335,6 +343,40 @@ TEST(FrontierClassTest, HeapResiftsWhenFirstOpenMemberIsAsked) {
     EXPECT_EQ(pick, std::optional<size_t>(want));
     if (pick.has_value()) g.MarkAsked(*pick);
   }
+}
+
+TEST(FrontierClassTest, MemberListsAreBuiltAscending) {
+  // Interleaved, out-of-order class ids: the CSR build lists each class's
+  // members in ascending candidate order, whatever order the classes
+  // first appear in.
+  const std::vector<size_t> classes = {2, 0, 2, 1, 0, 2, 1, 0};
+  IntFrontier f = MakeClassFrontier(classes);
+  EXPECT_EQ(f.size(), 8u);
+  EXPECT_EQ(f.item(5), 50);
+  EXPECT_EQ(f.num_classes(), 3u);
+  const std::vector<std::vector<size_t>> members = {{1, 4, 7}, {3, 6},
+                                                    {0, 2, 5}};
+  for (size_t c = 0; c < members.size(); ++c) {
+    EXPECT_EQ(f.ClassOpenCount(c), members[c].size());
+    for (size_t k : members[c]) {
+      EXPECT_EQ(f.ClassOf(k), c);
+      EXPECT_EQ(f.FirstOpenMember(c), std::optional<size_t>(k));
+      f.MarkAsked(k);
+    }
+    EXPECT_EQ(f.FirstOpenMember(c), std::nullopt);
+  }
+  EXPECT_EQ(f.open_count(), 0u);
+
+  // Forcing a class settles exactly its open members, in any order of
+  // earlier asks.
+  IntFrontier g = MakeClassFrontier(classes);
+  g.MarkAsked(4);
+  EXPECT_EQ(g.MarkForcedClass(0, true), 2u);  // 1 and 7; 4 is in flight
+  EXPECT_EQ(g.state(1), CandidateState::kForcedPositive);
+  EXPECT_EQ(g.state(4), CandidateState::kAsked);
+  EXPECT_EQ(g.state(7), CandidateState::kForcedPositive);
+  EXPECT_EQ(g.FirstOpenMember(2), std::optional<size_t>(0));
+  EXPECT_EQ(g.open_count(), 5u);
 }
 
 TEST(FrontierClassTest, RestoreRebuildsClassOpenCounts) {

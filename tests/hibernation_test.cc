@@ -9,7 +9,8 @@
 // hibernation round trips for all four scenario kinds.
 //
 // The fault-injection half corrupts the stored image every way a disk can
-// (truncated, bit-flipped, wrong magic, wrong version, deleted) and pins
+// (truncated, bit-flipped, wrong magic, wrong version, deleted), feeds it
+// an engine image of an older format, and pins
 // the failure semantics: structured DataLoss/InvalidArgument statuses with
 // byte offsets, a retryable parked entry, a Close that always releases the
 // handle, and the hibernate_errors counter. The fake-clock tests pin the
@@ -362,6 +363,30 @@ TEST(HibernationFaults, WrongVersionIsInvalidArgumentAtByteFour) {
       std::string::npos)
       << refused.status().message();
   EXPECT_NE(refused.status().message().find("at byte 4"), std::string::npos);
+}
+
+TEST(HibernationFaults, OldRelationalEngineVersionIsInvalidArgument) {
+  // A version-2 relational engine image ("QLCE", per-candidate store
+  // planes) cannot be read into the mask-class store: rehydrate refuses it
+  // with a structured status instead of misreading the planes.
+  FaultFixture f;
+  std::string body = f.image.substr(0, f.image.size() - 8);
+  const size_t magic = body.find("QLCE");
+  ASSERT_NE(magic, std::string::npos);
+  ASSERT_EQ(body[magic + 4], 3);  // the current version, little-endian
+  body[magic + 4] = 2;
+  ASSERT_TRUE(f.store->Put(f.id, WithFixedChecksum(body)).ok());
+  auto refused = f.service->Ask(f.id, 1);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find(
+                "unsupported chain-engine snapshot version 2"),
+            std::string::npos)
+      << refused.status().message();
+  EXPECT_EQ(f.service->Counters().hibernate_errors, 1u);
+  EXPECT_EQ(f.service->ParkedCount(), 1u);  // still parked, not dropped
+  (void)f.service->Close(f.id);
+  EXPECT_EQ(f.service->OpenCount(), 0u);
 }
 
 TEST(HibernationFaults, FailedRehydrateIsRetryable) {

@@ -3,7 +3,7 @@
 //   * PropagationIndex unit tests — the delta queue and full-pass flags;
 //   * witness-plane lifecycle on the engines — lazy twig build on the first
 //     negative delta, invalidation on hypothesis change, eager agreement
-//     planes for the mask-keyed engines;
+//     planes over mask classes for the relational engines;
 //   * the PathEngine conflict-check regression (a negative answer tests
 //     only the new word; only a hypothesis change sweeps all negatives),
 //     pinning conflict counts;
@@ -14,6 +14,7 @@
 //     four engines and both single-question and batched flows.
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -187,20 +188,42 @@ TEST(WitnessIndexLifecycleTest, JoinBucketsEagerlyOnBaseline) {
   rlearn::JoinEngine engine(&universe.value(), &inst.left, &inst.right);
   session::SessionStats stats;
   engine.Propagate(&stats);  // baseline classification pass
-  // The SoA store mirrors the frontier: every baseline-settled candidate
-  // has its open bit cleared, and the agreement planes cover every
-  // universe pair of every still-open candidate.
+  // The SoA store holds one slot per agreement-mask class: its capacity is
+  // the number of distinct masks among the pairs, and pairs share a class
+  // iff they share a mask.
   const session::CandidateStore& store = engine.StoreForTest();
   EXPECT_EQ(store.num_planes(), universe.value().size());
-  EXPECT_EQ(store.capacity(), engine.candidate_pairs());
-  EXPECT_GT(store.open_count(), 0u);
+  std::map<rlearn::PairMask, size_t> class_of_mask;
+  const size_t right_rows = inst.right.size();
+  for (size_t k = 0; k < engine.candidate_pairs(); ++k) {
+    const rlearn::PairMask mask = universe.value().AgreeMask(
+        inst.left.row(k / right_rows), inst.right.row(k % right_rows));
+    const auto [it, inserted] =
+        class_of_mask.try_emplace(mask, engine.ClassOfForTest(k));
+    EXPECT_EQ(it->second, engine.ClassOfForTest(k)) << "pair " << k;
+  }
+  EXPECT_EQ(store.capacity(), class_of_mask.size());
+  EXPECT_LT(store.capacity(), engine.candidate_pairs());
+
+  // Nothing was asked yet, so a pair is open iff it has no forced label.
+  // A class is open in the store iff it has an open member.
+  std::vector<size_t> open_members(store.capacity(), 0);
   size_t open = 0;
   for (size_t k = 0; k < engine.candidate_pairs(); ++k) {
-    if (store.IsOpen(k)) ++open;
+    const rlearn::PairExample pair{k / right_rows, k % right_rows};
+    if (engine.HasForcedLabel(pair)) continue;
+    ++open;
+    ++open_members[engine.ClassOfForTest(k)];
   }
-  EXPECT_EQ(open, store.open_count());
-  // The baseline pass settles the uninformative pairs (forced either way),
-  // so the open set is a strict subset of the universe.
+  EXPECT_GT(open, 0u);
+  size_t open_classes = 0;
+  for (size_t c = 0; c < store.capacity(); ++c) {
+    EXPECT_EQ(store.IsOpen(c), open_members[c] > 0) << "class " << c;
+    if (open_members[c] > 0) ++open_classes;
+  }
+  EXPECT_EQ(open_classes, store.open_count());
+  // The baseline pass settles the uninformative pairs (forced either way):
+  // open members plus forced labels cover every pair.
   EXPECT_LT(open, engine.candidate_pairs());
   EXPECT_EQ(open + stats.forced_positive + stats.forced_negative,
             engine.candidate_pairs());
