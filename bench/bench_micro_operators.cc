@@ -17,6 +17,7 @@
 #include "graph/geo_generator.h"
 #include "graph/path_query.h"
 #include "learn/interactive.h"
+#include "learn/twig_learner.h"
 #include "relational/generator.h"
 #include "relational/operators.h"
 #include "rlearn/interactive_chain.h"
@@ -625,6 +626,80 @@ void BM_Classify_Twig(benchmark::State& state) {
 BENCHMARK(BM_Classify_Twig)
     ->ArgsProduct({{8, 32, 128}, {0, 1}})
     ->ArgNames({"n", "rebucket"});
+
+// --- Twig generalization kernel ---
+//
+// One GeneralizePair call in the shape the interactive twig engine issues
+// before its first positive answer: the seed node as a whole-document
+// query against another answer of the goal, also as a whole-document
+// query. Both queries are built outside the timed loop. `allocs_per_call`
+// counts global operator-new calls (output query included); the recorded
+// before/after rows live in the twig_generalize section of
+// BENCH_classify.json.
+
+void RunGeneralizePairLoop(benchmark::State& state, const xml::XmlTree& doc,
+                           const twig::TwigQuery& goal) {
+  const std::vector<xml::NodeId> answers = twig::Evaluate(goal, doc);
+  if (answers.size() < 2) {
+    state.SkipWithError("goal has fewer than two answers");
+    return;
+  }
+  const twig::TwigQuery q1 =
+      learn::ExampleToQuery(learn::TreeExample{&doc, answers[0]});
+  const twig::TwigQuery q2 =
+      learn::ExampleToQuery(learn::TreeExample{&doc, answers[1]});
+  const uint64_t allocs_before = common::AllocProbeNewCount();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(learn::GeneralizePair(q1, q2));
+  }
+  const uint64_t calls = static_cast<uint64_t>(state.iterations());
+  state.counters["allocs_per_call"] =
+      static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
+      static_cast<double>(calls == 0 ? 1 : calls);
+  state.counters["doc_nodes"] = static_cast<double>(doc.NumNodes());
+}
+
+/// learn-large's people directory (qbench): range(0) persons of four shapes.
+void BM_GeneralizePair_Directory(benchmark::State& state) {
+  common::Interner interner;
+  common::Rng rng(1);
+  std::string text = "<site><people>";
+  for (int i = 0; i < state.range(0); ++i) {
+    switch (i == 0 ? 0 : rng.Index(4)) {
+      case 0: text += "<person><name/><age/><phone/></person>"; break;
+      case 1: text += "<person><name/></person>"; break;
+      case 2: text += "<person><name/><age/></person>"; break;
+      default: text += "<person><name/><phone/><homepage/></person>"; break;
+    }
+  }
+  text += "</people></site>";
+  const xml::XmlTree doc = xml::ParseXml(text, &interner).value();
+  RunGeneralizePairLoop(
+      state, doc,
+      twig::ParseTwig("/site/people/person[age]/name", &interner).value());
+}
+BENCHMARK(BM_GeneralizePair_Directory)->Arg(16)->Arg(32);
+
+/// XMark document with every default count scaled by range(0) percent.
+void BM_GeneralizePair_XMark(benchmark::State& state) {
+  common::Interner interner;
+  const double scale = static_cast<double>(state.range(0)) / 100.0;
+  auto scaled = [scale](int count) {
+    const int r = static_cast<int>(count * scale + 0.5);
+    return r < 1 ? 1 : r;
+  };
+  xml::XMarkOptions options;
+  options.num_people = scaled(options.num_people);
+  options.num_open_auctions = scaled(options.num_open_auctions);
+  options.num_closed_auctions = scaled(options.num_closed_auctions);
+  options.num_items_per_region = scaled(options.num_items_per_region);
+  options.num_categories = scaled(options.num_categories);
+  const xml::XmlTree doc = xml::GenerateXMark(options, &interner);
+  RunGeneralizePairLoop(
+      state, doc,
+      twig::ParseTwig("/site/people/person/name", &interner).value());
+}
+BENCHMARK(BM_GeneralizePair_XMark)->Arg(20)->Arg(40);
 
 // Service-surface overhead: one full built-in scenario session per
 // iteration driven through SessionService (string handles, budget checks,

@@ -381,7 +381,14 @@ common::Status TwigEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   s = reader->ReadU32(&selection);
   if (s.ok()) s = reader->ReadU32(&num_marked);
   if (!s.ok()) return s;
-  if (selection != twig::kInvalidQNode && selection >= num_nodes) {
+  // A live engine's hypothesis always selects a document node: a boolean
+  // query or a selection at the virtual root has no selection path to
+  // generalize.
+  if (selection == 0 || selection == twig::kInvalidQNode) {
+    return Status::InvalidArgument(
+        "twig-engine snapshot hypothesis selects no document node");
+  }
+  if (selection >= num_nodes) {
     return Status::InvalidArgument(
         "twig-engine snapshot selection node out of range");
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "common/interner.h"
 #include "common/rng.h"
@@ -173,6 +174,30 @@ TEST_F(LearnFixture, GeneralizePairFailsOutsideAnchoredClass) {
   auto learned = LearnTwig({TreeExample{&d1, FindNode(d1, "a")},
                             TreeExample{&d2, FindNode(d2, "b")}});
   EXPECT_FALSE(learned.ok());
+}
+
+TEST_F(LearnFixture, SelectionAtVirtualRootIsInvalidArgument) {
+  // A query selecting the virtual root has an empty selection path: there
+  // is nothing to align, so every entry point refuses it instead of
+  // reading past the alignment table.
+  const XmlTree d = Doc("<r><a/><b/></r>");
+  const TwigQuery example = ExampleToQuery(TreeExample{&d, FindNode(d, "a")});
+  TwigQuery root_selected = ExampleToQuery(TreeExample{&d, FindNode(d, "b")});
+  root_selected.set_selection(0);
+  const TwigQuery& at_root = root_selected;
+  for (const auto& [q1, q2] : {std::pair{&at_root, &example},
+                               std::pair{&example, &at_root},
+                               std::pair{&at_root, &at_root}}) {
+    auto g = GeneralizePair(*q1, *q2);
+    EXPECT_EQ(g.status().code(), common::StatusCode::kInvalidArgument)
+        << g.status().ToString();
+    auto built = BuildAlignedPattern(*q1, *q2, {AlignmentStep{0, 0, false}},
+                                     TwigLearnerOptions{});
+    EXPECT_EQ(built.status().code(), common::StatusCode::kInvalidArgument)
+        << built.status().ToString();
+    EXPECT_TRUE(
+        EnumerateGeneralizations(*q1, *q2, TwigLearnerOptions{}, 4).empty());
+  }
 }
 
 TEST_F(LearnFixture, ConsistencyConsistentCase) {
