@@ -680,10 +680,9 @@ void BM_GeneralizePair_Directory(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneralizePair_Directory)->Arg(16)->Arg(32);
 
-/// XMark document with every default count scaled by range(0) percent.
-void BM_GeneralizePair_XMark(benchmark::State& state) {
-  common::Interner interner;
-  const double scale = static_cast<double>(state.range(0)) / 100.0;
+/// XMark document with every default count scaled by `percent` percent.
+xml::XmlTree ScaledXMarkDoc(int64_t percent, common::Interner* interner) {
+  const double scale = static_cast<double>(percent) / 100.0;
   auto scaled = [scale](int count) {
     const int r = static_cast<int>(count * scale + 0.5);
     return r < 1 ? 1 : r;
@@ -694,12 +693,51 @@ void BM_GeneralizePair_XMark(benchmark::State& state) {
   options.num_closed_auctions = scaled(options.num_closed_auctions);
   options.num_items_per_region = scaled(options.num_items_per_region);
   options.num_categories = scaled(options.num_categories);
-  const xml::XmlTree doc = xml::GenerateXMark(options, &interner);
+  return xml::GenerateXMark(options, interner);
+}
+
+/// XMark document scaled by range(0) percent.
+void BM_GeneralizePair_XMark(benchmark::State& state) {
+  common::Interner interner;
+  const xml::XmlTree doc = ScaledXMarkDoc(state.range(0), &interner);
   RunGeneralizePairLoop(
       state, doc,
       twig::ParseTwig("/site/people/person/name", &interner).value());
 }
 BENCHMARK(BM_GeneralizePair_XMark)->Arg(20)->Arg(40);
+
+// --- Twig first question ---
+//
+// A greedy-impact twig session from construction (the engine and the
+// session's baseline Propagate) to its first question, on an XMark
+// document scaled by range(0) percent, seeded with the goal's first
+// answer. The document is built outside the timed loop. Before the first
+// answer the hypothesis is the whole document, so this is the
+// document-sized cost ROADMAP F gates. `allocs_per_call` counts global
+// operator-new calls per session; the recorded before/after rows live in
+// the twig_first_question section of BENCH_classify.json.
+void BM_TwigFirstQuestion_XMark(benchmark::State& state) {
+  common::Interner interner;
+  const xml::XmlTree doc = ScaledXMarkDoc(state.range(0), &interner);
+  const std::vector<xml::NodeId> answers = twig::Evaluate(
+      twig::ParseTwig("/site/people/person/name", &interner).value(), doc);
+  const uint64_t allocs_before = common::AllocProbeNewCount();
+  for (auto _ : state) {
+    session::LearningSession<learn::TwigEngine> session(
+        learn::TwigEngine(&doc, answers[0]));
+    benchmark::DoNotOptimize(session.NextQuestion());
+  }
+  const uint64_t calls = static_cast<uint64_t>(state.iterations());
+  state.counters["allocs_per_call"] =
+      static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
+      static_cast<double>(calls == 0 ? 1 : calls);
+  state.counters["doc_nodes"] = static_cast<double>(doc.NumNodes());
+}
+BENCHMARK(BM_TwigFirstQuestion_XMark)
+    ->Arg(20)
+    ->Arg(40)
+    ->Arg(80)
+    ->Unit(benchmark::kMillisecond);
 
 // Service-surface overhead: one full built-in scenario session per
 // iteration driven through SessionService (string handles, budget checks,

@@ -21,13 +21,31 @@ namespace {
 constexpr uint32_t kTwigEngineMagic = 0x45544C51u;
 constexpr uint32_t kTwigEngineVersion = 1;
 
+/// FNV-1a over a query's nodes (parent, axis, label in id order) and its
+/// selection: the first test of exact query equality.
+uint64_t QueryHash(const TwigQuery& q) {
+  uint64_t h = 14695981039346656037ULL;
+  auto fold = [&h](uint64_t value) {
+    h ^= value;
+    h *= 1099511628211ULL;
+  };
+  for (twig::QNodeId n = 1; n < q.NumNodes(); ++n) {
+    fold(q.parent(n));
+    fold((static_cast<uint64_t>(q.label(n)) << 1) |
+         static_cast<uint64_t>(q.axis(n)));
+  }
+  fold(q.selection());
+  return h;
+}
+
 }  // namespace
 
 TwigEngine::TwigEngine(const xml::XmlTree* doc, NodeId seed,
                        const InteractiveTwigOptions& options)
     : doc_(doc),
       options_(options),
-      hypothesis_(ExampleToQuery(TreeExample{doc, seed})) {
+      hypothesis_(ExampleToQuery(TreeExample{doc, seed})),
+      generalizer_(*doc, options.learner) {
   frontier_.Reserve(doc->NumNodes());
   // One plane and one row column per doc node: rows are the candidates'
   // selected-sets, planes their transpose (the witness index). Rows pin
@@ -43,9 +61,9 @@ TwigEngine::TwigEngine(const xml::XmlTree* doc, NodeId seed,
   store_.OnSettled(seed);
 }
 
-std::optional<TwigQuery> TwigEngine::Extended(NodeId v) const {
-  auto g = GeneralizePair(hypothesis_, ExampleToQuery(TreeExample{doc_, v}),
-                          options_.learner);
+std::optional<TwigQuery> TwigEngine::Extended(NodeId v) {
+  if (!generalizer_.has_memo()) generalizer_.Reset(hypothesis_);
+  auto g = generalizer_.Generalize(v);
   if (!g.ok()) return std::nullopt;
   return std::move(g).value();
 }
@@ -55,13 +73,24 @@ bool TwigEngine::EnsureRow(NodeId v) {
     auto h2 = Extended(v);
     if (!h2.has_value()) {
       store_.MarkRowAbsent(v);
-    } else {
-      twig::TwigEvaluator eval2(*h2, *doc_);
-      uint64_t* row = store_.BeginRow(v);
-      for (NodeId u = 0; u < doc_->NumNodes(); ++u) {
-        if (eval2.Selects(u)) row[u / 64] |= 1ULL << (u % 64);
+      return false;
+    }
+    // Equal queries select equal sets: copy the row of the first candidate
+    // that generalized to this query (rows stay fresh all epoch).
+    const uint64_t hash = QueryHash(*h2);
+    uint64_t* row = store_.BeginRow(v);
+    for (const EvaluatedQuery& seen : evaluated_) {
+      if (seen.hash == hash && seen.query == *h2) {
+        assert(store_.RowPresent(seen.row));
+        std::copy_n(store_.RowWords(seen.row), store_.row_words(), row);
+        return true;
       }
     }
+    twig::TwigEvaluator eval2(*h2, *doc_);
+    for (NodeId u = 0; u < doc_->NumNodes(); ++u) {
+      if (eval2.Selects(u)) row[u / 64] |= 1ULL << (u % 64);
+    }
+    evaluated_.push_back(EvaluatedQuery{hash, std::move(*h2), v});
   }
   return store_.RowPresent(v);
 }
@@ -85,6 +114,7 @@ std::optional<NodeId> TwigEngine::SelectQuestion(common::Rng* rng) {
             }),
         rng);
   }
+  generalizer_.Release();
   if (!pick.has_value()) return std::nullopt;
   return static_cast<NodeId>(*pick);
 }
@@ -101,6 +131,8 @@ void TwigEngine::Observe(const NodeId& item, bool positive,
   hypothesis_advanced_ = false;
   if (positive) {
     auto h2 = Extended(item);
+    // The memo is bound to the hypothesis about to change.
+    generalizer_.Release();
     if (!h2.has_value()) {
       ++stats->conflicts;  // target outside the anchored class
     } else {
@@ -108,6 +140,7 @@ void TwigEngine::Observe(const NodeId& item, bool positive,
       // Every selected-set row was computed against the old hypothesis.
       frontier_.InvalidateAll();
       store_.InvalidateRows();
+      evaluated_.clear();
       hypothesis_advanced_ = true;
     }
   } else {
@@ -143,6 +176,7 @@ void TwigEngine::Propagate(session::SessionStats* stats) {
 #ifndef NDEBUG
   AssertPropagationFixpoint();
 #endif
+  generalizer_.Release();
 }
 
 void TwigEngine::ReferencePropagate(session::SessionStats* stats) {
@@ -200,17 +234,17 @@ void TwigEngine::FullPropagate(session::SessionStats* stats) {
   if (negatives_.empty()) {
     // With no negative yet, the only convictable candidates are the
     // out-of-class ones (no anchored generalization exists). That is
-    // decidable from GeneralizePair alone — no need to materialize the
-    // full selected-set row of every open candidate just to detect it;
-    // greedy scoring computes the rows it needs later, random strategies
-    // never do.
+    // decidable from the generalization alone. Greedy scoring reads every
+    // open candidate's row next, so under it the pass materializes the row
+    // now; random strategies never read rows, so they skip the evaluation.
+    const bool greedy = options_.strategy == TwigStrategy::kGreedyImpact;
     for (NodeId v = 0; v < doc_->NumNodes(); ++v) {
       const CandidateState state = frontier_.state(v);
       if (state != CandidateState::kUnknown &&
           state != CandidateState::kAsked) {
         continue;
       }
-      if (!Extended(v).has_value()) {
+      if (!(greedy ? EnsureRow(v) : Extended(v).has_value())) {
         frontier_.MarkForced(v, /*positive=*/false);
         store_.OnSettled(v);
         ++stats->forced_negative;
@@ -430,6 +464,7 @@ common::Status TwigEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   neg_words_.assign(store_.row_words(), 0);
   for (NodeId v : negatives_) neg_words_[v / 64] |= 1ULL << (v % 64);
   hypothesis_advanced_ = false;
+  evaluated_.clear();
   // Snapshots are taken between answered turns: every queued delta was
   // flushed, so the restored engine starts in steady state. The witness
   // planes and selected-set rows were computed against whatever hypothesis

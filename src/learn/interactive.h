@@ -175,15 +175,26 @@ class TwigEngine {
   /// Deltas are the negative nodes themselves.
   using PropagationT = session::PropagationIndex<xml::NodeId>;
 
+  /// A generalized query whose selected set was evaluated this hypothesis
+  /// epoch, and the candidate whose row holds that set.
+  struct EvaluatedQuery {
+    uint64_t hash;
+    twig::TwigQuery query;
+    xml::NodeId row;
+  };
+
   /// Hypothesis with doc-node `v` joined in, or nullopt if no anchored
-  /// generalization exists.
-  std::optional<twig::TwigQuery> Extended(xml::NodeId v) const;
+  /// generalization exists. Generalizes through the shared memo, which it
+  /// builds over the current hypothesis if the call has none yet.
+  std::optional<twig::TwigQuery> Extended(xml::NodeId v);
   /// Materializes candidate v's selected-set row in the store (the sorted
   /// node set Extended(v) selects, as a bitset) if it is stale; returns
   /// true when the row is present (an anchored generalization exists).
   /// Both the greedy-impact score and the forced-negative propagation
   /// predicate read the row instead of re-running GeneralizePair +
-  /// evaluation per call.
+  /// evaluation per call. A query already evaluated this epoch (many
+  /// candidates generalize to the same one) is not evaluated again: its
+  /// row is copied.
   bool EnsureRow(xml::NodeId v);
 
   /// The historical full-universe rescan, verbatim (reference mode).
@@ -209,6 +220,17 @@ class TwigEngine {
   // InteractiveTwigOptions (seed/max_questions are wrapper-only).
   InteractiveTwigOptions options_;
   twig::TwigQuery hypothesis_;
+  /// The document as one twig and, within an engine call, one filter memo
+  /// over (hypothesis_, that twig) shared by every candidate's
+  /// generalization (sharing is exact; see DocumentGeneralizer). The memo
+  /// is built on the call's first generalization and released when
+  /// SelectQuestion, Observe or Propagate returns, so an idle session
+  /// holds no |hypothesis| x |document| table; the rows carry the results
+  /// across calls. Observe releases it before the hypothesis changes.
+  DocumentGeneralizer generalizer_;
+  /// The distinct queries the current rows were evaluated from. Cleared
+  /// whenever the rows go stale (hypothesis change, restore).
+  std::vector<EvaluatedQuery> evaluated_;
   FrontierT frontier_;  // one candidate per doc node, index == NodeId
   /// SoA store: selected-set rows (one per candidate, row == NodeId — rows
   /// pin the dense axis, no compaction) and their transpose, the witness

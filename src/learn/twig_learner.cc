@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -27,15 +28,19 @@ struct PathStep {
   QNodeId node;     // originating query node
 };
 
-/// Root-to-selection path of `q` into `*path` (empty when the selection is
-/// unset or the virtual root).
-void SelectionPath(const TwigQuery& q, std::vector<PathStep>* path) {
+/// Root-to-`node` path of `q` into `*path` (empty when `node` is unset or
+/// the virtual root).
+void PathTo(const TwigQuery& q, QNodeId node, std::vector<PathStep>* path) {
   path->clear();
-  for (QNodeId cur = q.selection(); cur != 0 && cur != twig::kInvalidQNode;
+  for (QNodeId cur = node; cur != 0 && cur != twig::kInvalidQNode;
        cur = q.parent(cur)) {
     path->push_back(PathStep{q.axis(cur), q.label(cur), cur});
   }
   std::reverse(path->begin(), path->end());
+}
+
+void SelectionPath(const TwigQuery& q, std::vector<PathStep>* path) {
+  PathTo(q, q.selection(), path);
 }
 
 /// One node of a filter pattern (axis = edge from its parent, or from the
@@ -85,7 +90,8 @@ struct Cell {
 /// two document-sized queries polynomial. Filter trees live in one pool
 /// owned by the memo, a node's kids a span of pool indices, so no subtree
 /// is ever copied; the per-pair dedup, sort and cap run in scratch buffers
-/// reused across pairs.
+/// reused across pairs. Nothing here reads either query's selection, so
+/// one memo serves every selection path through the same two trees.
 class FilterLggMemo {
  public:
   static constexpr int32_t kNone = -1;  // no anchored generalization
@@ -95,10 +101,14 @@ class FilterLggMemo {
       : q1_(q1),
         q2_(q2),
         options_(options),
-        slots_(q1.NumNodes() * q2.NumNodes(), kUnset) {
+        slots_(q1.NumNodes() * q2.NumNodes(), kUnset),
+        labels1_(q1.NumNodes()),
+        labels2_(q2.NumNodes()) {
     leaves_.fill(kNone);
   }
 
+  const TwigQuery& q1() const { return q1_; }
+  const TwigQuery& q2() const { return q2_; }
   const FilterNode& node(int32_t f) const { return pool_[f]; }
   std::span<const int32_t> kids(const FilterNode& f) const {
     return {kids_.data() + f.kids_begin, f.num_kids};
@@ -173,12 +183,14 @@ class FilterLggMemo {
   /// Appends the labels common to the proper descendants of x (in q1) and
   /// of y (in q2), ascending, as descendant-filter candidates ".//l".
   void AddCommonDescendantLabels(QNodeId x, QNodeId y) {
-    DescendantLabels(q1_, x, &labels1_);
-    DescendantLabels(q2_, y, &labels2_);
-    auto it = labels2_.begin();
-    for (SymbolId l : labels1_) {
-      it = std::lower_bound(it, labels2_.end(), l);
-      if (it == labels2_.end()) break;
+    const std::span<const SymbolId> labels1 =
+        DescendantLabels(q1_, x, &labels1_);
+    const std::span<const SymbolId> labels2 =
+        DescendantLabels(q2_, y, &labels2_);
+    auto it = labels2.begin();
+    for (SymbolId l : labels1) {
+      it = std::lower_bound(it, labels2.end(), l);
+      if (it == labels2.end()) break;
       if (*it == l) AddCandidate(Leaf(Axis::kDescendant, l));
     }
   }
@@ -241,21 +253,49 @@ class FilterLggMemo {
     return static_cast<int32_t>(pool_.size() - 1);
   }
 
+  static constexpr uint32_t kUnsetSpan = ~uint32_t{0};
+
+  /// Per-node descendant-label sets of one query: node n's set is
+  /// pool[begin, begin + size) of span[n], filled on first use and kept
+  /// for the memo's lifetime.
+  struct LabelSets {
+    struct Span {
+      uint32_t begin = kUnsetSpan;
+      uint32_t size = 0;
+    };
+    explicit LabelSets(size_t nodes) : span(nodes) {}
+    std::vector<Span> span;
+    std::vector<SymbolId> pool;
+  };
+
   /// Sorted distinct labels of proper descendants of `n` in `q`, wildcards
-  /// excluded.
-  void DescendantLabels(const TwigQuery& q, QNodeId n,
-                        std::vector<SymbolId>* out) {
-    out->clear();
-    stack_.assign(q.children(n).begin(), q.children(n).end());
-    while (!stack_.empty()) {
-      const QNodeId cur = stack_.back();
-      stack_.pop_back();
-      if (q.label(cur) != twig::kWildcard) out->push_back(q.label(cur));
-      stack_.insert(stack_.end(), q.children(cur).begin(),
-                    q.children(cur).end());
+  /// excluded. The missing sets of n's subtree are filled bottom-up: a
+  /// node's set is the union of its children's labels and sets.
+  std::span<const SymbolId> DescendantLabels(const TwigQuery& q, QNodeId n,
+                                             LabelSets* sets) {
+    if (sets->span[n].begin == kUnsetSpan) {
+      order_.assign(1, n);  // pre-order over the nodes still unset
+      for (size_t i = 0; i < order_.size(); ++i) {
+        for (QNodeId c : q.children(order_[i])) {
+          if (sets->span[c].begin == kUnsetSpan) order_.push_back(c);
+        }
+      }
+      for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+        merged_.clear();
+        for (QNodeId c : q.children(*it)) {
+          if (q.label(c) != twig::kWildcard) merged_.push_back(q.label(c));
+          const auto kid = sets->pool.begin() + sets->span[c].begin;
+          merged_.insert(merged_.end(), kid, kid + sets->span[c].size);
+        }
+        std::sort(merged_.begin(), merged_.end());
+        merged_.erase(std::unique(merged_.begin(), merged_.end()),
+                      merged_.end());
+        sets->span[*it] = {static_cast<uint32_t>(sets->pool.size()),
+                           static_cast<uint32_t>(merged_.size())};
+        sets->pool.insert(sets->pool.end(), merged_.begin(), merged_.end());
+      }
     }
-    std::sort(out->begin(), out->end());
-    out->erase(std::unique(out->begin(), out->end()), out->end());
+    return {sets->pool.data() + sets->span[n].begin, sets->span[n].size};
   }
 
   const TwigQuery& q1_;
@@ -267,9 +307,10 @@ class FilterLggMemo {
   // Scratch reused across pairs.
   std::vector<int32_t> candidates_;
   std::vector<std::pair<uint64_t, size_t>> keyed_;
-  std::vector<SymbolId> labels1_;
-  std::vector<SymbolId> labels2_;
-  std::vector<QNodeId> stack_;
+  std::vector<QNodeId> order_;
+  std::vector<SymbolId> merged_;
+  LabelSets labels1_;
+  LabelSets labels2_;
   /// Direct-mapped cache of childless filter nodes by (label, axis): most
   /// pairs of two documents are leaf pairs, and equal leaves share one
   /// pool node.
@@ -283,12 +324,15 @@ void AttachFilter(TwigQuery* q, QNodeId parent, const FilterLggMemo& memo,
   for (int32_t kid : memo.kids(node)) AttachFilter(q, id, memo, kid);
 }
 
-/// BuildAlignedPattern over the precomputed selection paths `a` and `b`.
-Result<TwigQuery> BuildPattern(const TwigQuery& q1, const TwigQuery& q2,
+/// BuildAlignedPattern over the precomputed selection paths `a` (in the
+/// memo's q1) and `b` (in its q2), with filters from `memo`.
+Result<TwigQuery> BuildPattern(FilterLggMemo* memo,
                                const std::vector<PathStep>& a,
                                const std::vector<PathStep>& b,
                                const std::vector<AlignmentStep>& steps,
                                const TwigLearnerOptions& options) {
+  const TwigQuery& q1 = memo->q1();
+  const TwigQuery& q2 = memo->q2();
   const int m = static_cast<int>(a.size());
   const int n = static_cast<int>(b.size());
   if (m == 0 || n == 0) {
@@ -337,7 +381,6 @@ Result<TwigQuery> BuildPattern(const TwigQuery& q1, const TwigQuery& q2,
 
   // Assemble the pattern: main path plus per-step filters. One memo table
   // serves every step (pairs repeat across steps and inside subtrees).
-  FilterLggMemo memo(q1, q2, options);
   TwigQuery out;
   QNodeId cur = 0;
   for (size_t t = 0; t < steps.size(); ++t) {
@@ -353,56 +396,51 @@ Result<TwigQuery> BuildPattern(const TwigQuery& q1, const TwigQuery& q2,
     const QNodeId u_path = last ? twig::kInvalidQNode : a[s.i + 1].node;
     const QNodeId v_path = last ? twig::kInvalidQNode : b[s.j + 1].node;
 
-    const size_t begin = memo.candidates_size();
+    const size_t begin = memo->candidates_size();
     for (QNodeId xc : q1.children(u)) {
       if (xc == u_path) continue;
       if (s.wildcard && q1.axis(xc) != Axis::kChild) continue;
       for (QNodeId yc : q2.children(v)) {
         if (yc == v_path) continue;
         if (s.wildcard && q2.axis(yc) != Axis::kChild) continue;
-        const int32_t f = memo.Lgg(xc, yc);
-        if (f != FilterLggMemo::kNone) memo.AddCandidate(f);
+        const int32_t f = memo->Lgg(xc, yc);
+        if (f != FilterLggMemo::kNone) memo->AddCandidate(f);
       }
     }
     // Descendant filters: labels occurring strictly below both aligned nodes
     // (outside a wildcard step, which cannot carry descendant edges).
     if (options.descendant_filters && !s.wildcard) {
-      memo.AddCommonDescendantLabels(u, v);
+      memo->AddCommonDescendantLabels(u, v);
     }
-    for (int32_t f : memo.SelectFilters(begin)) {
-      AttachFilter(&out, cur, memo, f);
+    for (int32_t f : memo->SelectFilters(begin)) {
+      AttachFilter(&out, cur, *memo, f);
     }
-    memo.DropCandidates(begin);
+    memo->DropCandidates(begin);
   }
   out.set_selection(cur);
   return out;
 }
 
-}  // namespace
-
-TwigQuery ExampleToQuery(const TreeExample& example) {
+/// The whole document as a query with child axes and no selection;
+/// `(*map)[n]` is document node n's query node.
+TwigQuery DocumentQuery(const xml::XmlTree& doc, std::vector<QNodeId>* map) {
   TwigQuery q;
-  const xml::XmlTree& doc = *example.doc;
-  std::vector<QNodeId> map(doc.NumNodes(), twig::kInvalidQNode);
+  map->assign(doc.NumNodes(), twig::kInvalidQNode);
   for (xml::NodeId n : doc.PreOrder()) {
-    const QNodeId parent =
-        n == doc.root() ? 0 : map[doc.parent(n)];
-    map[n] = q.AddNode(parent, Axis::kChild, doc.label(n));
+    const QNodeId parent = n == doc.root() ? 0 : (*map)[doc.parent(n)];
+    (*map)[n] = q.AddNode(parent, Axis::kChild, doc.label(n));
   }
-  q.set_selection(map[example.node]);
   return q;
 }
 
-Result<TwigQuery> GeneralizePair(const TwigQuery& q1, const TwigQuery& q2,
-                                 const TwigLearnerOptions& options) {
-  if (q1.selection() == twig::kInvalidQNode ||
-      q2.selection() == twig::kInvalidQNode) {
-    return Status::InvalidArgument("GeneralizePair needs selection nodes");
-  }
-  std::vector<PathStep> a;
-  std::vector<PathStep> b;
-  SelectionPath(q1, &a);
-  SelectionPath(q2, &b);
+/// The generalization of the memo's two queries whose selection paths are
+/// `a` and `b`: the alignment DP over the two paths, then the pattern
+/// assembly with filters from `memo`. GeneralizePair runs it with a
+/// call-local memo, DocumentGeneralizer with one memo shared by every node.
+Result<TwigQuery> GeneralizePaths(FilterLggMemo* memo,
+                                  const std::vector<PathStep>& a,
+                                  const std::vector<PathStep>& b,
+                                  const TwigLearnerOptions& options) {
   const int m = static_cast<int>(a.size());
   const int n = static_cast<int>(b.size());
   if (m == 0 || n == 0) {
@@ -507,7 +545,83 @@ Result<TwigQuery> GeneralizePair(const TwigQuery& q1, const TwigQuery& q2,
     }
     std::reverse(steps.begin(), steps.end());
   }
-  return BuildPattern(q1, q2, a, b, steps, options);
+  return BuildPattern(memo, a, b, steps, options);
+}
+
+}  // namespace
+
+TwigQuery ExampleToQuery(const TreeExample& example) {
+  std::vector<QNodeId> map;
+  TwigQuery q = DocumentQuery(*example.doc, &map);
+  q.set_selection(map[example.node]);
+  return q;
+}
+
+Result<TwigQuery> GeneralizePair(const TwigQuery& q1, const TwigQuery& q2,
+                                 const TwigLearnerOptions& options) {
+  if (q1.selection() == twig::kInvalidQNode ||
+      q2.selection() == twig::kInvalidQNode) {
+    return Status::InvalidArgument("GeneralizePair needs selection nodes");
+  }
+  std::vector<PathStep> a;
+  std::vector<PathStep> b;
+  SelectionPath(q1, &a);
+  SelectionPath(q2, &b);
+  FilterLggMemo memo(q1, q2, options);
+  return GeneralizePaths(&memo, a, b, options);
+}
+
+/// The memo over (hypothesis, document) and the two selection paths.
+struct DocumentGeneralizer::Memo {
+  Memo(const TwigQuery& hypothesis, const TwigQuery& document,
+       const TwigLearnerOptions& options)
+      : filters(hypothesis, document, options) {
+    SelectionPath(hypothesis, &hypothesis_path);
+  }
+
+  FilterLggMemo filters;
+  std::vector<PathStep> hypothesis_path;
+  std::vector<PathStep> node_path;  // scratch, one node at a time
+};
+
+DocumentGeneralizer::DocumentGeneralizer(const xml::XmlTree& doc,
+                                         const TwigLearnerOptions& options)
+    : document_(DocumentQuery(doc, &query_node_)), options_(options) {}
+
+DocumentGeneralizer::~DocumentGeneralizer() = default;
+
+DocumentGeneralizer::DocumentGeneralizer(DocumentGeneralizer&& other) noexcept
+    : query_node_(std::move(other.query_node_)),
+      document_(std::move(other.document_)),
+      options_(other.options_) {
+  other.Release();
+}
+
+DocumentGeneralizer& DocumentGeneralizer::operator=(
+    DocumentGeneralizer&& other) noexcept {
+  Release();
+  other.Release();
+  document_ = std::move(other.document_);
+  query_node_ = std::move(other.query_node_);
+  options_ = other.options_;
+  return *this;
+}
+
+void DocumentGeneralizer::Reset(const TwigQuery& hypothesis) {
+  memo_.reset();  // free the old table before allocating the new one
+  memo_ = std::make_unique<Memo>(hypothesis, document_, options_);
+}
+
+void DocumentGeneralizer::Release() { memo_.reset(); }
+
+Result<TwigQuery> DocumentGeneralizer::Generalize(xml::NodeId node) {
+  assert(memo_ != nullptr && "Generalize needs a Reset first");
+  if (memo_->filters.q1().selection() == twig::kInvalidQNode) {
+    return Status::InvalidArgument("GeneralizePair needs selection nodes");
+  }
+  PathTo(document_, query_node_[node], &memo_->node_path);
+  return GeneralizePaths(&memo_->filters, memo_->hypothesis_path,
+                         memo_->node_path, options_);
 }
 
 Result<TwigQuery> BuildAlignedPattern(const TwigQuery& q1,
@@ -518,7 +632,8 @@ Result<TwigQuery> BuildAlignedPattern(const TwigQuery& q1,
   std::vector<PathStep> b;
   SelectionPath(q1, &a);
   SelectionPath(q2, &b);
-  return BuildPattern(q1, q2, a, b, steps, options);
+  FilterLggMemo memo(q1, q2, options);
+  return BuildPattern(&memo, a, b, steps, options);
 }
 
 Result<TwigQuery> LearnTwig(const std::vector<TreeExample>& examples,

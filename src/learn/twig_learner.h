@@ -11,6 +11,7 @@
 #ifndef QLEARN_LEARN_TWIG_LEARNER_H_
 #define QLEARN_LEARN_TWIG_LEARNER_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -77,6 +78,49 @@ common::Result<twig::TwigQuery> BuildAlignedPattern(
 common::Result<twig::TwigQuery> GeneralizePair(
     const twig::TwigQuery& q1, const twig::TwigQuery& q2,
     const TwigLearnerOptions& options = {});
+
+/// Generalizes one hypothesis against the nodes of one document:
+/// Generalize(v) returns GeneralizePair(hypothesis, ExampleToQuery({doc, v}))
+/// byte for byte, node order and status included.
+///
+/// Why one memo serves every node: ExampleToQuery builds the same tree for
+/// every v (only the selection differs), the filter memo's Lgg(x, y) never
+/// reads either selection, and the pattern assembly drops the on-path
+/// child at each step itself, outside the memo. So the generalizer builds
+/// the document twig once, and Reset builds one memo over (hypothesis,
+/// document twig) that every Generalize call shares, each node pair's
+/// filter generalized once and each node's descendant-label set collected
+/// once for all of them.
+///
+/// Lifetime: the memo's slot table is |hypothesis| x |document| entries,
+/// so a caller that idles between bursts of calls should Release it.
+/// Reset binds `hypothesis` by reference until the next Reset or Release;
+/// the hypothesis must not change in between. Moving a generalizer drops
+/// its memo.
+class DocumentGeneralizer {
+ public:
+  DocumentGeneralizer(const xml::XmlTree& doc,
+                      const TwigLearnerOptions& options);
+  ~DocumentGeneralizer();
+  DocumentGeneralizer(DocumentGeneralizer&& other) noexcept;
+  DocumentGeneralizer& operator=(DocumentGeneralizer&& other) noexcept;
+
+  /// Starts a fresh memo over (`hypothesis`, document twig).
+  void Reset(const twig::TwigQuery& hypothesis);
+  /// Drops the memo.
+  void Release();
+  bool has_memo() const { return memo_ != nullptr; }
+  /// The hypothesis joined with document node `node`; requires a memo.
+  common::Result<twig::TwigQuery> Generalize(xml::NodeId node);
+
+ private:
+  struct Memo;
+
+  std::vector<twig::QNodeId> query_node_;  // document node -> query node
+  twig::TwigQuery document_;  // ExampleToQuery's tree, selection unset
+  TwigLearnerOptions options_;
+  std::unique_ptr<Memo> memo_;
+};
 
 /// Learns from positive examples by folding GeneralizePair over them.
 /// The result selects every example node (soundness invariant, tested).

@@ -85,6 +85,10 @@ class TwigQuery {
   /// child order.
   bool StructurallyEquals(const TwigQuery& other) const;
 
+  /// Exact equality: the same nodes in the same id order, the same
+  /// selection and marked nodes.
+  friend bool operator==(const TwigQuery&, const TwigQuery&) = default;
+
   /// XPath-like rendering, e.g. "/site//person[profile/age]/name"; the
   /// selection node terminates the main path.
   std::string ToString(const common::Interner& interner) const;
