@@ -10,7 +10,7 @@
 #include "common/strings.h"
 #include "common/table_printer.h"
 #include "relational/generator.h"
-#include "rlearn/equijoin_learner.h"
+#include "rlearn/chain_learner.h"
 #include "rlearn/semijoin_learner.h"
 
 using namespace qlearn;  // NOLINT: experiment driver

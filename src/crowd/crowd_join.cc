@@ -12,7 +12,8 @@ namespace crowd {
 
 using common::Result;
 using common::Status;
-using rlearn::EquiJoinVersionSpace;
+using rlearn::ChainExample;
+using rlearn::ChainVersionSpace;
 using rlearn::MaskSatisfied;
 using rlearn::PairExample;
 using rlearn::PairMask;
@@ -91,17 +92,16 @@ struct Answer {
   bool positive;
 };
 
-/// Rebuilds a version space from the kept answers.
-EquiJoinVersionSpace BuildSpace(const rlearn::PairUniverse& universe,
-                                const relational::Relation& left,
-                                const relational::Relation& right,
-                                const std::vector<Answer>& answers) {
-  EquiJoinVersionSpace vs(&universe, &left, &right);
+/// Rebuilds a version space over the one-edge chain from the kept answers.
+ChainVersionSpace BuildSpace(const rlearn::JoinChain& chain,
+                             const std::vector<Answer>& answers) {
+  ChainVersionSpace vs(&chain);
   for (const Answer& a : answers) {
+    const ChainExample path{{a.pair.left_row, a.pair.right_row}};
     if (a.positive) {
-      vs.AddPositive(a.pair);
+      vs.AddPositive(path);
     } else {
-      vs.AddNegative(a.pair);
+      vs.AddNegative(path);
     }
   }
   return vs;
@@ -163,23 +163,30 @@ Result<CrowdJoinResult> RunCrowdJoinSession(
   }
   std::vector<bool> settled(candidates.size(), false);
 
+  // The join as a one-edge chain: its version space classifies a pair from
+  // the pair's agreement mask, held in a buffer reused across the sweep.
+  const rlearn::JoinChain chain = rlearn::JoinChain::ForJoin(universe, &left,
+                                                             &right);
   std::vector<Answer> answers;
-  EquiJoinVersionSpace vs = BuildSpace(universe, left, right, answers);
+  ChainVersionSpace vs = BuildSpace(chain, answers);
+  std::vector<PairMask> agree(1);
 
   while (result.questions < options.max_questions) {
     std::vector<size_t> informative;
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (settled[i]) continue;
-      switch (vs.Classify(candidates[i])) {
-        case EquiJoinVersionSpace::PairStatus::kForcedPositive:
+      agree[0] = universe.AgreeMask(left.row(candidates[i].left_row),
+                                    right.row(candidates[i].right_row));
+      switch (vs.ClassifyAgreements(agree)) {
+        case ChainVersionSpace::PathStatus::kForcedPositive:
           settled[i] = true;
           ++result.forced_positive;
           break;
-        case EquiJoinVersionSpace::PairStatus::kForcedNegative:
+        case ChainVersionSpace::PathStatus::kForcedNegative:
           settled[i] = true;
           ++result.forced_negative;
           break;
-        case EquiJoinVersionSpace::PairStatus::kInformative:
+        case ChainVersionSpace::PathStatus::kInformative:
           informative.push_back(i);
           break;
       }
@@ -191,14 +198,14 @@ Result<CrowdJoinResult> RunCrowdJoinSession(
       chosen = informative[rng.Uniform(informative.size())];
     } else {
       // Split-half scoring against the surviving hypothesis pairs.
+      const PairMask theta = vs.most_specific().front();
       long best_score = -1;
       for (size_t i : informative) {
-        const PairMask agree =
-            vs.most_specific() &
-            universe.AgreeMask(left.row(candidates[i].left_row),
-                               right.row(candidates[i].right_row));
-        const int total = std::popcount(vs.most_specific());
-        const int kept = std::popcount(agree);
+        const PairMask kept_pairs =
+            theta & universe.AgreeMask(left.row(candidates[i].left_row),
+                                       right.row(candidates[i].right_row));
+        const int total = std::popcount(theta);
+        const int kept = std::popcount(kept_pairs);
         const long score = rlearn::SplitHalfScore(total, kept);
         if (score > best_score) {
           best_score = score;
@@ -217,7 +224,7 @@ Result<CrowdJoinResult> RunCrowdJoinSession(
     // majority, then drop it — the paper's "ignore some annotations".
     Answer kept{q, answer};
     answers.push_back(kept);
-    vs = BuildSpace(universe, left, right, answers);
+    vs = BuildSpace(chain, answers);
     int escalations_left = options.max_escalations;
     while (!vs.Consistent() && escalations_left-- > 0) {
       ++result.escalations;
@@ -226,16 +233,16 @@ Result<CrowdJoinResult> RunCrowdJoinSession(
           left.row(q.left_row), right.row(q.right_row),
           options.escalation_replication, &result.ledger);
       answers.push_back(kept);
-      vs = BuildSpace(universe, left, right, answers);
+      vs = BuildSpace(chain, answers);
     }
     if (!vs.Consistent()) {
       answers.pop_back();
       ++result.dropped_answers;
-      vs = BuildSpace(universe, left, right, answers);
+      vs = BuildSpace(chain, answers);
     }
   }
 
-  result.learned = vs.most_specific();
+  result.learned = vs.most_specific().front();
   result.total_cost = result.ledger.Total(options.cost);
 
   // Ground-truth audit over every pair (including filtered ones).

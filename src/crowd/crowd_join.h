@@ -21,7 +21,7 @@
 #include "common/status.h"
 #include "crowd/cost_model.h"
 #include "crowd/noisy_oracle.h"
-#include "rlearn/equijoin_learner.h"
+#include "rlearn/chain_learner.h"
 #include "rlearn/interactive_join.h"
 
 namespace qlearn {

@@ -17,9 +17,11 @@ using xml::NodeId;
 
 namespace {
 
-/// "QLTE" little-endian: the twig-engine snapshot blob tag.
+/// "QLTE" little-endian: the twig-engine snapshot blob tag. Version 2
+/// carries no candidate-store segment (rows and witness planes rebuild
+/// lazily); version 1 images, which end in one, are rejected.
 constexpr uint32_t kTwigEngineMagic = 0x45544C51u;
-constexpr uint32_t kTwigEngineVersion = 1;
+constexpr uint32_t kTwigEngineVersion = 2;
 
 /// FNV-1a over a query's nodes (parent, axis, label in id order) and its
 /// selection: the first test of exact query equality.
@@ -48,8 +50,8 @@ TwigEngine::TwigEngine(const xml::XmlTree* doc, NodeId seed,
       generalizer_(*doc, options.learner) {
   frontier_.Reserve(doc->NumNodes());
   // One plane and one row column per doc node: rows are the candidates'
-  // selected-sets, planes their transpose (the witness index). Rows pin
-  // dense slot == candidate id == NodeId.
+  // selected-sets, planes their transpose (the witness index). Row, slot
+  // and candidate ids are all the NodeId.
   store_.Reset(doc->NumNodes(), doc->NumNodes());
   store_.ConfigureRows(doc->NumNodes());
   neg_words_.assign(store_.row_words(), 0);
@@ -58,7 +60,6 @@ TwigEngine::TwigEngine(const xml::XmlTree* doc, NodeId seed,
   }
   // The seed is a pre-labeled positive: closed, but never "asked".
   frontier_.MarkLabeled(seed, /*positive=*/true);
-  store_.OnSettled(seed);
 }
 
 std::optional<TwigQuery> TwigEngine::Extended(NodeId v) {
@@ -103,14 +104,14 @@ std::optional<NodeId> TwigEngine::SelectQuestion(common::Rng* rng) {
     // Greedy impact: the candidate whose positive answer would settle the
     // most currently-open nodes. The selected-set rows are materialized
     // once per hypothesis; the intersection with the open set is one
-    // word-wise popcount against the store's open bit-vector.
+    // word-wise popcount against the frontier's open words.
     pick = frontier_.Select(
         session::Greedy<long>(
             0,
             [this](size_t v) -> std::optional<long> {
               if (!EnsureRow(static_cast<NodeId>(v))) return std::nullopt;
               return static_cast<long>(
-                  store_.PopcountRowAnd(v, store_.open_words()));
+                  store_.PopcountRowAnd(v, frontier_.open_words().data()));
             }),
         rng);
   }
@@ -121,13 +122,11 @@ std::optional<NodeId> TwigEngine::SelectQuestion(common::Rng* rng) {
 
 void TwigEngine::MarkAsked(const NodeId& item) {
   frontier_.MarkAsked(item);
-  store_.OnAsked(item);
 }
 
 void TwigEngine::Observe(const NodeId& item, bool positive,
                          session::SessionStats* stats) {
   frontier_.MarkLabeled(item, positive);
-  store_.OnSettled(item);
   hypothesis_advanced_ = false;
   if (positive) {
     auto h2 = Extended(item);
@@ -194,7 +193,6 @@ void TwigEngine::ReferencePropagate(session::SessionStats* stats) {
     if (eval.Selects(v)) {
       // Every consistent generalization of the hypothesis selects v.
       frontier_.MarkForced(v, /*positive=*/true);
-      store_.OnSettled(v);
       ++stats->forced_positive;
     }
   }
@@ -207,7 +205,6 @@ void TwigEngine::ReferencePropagate(session::SessionStats* stats) {
     }
     if (!EnsureRow(v) || store_.RowIntersects(v, neg_words_.data())) {
       frontier_.MarkForced(v, /*positive=*/false);
-      store_.OnSettled(v);
       ++stats->forced_negative;
     }
   }
@@ -227,7 +224,6 @@ void TwigEngine::FullPropagate(session::SessionStats* stats) {
     }
     if (eval.Selects(v)) {
       frontier_.MarkForced(v, /*positive=*/true);
-      store_.OnSettled(v);
       ++stats->forced_positive;
     }
   }
@@ -246,7 +242,6 @@ void TwigEngine::FullPropagate(session::SessionStats* stats) {
       }
       if (!(greedy ? EnsureRow(v) : Extended(v).has_value())) {
         frontier_.MarkForced(v, /*positive=*/false);
-        store_.OnSettled(v);
         ++stats->forced_negative;
       }
     }
@@ -264,7 +259,6 @@ void TwigEngine::FullPropagate(session::SessionStats* stats) {
     }
     if (!EnsureRow(v) || store_.RowIntersects(v, neg_words_.data())) {
       frontier_.MarkForced(v, /*positive=*/false);
-      store_.OnSettled(v);
       ++stats->forced_negative;
     }
   }
@@ -279,38 +273,38 @@ void TwigEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
   // word-parallel sweep over the transposed witness planes.
   if (!witness_planes_valid_) RebuildWitnessPlanes();
   for (NodeId neg : deltas) {
-    store_.CopyActive(&scratch_);
+    scratch_ = frontier_.active_words();
     store_.AndPlanes(neg, 1, scratch_.data());
     session::ForEachSetBit(scratch_.data(), scratch_.size(), [&](size_t v) {
-      // Rows pin dense slot == candidate id.
       frontier_.MarkForced(v, /*positive=*/false);
-      store_.OnSettled(v);
       ++stats->forced_negative;
     });
   }
 }
 
 void TwigEngine::RebuildWitnessPlanes() {
-  for (NodeId v = 0; v < doc_->NumNodes(); ++v) {
-    if (!store_.IsActive(v)) continue;
+  const std::vector<uint64_t>& active = frontier_.active_words();
+  session::ForEachSetBit(active.data(), active.size(), [&](size_t v) {
     // The preceding full pass settled every out-of-class candidate; a live
     // one always generalizes.
-    const bool present = EnsureRow(v);
+    const bool present = EnsureRow(static_cast<NodeId>(v));
     assert(present && "live candidate without an anchored generalization");
     (void)present;
-  }
-  store_.TransposeActiveRowsToPlanes();
+  });
+  store_.TransposeActiveRowsToPlanes(active.data());
   witness_planes_valid_ = true;  // planes now match the current hypothesis
 }
 
 size_t TwigEngine::WitnessBucketsForTest() const {
   // The plane-sweep analogue of the historical bucket count: document
   // nodes witnessed by at least one live candidate. O(n²) probe, test-only.
+  const std::vector<uint64_t>& active = frontier_.active_words();
   size_t live_nodes = 0;
   for (NodeId u = 0; u < doc_->NumNodes(); ++u) {
     bool any = false;
     for (NodeId v = 0; v < doc_->NumNodes() && !any; ++v) {
-      any = store_.IsActive(v) && store_.PlaneBitForTest(u, v);
+      any = ((active[v / 64] >> (v % 64)) & 1) != 0 &&
+            store_.PlaneBitForTest(u, v);
     }
     if (any) ++live_nodes;
   }
@@ -333,7 +327,6 @@ void TwigEngine::AssertPropagationFixpoint() {
         state != CandidateState::kAsked) {
       continue;
     }
-    assert(store_.IsActive(v) && "store active bit out of sync with frontier");
     const bool present = EnsureRow(v);
     assert(present && "delta flush missed an out-of-class forced negative");
     if (!present) continue;
@@ -364,7 +357,6 @@ void TwigEngine::SerializeSnapshot(session::SnapshotWriter* writer) const {
   writer->WriteU64(negatives_.size());
   for (NodeId v : negatives_) writer->WriteU32(v);
   frontier_.SerializeState(writer);
-  store_.SerializeSnapshot(writer);
 }
 
 common::Status TwigEngine::RestoreSnapshot(session::SnapshotReader* reader) {
@@ -456,8 +448,6 @@ common::Status TwigEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   }
   s = frontier_.RestoreState(reader);
   if (!s.ok()) return s;
-  s = store_.RestoreSnapshot(reader);
-  if (!s.ok()) return s;
 
   hypothesis_ = std::move(hypothesis);
   negatives_ = std::move(negatives);
@@ -469,7 +459,8 @@ common::Status TwigEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   // flushed, so the restored engine starts in steady state. The witness
   // planes and selected-set rows were computed against whatever hypothesis
   // was live before the restore — both rebuild lazily from the restored
-  // one (rows are not serialized and restart stale by store contract).
+  // one.
+  store_.InvalidateRows();
   prop_.MarkFullPassDone();
   witness_planes_valid_ = false;
   return Status::OK();

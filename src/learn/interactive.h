@@ -152,9 +152,10 @@ class TwigEngine {
   /// transpose (measured by BM_Classify).
   void InvalidateWitnessIndexForBench() { witness_planes_valid_ = false; }
   /// Hibernation: appends a versioned engine image (strategy, hypothesis
-  /// tree, accumulated negatives, frontier states, candidate-store
-  /// bit-vectors) to `writer`. Call only between answered turns (queued
-  /// deltas flushed). Follows the relational engine's "QLCE" pattern.
+  /// tree, accumulated negatives, frontier states) to `writer`. The store's
+  /// rows and witness planes are caches and are not written. Call only
+  /// between answered turns (queued deltas flushed). Follows the
+  /// relational engine's "QLCE" pattern.
   void SerializeSnapshot(session::SnapshotWriter* writer) const;
   /// Restores an image produced by SerializeSnapshot into an engine built
   /// over the same document/options. Mismatched geometry or strategy is
@@ -232,9 +233,9 @@ class TwigEngine {
   /// whenever the rows go stale (hypothesis change, restore).
   std::vector<EvaluatedQuery> evaluated_;
   FrontierT frontier_;  // one candidate per doc node, index == NodeId
-  /// SoA store: selected-set rows (one per candidate, row == NodeId — rows
-  /// pin the dense axis, no compaction) and their transpose, the witness
-  /// planes (plane u = candidates whose selected-set holds node u).
+  /// SoA store: selected-set rows (one per candidate, row == NodeId) and
+  /// their transpose, the witness planes (plane u = active candidates whose
+  /// selected-set holds node u).
   session::CandidateStore store_;
   std::vector<xml::NodeId> negatives_;
   /// The negatives as a doc-node bitset (row_words-sized), the word-wise
@@ -244,7 +245,7 @@ class TwigEngine {
   /// Do the store's witness planes match the current hypothesis? Cleared
   /// by every full pass (and restore), set by RebuildWitnessPlanes.
   bool witness_planes_valid_ = false;
-  /// Sweep scratch (dense words) reused across flushes.
+  /// Sweep scratch (candidate words) reused across flushes.
   std::vector<uint64_t> scratch_;
   /// Did the last positive Observe actually generalize the hypothesis?
   bool hypothesis_advanced_ = false;

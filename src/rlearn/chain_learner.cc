@@ -296,6 +296,28 @@ ChainConsistency CheckChainConsistency(
   return out;
 }
 
+EquiJoinConsistency CheckEquiJoinConsistency(
+    const PairUniverse& universe, const relational::Relation& left,
+    const relational::Relation& right,
+    const std::vector<PairExample>& positives,
+    const std::vector<PairExample>& negatives) {
+  const JoinChain chain = JoinChain::ForJoin(universe, &left, &right);
+  auto paths = [](const std::vector<PairExample>& pairs) {
+    std::vector<ChainExample> out;
+    out.reserve(pairs.size());
+    for (const PairExample& p : pairs) {
+      out.push_back(ChainExample{{p.left_row, p.right_row}});
+    }
+    return out;
+  };
+  const ChainConsistency chained =
+      CheckChainConsistency(chain, paths(positives), paths(negatives));
+  EquiJoinConsistency out;
+  out.consistent = chained.consistent;
+  if (out.consistent) out.most_specific = chained.most_specific.front();
+  return out;
+}
+
 std::vector<ChainExample> EvaluateChain(const JoinChain& chain,
                                         const ChainMask& hypothesis,
                                         size_t limit) {

@@ -7,8 +7,10 @@
 // agree. The tractability of the single-join case generalizes: with
 // θ*_i = ⋂_{positives} Agree_i, the examples are consistent iff every θ*_i
 // is non-empty and no negative path satisfies the whole vector θ* — still
-// PTIME. The interactive protocol (uninformative-path propagation) lives in
-// rlearn/interactive_chain.h as ChainEngine over this version space.
+// PTIME. A single join is the one-edge chain (JoinChain::ForJoin), so the
+// equi-join consistency check is this one too. The interactive protocol
+// (uninformative-path propagation) lives in rlearn/interactive_chain.h as
+// ChainEngine over this version space.
 #ifndef QLEARN_RLEARN_CHAIN_LEARNER_H_
 #define QLEARN_RLEARN_CHAIN_LEARNER_H_
 
@@ -187,6 +189,30 @@ class ChainVersionSpace {
 ChainConsistency CheckChainConsistency(
     const JoinChain& chain, const std::vector<ChainExample>& positives,
     const std::vector<ChainExample>& negatives);
+
+/// One labeled example of a single join left ⋈ right: the (left-row,
+/// right-row) index pair, i.e. the path {left_row, right_row} of the
+/// one-edge chain JoinChain::ForJoin.
+struct PairExample {
+  size_t left_row;
+  size_t right_row;
+};
+
+/// Outcome of the PTIME equi-join consistency check.
+struct EquiJoinConsistency {
+  bool consistent = false;
+  /// Most specific consistent hypothesis when consistent.
+  PairMask most_specific = 0;
+};
+
+/// One-shot consistency check for a labeled sample of tuple pairs: the
+/// paper's Section-3 tractability claim. With θ* = ⋂_{positives} Eq(r,s),
+/// a consistent hypothesis exists iff θ* is non-empty and no negative
+/// satisfies θ* — CheckChainConsistency over the one-edge chain.
+EquiJoinConsistency CheckEquiJoinConsistency(
+    const PairUniverse& universe, const relational::Relation& left,
+    const relational::Relation& right, const std::vector<PairExample>& positives,
+    const std::vector<PairExample>& negatives);
 
 /// Materializes the chain join under `hypothesis`: all row-index paths
 /// satisfying every edge mask, in row-major order. `limit` caps the result

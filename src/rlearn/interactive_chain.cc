@@ -17,11 +17,11 @@ using common::Status;
 namespace {
 
 /// "QLCE" little-endian: the relational-engine snapshot blob tag. Version
-/// 3 stores the candidate-store planes over agreement-mask classes instead
-/// of candidates; version 2 (per-candidate planes) and version 1 images are
-/// rejected.
+/// 4 records the class and plane counts in its header and carries no
+/// candidate-store segment (the constructor rebuilds the planes); earlier
+/// versions, which end in one, are rejected.
 constexpr uint32_t kChainEngineMagic = 0x45434C51u;
-constexpr uint32_t kChainEngineVersion = 3;
+constexpr uint32_t kChainEngineVersion = 4;
 
 /// min(cap, |R_1| · … · |R_k|): the length of the capped row-major prefix
 /// of the chain's tuple paths.
@@ -204,12 +204,12 @@ void ChainEngine::EnsureKeptCounts() {
   counts_valid_ = true;
 }
 
-long ChainEngine::ScoreOf(size_t d, bool hunting) const {
+long ChainEngine::ScoreOf(size_t c, bool hunting) const {
   const long edges = static_cast<long>(kept_counts_.size());
   long total_kept = 0;
   long split = 0;
   for (size_t e = 0; e < kept_counts_.size(); ++e) {
-    const int kept = kept_counts_[e][d];
+    const int kept = kept_counts_[e][c];
     total_kept += kept;
     split += strategy_ == ChainStrategy::kLattice
                  ? LatticeProbeScore(totals_[e], kept)
@@ -251,7 +251,7 @@ std::optional<size_t> ChainEngine::SelectCandidate(common::Rng* rng) {
       session::Greedy<long>(
           std::numeric_limits<long>::min(),
           [this, hunting](size_t c) -> std::optional<long> {
-            return ScoreOf(store_.DenseOf(c), hunting);
+            return ScoreOf(c, hunting);
           }),
       rng);
 }
@@ -261,21 +261,12 @@ void ChainEngine::MarkAsked(const ChainExample& item) {
   assert(k.has_value() && "asked path outside the enumerated candidates");
   if (!k.has_value()) return;
   frontier_.MarkAsked(*k);
-  CloseClassIfDrained(*k);
-}
-
-void ChainEngine::CloseClassIfDrained(size_t k) {
-  const size_t c = frontier_.ClassOf(k);
-  if (frontier_.ClassOpenCount(c) == 0) store_.OnSettled(c);
 }
 
 void ChainEngine::Observe(const ChainExample& item, bool positive,
                           session::SessionStats* stats) {
   const std::optional<size_t> k = IndexOf(item);
-  if (k.has_value()) {
-    frontier_.MarkLabeled(*k, positive);
-    CloseClassIfDrained(*k);
-  }
+  if (k.has_value()) frontier_.MarkLabeled(*k, positive);
   theta_advanced_ = false;
   if (positive) {
     theta_advanced_ = vs_.AddPositive(item);
@@ -320,10 +311,6 @@ void ChainEngine::Propagate(session::SessionStats* stats) {
 #ifndef NDEBUG
   AssertPropagationFixpoint();
 #endif
-  // Shrink the dense sweep axis once enough candidates settled. Survivor
-  // order is id-ascending before and after, so replay is unaffected; the
-  // kept-counts are dense-indexed and refresh lazily.
-  if (store_.MaybeCompact()) counts_valid_ = false;
 }
 
 ChainVersionSpace::PathStatus ChainEngine::ReferenceClassify(
@@ -344,12 +331,10 @@ void ChainEngine::ReferencePropagate(session::SessionStats* stats) {
     switch (ReferenceClassify(k, &rows, &agree)) {
       case ChainVersionSpace::PathStatus::kForcedPositive:
         frontier_.MarkForced(k, /*positive=*/true);
-        CloseClassIfDrained(k);
         ++stats->forced_positive;
         break;
       case ChainVersionSpace::PathStatus::kForcedNegative:
         frontier_.MarkForced(k, /*positive=*/false);
-        CloseClassIfDrained(k);
         ++stats->forced_negative;
         break;
       case ChainVersionSpace::PathStatus::kInformative:
@@ -360,10 +345,8 @@ void ChainEngine::ReferencePropagate(session::SessionStats* stats) {
 
 void ChainEngine::ForceSweep(const std::vector<uint64_t>& bits, bool positive,
                              session::SessionStats* stats) {
-  session::ForEachSetBit(bits.data(), bits.size(), [&](size_t d) {
-    const size_t c = store_.IdOf(d);
+  session::ForEachSetBit(bits.data(), bits.size(), [&](size_t c) {
     const size_t settled = frontier_.MarkForcedClass(c, positive);
-    store_.OnSettled(c);
     (positive ? stats->forced_positive : stats->forced_negative) += settled;
   });
 }
@@ -375,7 +358,7 @@ void ChainEngine::ConvictCovered(const PairMask* neg,
   // with no surviving pair imposes no constraint (its A_e is covered for
   // every path).
   const ChainMask& theta = vs_.most_specific();
-  store_.CopyOpen(&scratch_);
+  scratch_ = frontier_.open_words();
   for (size_t e = 0; e < chain_->num_edges(); ++e) {
     const PairMask surviving = theta[e] & ~neg[e];
     if (surviving != 0) {
@@ -393,14 +376,14 @@ void ChainEngine::FullPropagate(session::SessionStats* stats) {
   // and one conviction sweep per accumulated negative.
   const ChainMask& theta = vs_.most_specific();
   const size_t edges = chain_->num_edges();
-  store_.CopyOpen(&scratch_);
+  scratch_ = frontier_.open_words();
   for (size_t e = 0; e < edges; ++e) {
     assert(theta[e] != 0 && "propagating an inconsistent version space");
     store_.AndPlanes(plane_base_[e], theta[e], scratch_.data());
   }
   ForceSweep(scratch_, /*positive=*/true, stats);
   for (size_t e = 0; e < edges; ++e) {
-    store_.CopyOpen(&scratch_);
+    scratch_ = frontier_.open_words();
     store_.AndNotOrPlanes(plane_base_[e], theta[e], scratch_.data());
     ForceSweep(scratch_, /*positive=*/false, stats);
   }
@@ -429,11 +412,6 @@ void ChainEngine::AssertPropagationFixpoint() const {
                ChainVersionSpace::PathStatus::kInformative &&
            "delta flush missed a forced path");
   }
-  // A class's store open bit is set iff some member is open.
-  for (size_t c = 0; c < frontier_.num_classes(); ++c) {
-    assert(store_.IsOpen(c) == (frontier_.ClassOpenCount(c) > 0) &&
-           "store open bit out of sync with frontier");
-  }
 }
 #endif
 
@@ -449,17 +427,19 @@ void ChainEngine::SerializeSnapshot(session::SnapshotWriter* writer) const {
   writer->WriteU8(aborted_ ? 1 : 0);
   const size_t edges = chain_->num_edges();
   writer->WriteU64(edges);
+  writer->WriteU64(frontier_.num_classes());
+  writer->WriteU64(store_.num_planes());
   for (PairMask m : vs_.most_specific()) writer->WriteU64(m);
   for (PairMask m : last_consistent_) writer->WriteU64(m);
   writer->WriteU64(vs_.num_positives());
   writer->WriteU64(vs_.num_negatives());
   for (PairMask m : vs_.negative_agreements()) writer->WriteU64(m);
   frontier_.SerializeState(writer);
-  store_.SerializeSnapshot(writer);
 }
 
 common::Status ChainEngine::RestoreSnapshot(session::SnapshotReader* reader) {
-  uint64_t edges = 0, num_positives = 0, num_negatives = 0;
+  uint64_t edges = 0, classes = 0, planes = 0;
+  uint64_t num_positives = 0, num_negatives = 0;
   uint32_t magic = 0, version = 0;
   uint8_t strategy = 0, aborted = 0;
   Status s = reader->ReadU32(&magic);
@@ -467,6 +447,8 @@ common::Status ChainEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   if (s.ok()) s = reader->ReadU8(&strategy);
   if (s.ok()) s = reader->ReadU8(&aborted);
   if (s.ok()) s = reader->ReadU64(&edges);
+  if (s.ok()) s = reader->ReadU64(&classes);
+  if (s.ok()) s = reader->ReadU64(&planes);
   if (!s.ok()) return s;
   if (magic != kChainEngineMagic) {
     return Status::InvalidArgument("not a chain-engine snapshot");
@@ -485,6 +467,13 @@ common::Status ChainEngine::RestoreSnapshot(session::SnapshotReader* reader) {
         "chain-engine snapshot has " + std::to_string(edges) +
         " edges, chain has " + std::to_string(chain_->num_edges()));
   }
+  if (classes != frontier_.num_classes() || planes != store_.num_planes()) {
+    return Status::InvalidArgument(
+        "chain-engine snapshot has " + std::to_string(classes) +
+        " mask classes over " + std::to_string(planes) +
+        " planes, engine built " + std::to_string(frontier_.num_classes()) +
+        " over " + std::to_string(store_.num_planes()));
+  }
   ChainMask theta(edges), last(edges);
   for (uint64_t e = 0; e < edges && s.ok(); ++e) s = reader->ReadU64(&theta[e]);
   for (uint64_t e = 0; e < edges && s.ok(); ++e) s = reader->ReadU64(&last[e]);
@@ -501,8 +490,6 @@ common::Status ChainEngine::RestoreSnapshot(session::SnapshotReader* reader) {
     negatives.push_back(m);
   }
   s = frontier_.RestoreState(reader);
-  if (!s.ok()) return s;
-  s = store_.RestoreSnapshot(reader);
   if (!s.ok()) return s;
 
   vs_.RestoreState(std::move(theta), std::move(negatives),

@@ -135,9 +135,9 @@ class ChainEngine {
   /// its per-edge effective masks A_e = θ*_e ∧ agree_e, so it is decided
   /// per mask class. The agreement bits live bit-transposed in the
   /// candidate store over the classes (one plane per pair of each edge's
-  /// universe, packed edge after edge; bit d of a plane is the class in
-  /// dense slot d), so each flush is a handful of word-at-a-time plane
-  /// sweeps over the open classes, and each swept class is settled whole.
+  /// universe, packed edge after edge; bit c of a plane is class c), so
+  /// each flush is a handful of word-at-a-time plane sweeps over the open
+  /// classes, and each swept class is settled whole.
   void Propagate(session::SessionStats* stats);
   /// True once an answer contradicted the version space (target outside the
   /// chain-of-joins hypothesis class).
@@ -168,12 +168,18 @@ class ChainEngine {
   /// Test introspection of the structure-of-arrays candidate store, whose
   /// ids are mask classes.
   const session::CandidateStore& StoreForTest() const { return store_; }
+  /// The frontier's open-class words: bit c set iff mask class c has an
+  /// open member (test introspection).
+  const std::vector<uint64_t>& OpenClassWordsForTest() const {
+    return frontier_.open_words();
+  }
   /// Mask class of candidate k (test introspection).
   size_t ClassOfForTest(size_t k) const { return frontier_.ClassOf(k); }
 
-  /// Hibernation: appends a versioned engine image (strategy, version
-  /// space, frontier states, candidate-store planes) to `writer`. Call only
-  /// between answered turns (queued deltas flushed).
+  /// Hibernation: appends a versioned engine image (strategy, class and
+  /// plane counts, version space, frontier states) to `writer`. The planes
+  /// are not written: the constructor rebuilds them from the chain. Call
+  /// only between answered turns (queued deltas flushed).
   void SerializeSnapshot(session::SnapshotWriter* writer) const;
   /// Restores an image produced by SerializeSnapshot into an engine built
   /// over the same chain/options. Mismatched geometry or strategy is
@@ -192,9 +198,9 @@ class ChainEngine {
   /// Writes candidate k's row vector into `rows` (mixed radix over the
   /// relation sizes).
   void RowsOf(size_t k, std::vector<size_t>* rows) const;
-  /// Greedy score of the class in dense slot `d` under strategy_; see
-  /// SelectCandidate for the two-phase hunting/splitting semantics.
-  long ScoreOf(size_t d, bool hunting) const;
+  /// Greedy score of mask class `c` under strategy_; see SelectCandidate
+  /// for the two-phase hunting/splitting semantics.
+  long ScoreOf(size_t c, bool hunting) const;
 
   /// The version space's per-candidate verdict on candidate k (the
   /// reference the plane sweeps must match). `rows` and `agree` are
@@ -214,16 +220,12 @@ class ChainEngine {
   /// edge) covers edge-wise: open ∧ ∧_e ¬OR(planes of θ*_e ∧ ¬neg_e).
   void ConvictCovered(const PairMask* neg, session::SessionStats* stats);
   /// Forces the open members of every class whose bit is set in `bits` (a
-  /// sweep result over the dense axis; all bits are open by construction)
-  /// and counts them in `stats`.
+  /// sweep result over the class axis, seeded from the frontier's open
+  /// words) and counts them in `stats`.
   void ForceSweep(const std::vector<uint64_t>& bits, bool positive,
                   session::SessionStats* stats);
-  /// Clears the store's open bit of candidate k's class once no member of
-  /// it is open.
-  void CloseClassIfDrained(size_t k);
   /// Recomputes the per-edge per-class |θ*_e ∧ agree_e| counts (bit-sliced
-  /// popcount over each edge's θ* planes) if θ* changed or the store
-  /// compacted.
+  /// popcount over each edge's θ* planes) if θ* changed.
   void EnsureKeptCounts();
 #ifndef NDEBUG
   void AssertPropagationFixpoint() const;
@@ -235,17 +237,17 @@ class ChainEngine {
   /// plane_base_[e] = first plane of edge e: the universe sizes of the
   /// edges before it.
   std::vector<size_t> plane_base_;
-  /// SoA agreement planes over the mask classes + open mirror + dense
-  /// compaction; plane plane_base_[e]+b holds "the class agrees on bit b of
-  /// edge e's universe", and a class is open iff some member is.
+  /// SoA agreement planes over the mask classes: plane plane_base_[e]+b
+  /// holds "the class agrees on bit b of edge e's universe". Sweeps start
+  /// from the frontier's open words (a class is open iff a member is).
   session::CandidateStore store_;
   ChainVersionSpace vs_;
   ChainMask last_consistent_;
   PropagationT prop_;
-  /// Sweep scratch (dense words) reused across flushes.
+  /// Sweep scratch (class words) reused across flushes.
   std::vector<uint64_t> scratch_;
-  /// kept_counts_[e][DenseOf(c)] = |θ*_e ∧ agree_e(c)| for class c, the
-  /// greedy scoring input; refreshed lazily per θ* change / compaction.
+  /// kept_counts_[e][c] = |θ*_e ∧ agree_e(c)| for class c, the greedy
+  /// scoring input; refreshed lazily per θ* change.
   std::vector<std::vector<uint8_t>> kept_counts_;
   /// totals_[e] = |θ*_e| under the same validity regime.
   std::vector<int> totals_;

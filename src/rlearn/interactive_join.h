@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "rlearn/chain_learner.h"
-#include "rlearn/equijoin_learner.h"
 #include "rlearn/interactive_chain.h"
 #include "session/candidate_store.h"
 #include "session/session.h"
@@ -153,6 +152,10 @@ class JoinEngine {
   /// plane per universe pair, one slot per agreement-mask class).
   const session::CandidateStore& StoreForTest() const {
     return engine_.StoreForTest();
+  }
+  /// Bit c set iff mask class c has an open pair.
+  const std::vector<uint64_t>& OpenClassWordsForTest() const {
+    return engine_.OpenClassWordsForTest();
   }
   /// Mask class of the pair (k / |right|, k % |right|).
   size_t ClassOfForTest(size_t k) const { return engine_.ClassOfForTest(k); }

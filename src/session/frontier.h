@@ -22,6 +22,13 @@
 //                         Add(item) is the identity mapping: each
 //                         candidate is its own class, with no per-class
 //                         tables at all;
+//   * class bit-vectors — open_words() (bit c: class c has a kUnknown
+//                         member) and active_words() (a kUnknown or kAsked
+//                         member), kept in step by every transition; the
+//                         engines seed their bit-plane sweeps
+//                         (session/candidate_store.h) from copies of them,
+//                         so the frontier is the one record of candidate
+//                         lifecycle state;
 //   * memoized scores   — per-class Memo slots with epoch-based
 //                         dirty-marking: an Observe that changes the
 //                         hypothesis bumps the epoch (everything rescores
@@ -151,6 +158,8 @@ class Frontier {
     asked_.reserve(n);
     memos_.reserve(n);
     memo_epoch_.reserve(n);
+    open_words_.reserve(WordsFor(n));
+    active_words_.reserve(WordsFor(n));
   }
 
   /// Appends a candidate (state kUnknown) as its own class and returns its
@@ -159,7 +168,13 @@ class Frontier {
     assert(class_of_.empty() && "identity Add on a class-keyed frontier");
     memos_.emplace_back();
     memo_epoch_.push_back(0);
-    return Append(std::move(item));
+    const size_t k = Append(std::move(item));
+    if (k % 64 == 0) {
+      open_words_.push_back(0);
+      active_words_.push_back(0);
+    }
+    SyncWords(k);
+    return k;
   }
 
   /// Fills an empty frontier with `items` (state kUnknown), candidate k a
@@ -185,10 +200,14 @@ class Frontier {
       ++member_begin_[c + 1];
     }
     class_open_.resize(num_classes);
+    open_words_.assign(WordsFor(num_classes), 0);
+    active_words_.assign(WordsFor(num_classes), 0);
     for (size_t c = 0; c < num_classes; ++c) {
       class_open_[c] = member_begin_[c + 1];
       member_begin_[c + 1] += member_begin_[c];
     }
+    class_active_ = class_open_;
+    for (size_t c = 0; c < num_classes; ++c) SyncWords(c);
     members_.resize(n);
     class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
     for (size_t k = 0; k < n; ++k) {
@@ -225,6 +244,13 @@ class Frontier {
     if (class_of_.empty()) return IsOpen(c) ? 1 : 0;
     return class_open_[c];
   }
+  /// Bit c set iff class `c` has an open (kUnknown) member: the seed of
+  /// every sweep that may settle a class. WordsFor(num_classes()) words;
+  /// bits at and beyond num_classes() are zero.
+  const std::vector<uint64_t>& open_words() const { return open_words_; }
+  /// Bit c set iff class `c` has a kUnknown or kAsked member: a class that
+  /// no label has settled yet (twig conviction eligibility). Same extent.
+  const std::vector<uint64_t>& active_words() const { return active_words_; }
   /// Smallest open member of class `c`, or nullopt when the class is
   /// settled. Amortized O(1): the per-class cursor only moves forward.
   std::optional<size_t> FirstOpenMember(size_t c) {
@@ -259,7 +285,7 @@ class Frontier {
     if (states_[k] == CandidateState::kUnknown) {
       Close(k, next);
     } else if (states_[k] == CandidateState::kAsked) {
-      states_[k] = next;
+      SettleAsked(k, next);
     }
     ReleaseMemoIfSettled(k);
   }
@@ -277,7 +303,7 @@ class Frontier {
         ReleaseMemoIfSettled(k);
         return true;
       case CandidateState::kAsked:
-        states_[k] = next;
+        SettleAsked(k, next);
         ReleaseMemoIfSettled(k);
         return true;
       case CandidateState::kForcedNegative:
@@ -310,6 +336,8 @@ class Frontier {
     }
     open_count_ -= settled;
     class_open_[c] = 0;
+    class_active_[c] -= static_cast<uint32_t>(settled);
+    SyncWords(c);
     ReleaseMemo(c);
     return settled;
   }
@@ -452,8 +480,10 @@ class Frontier {
   }
 
   /// Restores SerializeState output into a frontier already holding the
-  /// same candidate set. Memos and the greedy heap restart stale (epoch
-  /// bump); scores recompute from the restored hypothesis on first use.
+  /// same candidate set, recounting the per-class open/active counts and
+  /// words from the restored states. Memos and the greedy heap restart
+  /// stale (epoch bump); scores recompute from the restored hypothesis on
+  /// first use.
   common::Status RestoreState(SnapshotReader* reader) {
     uint64_t count = 0;
     common::Status s = reader->ReadU64(&count);
@@ -482,14 +512,18 @@ class Frontier {
     }
     open_count_ = 0;
     std::fill(class_open_.begin(), class_open_.end(), 0);
+    std::fill(class_active_.begin(), class_active_.end(), 0);
     if (!class_of_.empty()) {
       class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
     }
     for (size_t k = 0; k < states_.size(); ++k) {
-      if (states_[k] != CandidateState::kUnknown) continue;
-      ++open_count_;
-      if (!class_of_.empty()) ++class_open_[class_of_[k]];
+      const bool open = states_[k] == CandidateState::kUnknown;
+      if (open) ++open_count_;
+      if (class_of_.empty()) continue;
+      class_open_[class_of_[k]] += open ? 1 : 0;
+      class_active_[class_of_[k]] += IsActiveState(states_[k]) ? 1 : 0;
     }
+    for (size_t c = 0; c < num_classes(); ++c) SyncWords(c);
     first_open_hint_ = 0;
     for (size_t c = 0; c < memos_.size(); ++c) ReleaseMemo(c);
     InvalidateAll();  // restart heap and memos stale
@@ -530,11 +564,48 @@ class Frontier {
     return items_.size() - 1;
   }
 
+  static size_t WordsFor(size_t bits) { return (bits + 63) / 64; }
+
+  static bool IsActiveState(CandidateState state) {
+    return state == CandidateState::kUnknown ||
+           state == CandidateState::kAsked;
+  }
+
+  /// kUnknown -> `next`: leaves the open set, and the active set unless
+  /// `next` is kAsked.
   void Close(size_t k, CandidateState next) {
     assert(states_[k] == CandidateState::kUnknown);
     states_[k] = next;
     --open_count_;
-    if (!class_of_.empty()) --class_open_[class_of_[k]];
+    if (!class_of_.empty()) {
+      --class_open_[class_of_[k]];
+      if (!IsActiveState(next)) --class_active_[class_of_[k]];
+    }
+    SyncWords(ClassOf(k));
+  }
+
+  /// kAsked -> terminal `next`: leaves the active set.
+  void SettleAsked(size_t k, CandidateState next) {
+    assert(states_[k] == CandidateState::kAsked && !IsActiveState(next));
+    states_[k] = next;
+    if (!class_of_.empty()) --class_active_[class_of_[k]];
+    SyncWords(ClassOf(k));
+  }
+
+  /// Members of class `c` in state kUnknown or kAsked.
+  size_t ClassActiveCount(size_t c) const {
+    if (class_of_.empty()) return IsActiveState(states_[c]) ? 1 : 0;
+    return class_active_[c];
+  }
+
+  /// Sets class `c`'s open and active bits from its member counts: the one
+  /// definition of both word vectors, under either mapping.
+  void SyncWords(size_t c) {
+    const uint64_t bit = 1ULL << (c % 64);
+    open_words_[c / 64] &= ~bit;
+    active_words_[c / 64] &= ~bit;
+    if (ClassOpenCount(c) > 0) open_words_[c / 64] |= bit;
+    if (ClassActiveCount(c) > 0) active_words_[c / 64] |= bit;
   }
 
   /// Frees the memo of candidate `k`'s class once no member is open:
@@ -587,6 +658,7 @@ class Frontier {
   // member.
   std::vector<uint32_t> class_of_;
   std::vector<uint32_t> class_open_;
+  std::vector<uint32_t> class_active_;  ///< kUnknown + kAsked members
   std::vector<uint32_t> member_begin_;
   std::vector<uint32_t> members_;
   std::vector<uint32_t> class_cursor_;
@@ -600,6 +672,11 @@ class Frontier {
   std::vector<HeapEntry> heap_;
   uint64_t heap_epoch_ = 0;
   std::vector<size_t> dirty_;
+
+  // One bit per class (see open_words() / active_words()), maintained by
+  // every state transition and rebuilt by RestoreState.
+  std::vector<uint64_t> open_words_;
+  std::vector<uint64_t> active_words_;
 };
 
 }  // namespace session

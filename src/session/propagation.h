@@ -13,9 +13,11 @@
 //     no new forced positives; the only candidates it can force negative
 //     are those whose (memoized) extended selection witnesses the new
 //     negative. The engines find them with word-parallel plane sweeps over
-//     their session::CandidateStore: twig planes are the transposed
-//     selected-set rows (plane u = candidates whose extension selects node
-//     u), join/chain planes the transposed agreement bits, so a flush costs
+//     their session::CandidateStore, seeded from the frontier's class
+//     words (open_words / active_words, the one record of which candidates
+//     are still settleable): twig planes are the transposed selected-set
+//     rows (plane u = candidates whose extension selects node u),
+//     join/chain planes the transposed agreement bits, so a flush costs
 //     O(words) per queued negative, not O(candidates × negatives). The path
 //     engine runs one accept test of the new word per open candidate;
 //   * a positive answer may change the hypothesis; forced labels never

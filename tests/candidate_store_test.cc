@@ -1,20 +1,16 @@
 // Unit tests for the structure-of-arrays candidate store
 // (session/candidate_store.h): the 64×64 bit-block transpose against a
 // naive per-bit reference, the word-at-a-time sweep kernels against
-// per-candidate loops, dense-axis compaction and the id↔dense remap, the
-// row facility, and the versioned snapshot image (round-trips, header
-// mismatches, truncation).
+// per-candidate loops, and the row facility with its transpose into the
+// planes.
 #include "session/candidate_store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
-#include "session/snapshot.h"
 
 namespace qlearn {
 namespace session {
@@ -67,6 +63,14 @@ TEST(ForEachSetBitTest, VisitsAscendingAcrossWords) {
   EXPECT_EQ(seen, (std::vector<size_t>{0, 63}));
 }
 
+/// Word vector over `n` candidates with every candidate's bit set: the
+/// seed an engine copies from the frontier while nothing is settled.
+std::vector<uint64_t> AllCandidates(size_t n) {
+  std::vector<uint64_t> words((n + 63) / 64, 0);
+  for (size_t id = 0; id < n; ++id) words[id / 64] |= 1ULL << (id % 64);
+  return words;
+}
+
 /// A store over `n` candidates and `planes` planes with pseudorandom plane
 /// bits (density ~1/2), mirrored into a candidate-major reference.
 struct RandomStore {
@@ -93,12 +97,12 @@ TEST(CandidateStoreTest, AndPlanesMatchesPerCandidateLoop) {
   RandomStore rs(kPlanes, kN, 11);
   const uint64_t mask = 0b1011001;
 
-  std::vector<uint64_t> acc;
-  rs.store.CopyOpen(&acc);
+  std::vector<uint64_t> acc = AllCandidates(kN);
+  ASSERT_EQ(acc.size(), rs.store.words());
   rs.store.AndPlanes(0, mask, acc.data());
 
   for (size_t id = 0; id < kN; ++id) {
-    bool expect = true;  // open ∧ AND of the masked planes
+    bool expect = true;  // AND of the masked planes
     for (size_t p = 0; p < kPlanes; ++p) {
       if ((mask >> p) & 1) expect = expect && rs.bits[p][id];
     }
@@ -106,30 +110,28 @@ TEST(CandidateStoreTest, AndPlanesMatchesPerCandidateLoop) {
     ASSERT_EQ(got, expect) << "candidate " << id;
   }
   // Empty mask: AND over nothing leaves acc unchanged.
-  std::vector<uint64_t> all_open;
-  rs.store.CopyOpen(&all_open);
-  rs.store.AndPlanes(0, 0, all_open.data());
-  for (size_t w = 0; w < all_open.size(); ++w) {
-    EXPECT_EQ(all_open[w], rs.store.open_words()[w]);
-  }
+  std::vector<uint64_t> all = AllCandidates(kN);
+  rs.store.AndPlanes(0, 0, all.data());
+  EXPECT_EQ(all, AllCandidates(kN));
 }
 
 TEST(CandidateStoreTest, AndNotOrPlanesMatchesPerCandidateLoop) {
   const size_t kPlanes = 9, kN = 100;
   RandomStore rs(kPlanes, kN, 13);
-  const uint64_t mask = 0b101010101;
+  // Mask 0 is the empty OR: nothing is excluded, acc stays unchanged.
+  for (const uint64_t mask : {uint64_t{0b101010101}, uint64_t{0}}) {
+    SCOPED_TRACE(mask);
+    std::vector<uint64_t> acc = AllCandidates(kN);
+    rs.store.AndNotOrPlanes(0, mask, acc.data());
 
-  std::vector<uint64_t> acc;
-  rs.store.CopyOpen(&acc);
-  rs.store.AndNotOrPlanes(0, mask, acc.data());
-
-  for (size_t id = 0; id < kN; ++id) {
-    bool any = false;  // survives iff it agrees on none of the masked planes
-    for (size_t p = 0; p < kPlanes; ++p) {
-      if (((mask >> p) & 1) && rs.bits[p][id]) any = true;
+    for (size_t id = 0; id < kN; ++id) {
+      bool any = false;  // survives iff it agrees on none of the masked planes
+      for (size_t p = 0; p < kPlanes; ++p) {
+        if (((mask >> p) & 1) && rs.bits[p][id]) any = true;
+      }
+      const bool got = (acc[id / 64] >> (id % 64)) & 1;
+      ASSERT_EQ(got, !any) << "candidate " << id;
     }
-    const bool got = (acc[id / 64] >> (id % 64)) & 1;
-    ASSERT_EQ(got, !any) << "candidate " << id;
   }
 }
 
@@ -152,90 +154,6 @@ TEST(CandidateStoreTest, PlanePopcountsMatchesPerCandidateLoop) {
     }
     ASSERT_EQ(counts[id], expect) << "candidate " << id;
   }
-}
-
-TEST(CandidateStoreTest, OpenActiveLifecycle) {
-  CandidateStore store;
-  store.Reset(2, 10);
-  EXPECT_EQ(store.open_count(), 10u);
-  EXPECT_TRUE(store.IsOpen(4));
-  EXPECT_TRUE(store.IsActive(4));
-
-  store.OnAsked(4);  // leaves the active set only
-  EXPECT_FALSE(store.IsOpen(4));
-  EXPECT_TRUE(store.IsActive(4));
-  EXPECT_EQ(store.open_count(), 9u);
-
-  store.OnSettled(4);
-  EXPECT_FALSE(store.IsActive(4));
-  store.OnSettled(4);  // idempotent
-  EXPECT_EQ(store.open_count(), 9u);
-
-  store.OnSettled(7);  // settle without asking (forced label)
-  EXPECT_FALSE(store.IsOpen(7));
-  EXPECT_FALSE(store.IsActive(7));
-  EXPECT_EQ(store.open_count(), 8u);
-}
-
-TEST(CandidateStoreTest, CompactRemapsDenseAxisAndPlanes) {
-  const size_t kPlanes = 3, kN = 150;
-  RandomStore rs(kPlanes, kN, 19);
-  // Settle every third candidate.
-  for (size_t id = 0; id < kN; id += 3) rs.store.OnSettled(id);
-  const size_t open_before = rs.store.open_count();
-
-  rs.store.Compact();
-
-  EXPECT_EQ(rs.store.dense_size(), open_before);
-  EXPECT_EQ(rs.store.open_count(), open_before);
-  size_t prev_id = 0;
-  for (size_t d = 0; d < rs.store.dense_size(); ++d) {
-    const size_t id = rs.store.IdOf(d);
-    if (d > 0) {
-      EXPECT_GT(id, prev_id);  // ascending-id order preserved
-    }
-    prev_id = id;
-    EXPECT_NE(id % 3, 0u);
-    EXPECT_EQ(rs.store.DenseOf(id), d);
-    EXPECT_TRUE(rs.store.IsOpen(id));
-    for (size_t p = 0; p < kPlanes; ++p) {
-      EXPECT_EQ(rs.store.PlaneBitForTest(p, id), rs.bits[p][id] ? true : false)
-          << "plane " << p << " id " << id;
-    }
-  }
-  for (size_t id = 0; id < kN; id += 3) {
-    EXPECT_EQ(rs.store.DenseOf(id), CandidateStore::kNoDense);
-    EXPECT_FALSE(rs.store.IsOpen(id));
-    // Settling a compacted-away candidate stays a harmless no-op.
-    rs.store.OnSettled(id);
-  }
-}
-
-TEST(CandidateStoreTest, MaybeCompactPolicy) {
-  CandidateStore store;
-  store.Reset(1, 300);
-  // Below the half-settled threshold: no compaction.
-  for (size_t id = 0; id < 100; ++id) store.OnSettled(id);
-  EXPECT_FALSE(store.MaybeCompact());
-  EXPECT_EQ(store.dense_size(), 300u);
-  // Cross it.
-  for (size_t id = 100; id < 160; ++id) store.OnSettled(id);
-  EXPECT_TRUE(store.MaybeCompact());
-  EXPECT_EQ(store.dense_size(), 140u);
-
-  // A store with rows pins the dense axis and never compacts.
-  CandidateStore pinned;
-  pinned.Reset(4, 300);
-  pinned.ConfigureRows(4);
-  for (size_t id = 0; id < 299; ++id) pinned.OnSettled(id);
-  EXPECT_FALSE(pinned.MaybeCompact());
-  EXPECT_EQ(pinned.dense_size(), 300u);
-
-  // Tiny stores are not worth remapping.
-  CandidateStore tiny;
-  tiny.Reset(1, 20);
-  for (size_t id = 0; id < 19; ++id) tiny.OnSettled(id);
-  EXPECT_FALSE(tiny.MaybeCompact());
 }
 
 TEST(CandidateStoreTest, RowsLifecycleAndKernels) {
@@ -287,156 +205,19 @@ TEST(CandidateStoreTest, TransposeActiveRowsToPlanesMatchesRows) {
     }
   }
   // Deactivate a few candidates; their bits must not reach the planes.
-  store.OnSettled(10);
-  store.OnSettled(64);
+  std::vector<uint64_t> active = AllCandidates(kN);
+  for (const size_t id : {size_t{10}, size_t{64}}) {
+    active[id / 64] &= ~(1ULL << (id % 64));
+  }
 
-  store.TransposeActiveRowsToPlanes();
+  store.TransposeActiveRowsToPlanes(active.data());
 
   for (size_t u = 0; u < kNodes; ++u) {
     for (size_t id = 0; id < kN; ++id) {
-      const bool expect = store.IsActive(id) && selected[id][u];
+      const bool expect = id != 10 && id != 64 && selected[id][u];
       ASSERT_EQ(store.PlaneBitForTest(u, id), expect)
           << "plane " << u << " candidate " << id;
     }
-  }
-}
-
-TEST(CandidateStoreSnapshotTest, RoundTripPreservesState) {
-  const size_t kPlanes = 5, kN = 90;
-  RandomStore rs(kPlanes, kN, 29);
-  rs.store.OnAsked(1);
-  for (size_t id = 0; id < kN; id += 2) rs.store.OnSettled(id);
-  rs.store.MaybeCompact();
-
-  SnapshotWriter writer;
-  rs.store.SerializeSnapshot(&writer);
-  const std::string image = writer.bytes();
-
-  CandidateStore restored;
-  restored.Reset(kPlanes, kN);
-  SnapshotReader reader(image);
-  ASSERT_TRUE(restored.RestoreSnapshot(&reader).ok());
-  EXPECT_TRUE(reader.AtEnd());
-
-  EXPECT_EQ(restored.dense_size(), rs.store.dense_size());
-  EXPECT_EQ(restored.open_count(), rs.store.open_count());
-  for (size_t id = 0; id < kN; ++id) {
-    EXPECT_EQ(restored.DenseOf(id), rs.store.DenseOf(id));
-    EXPECT_EQ(restored.IsOpen(id), rs.store.IsOpen(id));
-    EXPECT_EQ(restored.IsActive(id), rs.store.IsActive(id));
-    if (rs.store.DenseOf(id) == CandidateStore::kNoDense) continue;
-    for (size_t p = 0; p < kPlanes; ++p) {
-      EXPECT_EQ(restored.PlaneBitForTest(p, id),
-                rs.store.PlaneBitForTest(p, id));
-    }
-  }
-  for (size_t d = 0; d < restored.dense_size(); ++d) {
-    EXPECT_EQ(restored.IdOf(d), rs.store.IdOf(d));
-  }
-}
-
-TEST(CandidateStoreSnapshotTest, RoundTripFreshAndConvergedStores) {
-  // Fresh store: nothing settled yet.
-  {
-    CandidateStore store;
-    store.Reset(3, 40);
-    SnapshotWriter writer;
-    store.SerializeSnapshot(&writer);
-    CandidateStore restored;
-    restored.Reset(3, 40);
-    SnapshotReader reader(writer.bytes());
-    ASSERT_TRUE(restored.RestoreSnapshot(&reader).ok());
-    EXPECT_EQ(restored.open_count(), 40u);
-  }
-  // Converged store: everything settled and compacted to nothing.
-  {
-    CandidateStore store;
-    store.Reset(3, 200);
-    for (size_t id = 0; id < 200; ++id) store.OnSettled(id);
-    store.Compact();
-    EXPECT_EQ(store.dense_size(), 0u);
-    SnapshotWriter writer;
-    store.SerializeSnapshot(&writer);
-    CandidateStore restored;
-    restored.Reset(3, 200);
-    SnapshotReader reader(writer.bytes());
-    ASSERT_TRUE(restored.RestoreSnapshot(&reader).ok());
-    EXPECT_EQ(restored.dense_size(), 0u);
-    EXPECT_EQ(restored.open_count(), 0u);
-    EXPECT_EQ(restored.DenseOf(123), CandidateStore::kNoDense);
-  }
-}
-
-TEST(CandidateStoreSnapshotTest, RejectsMismatchedGeometry) {
-  CandidateStore store;
-  store.Reset(4, 50);
-  SnapshotWriter writer;
-  store.SerializeSnapshot(&writer);
-  const std::string image = writer.bytes();
-
-  {
-    // Wrong plane count.
-    CandidateStore other;
-    other.Reset(5, 50);
-    SnapshotReader reader(image);
-    const common::Status s = other.RestoreSnapshot(&reader);
-    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument);
-  }
-  {
-    // Wrong capacity.
-    CandidateStore other;
-    other.Reset(4, 51);
-    SnapshotReader reader(image);
-    const common::Status s = other.RestoreSnapshot(&reader);
-    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument);
-  }
-  {
-    // Wrong row geometry.
-    CandidateStore other;
-    other.Reset(4, 50);
-    other.ConfigureRows(4);
-    SnapshotReader reader(image);
-    const common::Status s = other.RestoreSnapshot(&reader);
-    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument);
-  }
-  {
-    // Foreign magic.
-    std::string bad = image;
-    bad[0] = 'X';
-    CandidateStore other;
-    other.Reset(4, 50);
-    SnapshotReader reader(bad);
-    const common::Status s = other.RestoreSnapshot(&reader);
-    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument);
-  }
-  {
-    // Unsupported version.
-    std::string bad = image;
-    bad[4] = static_cast<char>(0x7f);
-    CandidateStore other;
-    other.Reset(4, 50);
-    SnapshotReader reader(bad);
-    const common::Status s = other.RestoreSnapshot(&reader);
-    EXPECT_EQ(s.code(), common::StatusCode::kInvalidArgument);
-  }
-}
-
-TEST(CandidateStoreSnapshotTest, RejectsTruncationAtEveryPrefix) {
-  CandidateStore store;
-  store.Reset(2, 70);
-  store.SetPlaneBit(0, 3);
-  store.OnSettled(5);
-  SnapshotWriter writer;
-  store.SerializeSnapshot(&writer);
-  const std::string image = writer.bytes();
-
-  for (size_t len = 0; len < image.size(); ++len) {
-    CandidateStore restored;
-    restored.Reset(2, 70);
-    SnapshotReader reader(std::string_view(image.data(), len));
-    const common::Status s = restored.RestoreSnapshot(&reader);
-    ASSERT_FALSE(s.ok()) << "prefix length " << len;
-    ASSERT_EQ(s.code(), common::StatusCode::kInvalidArgument);
   }
 }
 

@@ -2,7 +2,8 @@
 // the state machine, score memoization with epoch/dirty invalidation, the
 // lazy-heap greedy selection's bit-compatibility with the historical
 // first-wins linear scan (tie-breaks, sentinel fallback, score decay), and
-// the class-keyed frontier (per-class memos, heap entries and forcing).
+// the class-keyed frontier (per-class memos, heap entries and forcing), and
+// the open/active class words under every transition.
 #include "session/frontier.h"
 
 #include <gtest/gtest.h>
@@ -403,6 +404,73 @@ TEST(FrontierClassTest, RestoreRebuildsClassOpenCounts) {
   EXPECT_EQ(restored.SelectBest(-1L, score), std::optional<size_t>(3));
   EXPECT_EQ(restored.MarkForcedClass(0, true), 2u);
   EXPECT_EQ(restored.open_count(), 1u);
+}
+
+/// Recounts every class's open (kUnknown member) and active (kUnknown or
+/// kAsked member) bit from state() and compares with the frontier's words.
+void ExpectWordsMatchStates(const IntFrontier& f) {
+  const size_t words = (f.num_classes() + 63) / 64;
+  std::vector<uint64_t> open(words, 0), active(words, 0);
+  for (size_t k = 0; k < f.size(); ++k) {
+    const size_t c = f.ClassOf(k);
+    const uint64_t bit = 1ULL << (c % 64);
+    if (f.state(k) == CandidateState::kUnknown) open[c / 64] |= bit;
+    if (f.state(k) == CandidateState::kUnknown ||
+        f.state(k) == CandidateState::kAsked) {
+      active[c / 64] |= bit;
+    }
+  }
+  EXPECT_EQ(f.open_words(), open);
+  EXPECT_EQ(f.active_words(), active);
+}
+
+/// Drives `f` through every transition, checking the words after each,
+/// then restores its state into `fresh` (built like `f`).
+void CheckWordsFollowTransitions(IntFrontier f, IntFrontier fresh) {
+  ExpectWordsMatchStates(f);
+  f.MarkAsked(0);
+  ExpectWordsMatchStates(f);
+  f.MarkLabeled(0, true);  // from asked
+  ExpectWordsMatchStates(f);
+  f.MarkLabeled(1, false);  // from unknown (pre-seeded)
+  ExpectWordsMatchStates(f);
+  f.MarkAsked(2);
+  f.MarkForced(2, false);  // asked -> forced
+  ExpectWordsMatchStates(f);
+  f.MarkForced(3, false);  // unknown -> forced
+  ExpectWordsMatchStates(f);
+  EXPECT_TRUE(f.MarkForced(3, true));  // forced-negative -> forced-positive
+  ExpectWordsMatchStates(f);
+  f.MarkAsked(66);
+  ExpectWordsMatchStates(f);
+  f.MarkForcedClass(f.ClassOf(66), true);  // the asked member stays active
+  ExpectWordsMatchStates(f);
+  f.MarkLabeled(66, false);  // ...until its answer settles the class
+  ExpectWordsMatchStates(f);
+  f.MarkForcedClass(f.ClassOf(5), false);
+  ExpectWordsMatchStates(f);
+
+  SnapshotWriter writer;
+  f.SerializeState(&writer);
+  SnapshotReader reader(writer.bytes());
+  ASSERT_TRUE(fresh.RestoreState(&reader).ok());
+  ExpectWordsMatchStates(fresh);
+  EXPECT_EQ(fresh.open_words(), f.open_words());
+  EXPECT_EQ(fresh.active_words(), f.active_words());
+}
+
+TEST(FrontierWordsTest, FollowEveryTransitionUnderIdentityMapping) {
+  // 70 candidates: the words span two uint64_t.
+  CheckWordsFollowTransitions(MakeFrontier(70), MakeFrontier(70));
+}
+
+TEST(FrontierWordsTest, FollowEveryTransitionUnderClassMapping) {
+  // 134 candidates in 67 classes, k and k + 67 sharing class k % 67: a
+  // class bit stays set until its last member leaves the set.
+  std::vector<size_t> classes(134);
+  for (size_t k = 0; k < classes.size(); ++k) classes[k] = k % 67;
+  CheckWordsFollowTransitions(MakeClassFrontier(classes),
+                              MakeClassFrontier(classes));
 }
 
 }  // namespace

@@ -369,28 +369,63 @@ TEST(HibernationFaults, WrongVersionIsInvalidArgumentAtByteFour) {
   EXPECT_NE(refused.status().message().find("at byte 4"), std::string::npos);
 }
 
-TEST(HibernationFaults, OldRelationalEngineVersionIsInvalidArgument) {
-  // A version-2 relational engine image ("QLCE", per-candidate store
-  // planes) cannot be read into the mask-class store: rehydrate refuses it
-  // with a structured status instead of misreading the planes.
-  FaultFixture f;
-  std::string body = f.image.substr(0, f.image.size() - 8);
-  const size_t magic = body.find("QLCE");
-  ASSERT_NE(magic, std::string::npos);
-  ASSERT_EQ(body[magic + 4], 3);  // the current version, little-endian
-  body[magic + 4] = 2;
-  ASSERT_TRUE(f.store->Put(f.id, WithFixedChecksum(body)).ok());
+/// Stores `body` (checksum fixed up) as the fixture's image and expects
+/// rehydrate to refuse it with InvalidArgument naming `message`, leaving
+/// the session parked; then closes it.
+void ExpectRefusedAndStillParked(FaultFixture& f, std::string body,
+                                 const std::string& message) {
+  ASSERT_TRUE(f.store->Put(f.id, WithFixedChecksum(std::move(body))).ok());
   auto refused = f.service->Ask(f.id, 1);
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
       << refused.status().ToString();
-  EXPECT_NE(refused.status().message().find(
-                "unsupported chain-engine snapshot version 2"),
-            std::string::npos)
+  EXPECT_NE(refused.status().message().find(message), std::string::npos)
       << refused.status().message();
   EXPECT_EQ(f.service->Counters().hibernate_errors, 1u);
   EXPECT_EQ(f.service->ParkedCount(), 1u);  // still parked, not dropped
   (void)f.service->Close(f.id);
   EXPECT_EQ(f.service->OpenCount(), 0u);
+}
+
+TEST(HibernationFaults, OldRelationalEngineVersionIsInvalidArgument) {
+  // A version-3 relational engine image ("QLCE", the last version ending
+  // in a candidate-store segment) cannot be read by the current codec:
+  // rehydrate refuses it with a structured status instead of misreading
+  // the tail.
+  FaultFixture f;
+  std::string body = f.image.substr(0, f.image.size() - 8);
+  const size_t magic = body.find("QLCE");
+  ASSERT_NE(magic, std::string::npos);
+  ASSERT_EQ(body[magic + 4], 4);  // the current version, little-endian
+  body[magic + 4] = 3;
+  ExpectRefusedAndStillParked(f, std::move(body),
+                              "unsupported chain-engine snapshot version 3");
+}
+
+TEST(HibernationFaults, RelationalClassCountMismatchIsInvalidArgument) {
+  // The QLCE header records the engine's mask-class count; an image whose
+  // count differs from the rebuilt engine's is refused.
+  FaultFixture f;
+  std::string body = f.image.substr(0, f.image.size() - 8);
+  const size_t magic = body.find("QLCE");
+  ASSERT_NE(magic, std::string::npos);
+  // magic, version, strategy and aborted bytes, edge count, class count.
+  const size_t classes = magic + 4 + 4 + 1 + 1 + 8;
+  ASSERT_LT(classes + 8, body.size());
+  body[classes] = static_cast<char>(body[classes] + 1);
+  ExpectRefusedAndStillParked(f, std::move(body), "mask classes");
+}
+
+TEST(HibernationFaults, OldTwigEngineVersionIsInvalidArgument) {
+  // A version-1 twig engine image ("QLTE", ending in a candidate-store
+  // segment) is refused rather than misread.
+  FaultFixture f("twig", 1);
+  std::string body = f.image.substr(0, f.image.size() - 8);
+  const size_t magic = body.find("QLTE");
+  ASSERT_NE(magic, std::string::npos);
+  ASSERT_EQ(body[magic + 4], 2);  // the current version, little-endian
+  body[magic + 4] = 1;
+  ExpectRefusedAndStillParked(f, std::move(body),
+                              "unsupported twig-engine snapshot version 1");
 }
 
 TEST(HibernationFaults, TwigHypothesisSelectingNoDocumentNodeIsInvalidArgument) {

@@ -12,6 +12,7 @@
 //     produces identical question sequences, frontier states, stats, and
 //     hypotheses to the reference full-rescan implementation, across all
 //     four engines and both single-question and batched flows.
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -206,7 +207,10 @@ TEST(WitnessIndexLifecycleTest, JoinBucketsEagerlyOnBaseline) {
   EXPECT_LT(store.capacity(), engine.candidate_pairs());
 
   // Nothing was asked yet, so a pair is open iff it has no forced label.
-  // A class is open in the store iff it has an open member.
+  // A class's bit in the frontier's open words is set iff it has an open
+  // member, and the words span the store's slot axis.
+  const std::vector<uint64_t>& open_words = engine.OpenClassWordsForTest();
+  EXPECT_EQ(open_words.size(), store.words());
   std::vector<size_t> open_members(store.capacity(), 0);
   size_t open = 0;
   for (size_t k = 0; k < engine.candidate_pairs(); ++k) {
@@ -218,10 +222,13 @@ TEST(WitnessIndexLifecycleTest, JoinBucketsEagerlyOnBaseline) {
   EXPECT_GT(open, 0u);
   size_t open_classes = 0;
   for (size_t c = 0; c < store.capacity(); ++c) {
-    EXPECT_EQ(store.IsOpen(c), open_members[c] > 0) << "class " << c;
+    const bool open_bit = ((open_words[c / 64] >> (c % 64)) & 1) != 0;
+    EXPECT_EQ(open_bit, open_members[c] > 0) << "class " << c;
     if (open_members[c] > 0) ++open_classes;
   }
-  EXPECT_EQ(open_classes, store.open_count());
+  size_t open_bits = 0;
+  for (const uint64_t w : open_words) open_bits += static_cast<size_t>(std::popcount(w));
+  EXPECT_EQ(open_classes, open_bits);  // no bit beyond the last class
   // The baseline pass settles the uninformative pairs (forced either way):
   // open members plus forced labels cover every pair.
   EXPECT_LT(open, engine.candidate_pairs());

@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "relational/generator.h"
 #include "rlearn/chain_learner.h"
-#include "rlearn/equijoin_learner.h"
 #include "rlearn/interactive_chain.h"
 #include "rlearn/interactive_join.h"
 #include "rlearn/join_hypothesis.h"
@@ -118,17 +117,20 @@ TEST_F(RlearnFixture, VersionSpaceClassification) {
   right_.InsertUnchecked({I(1), I(5)});  // s1
   right_.InsertUnchecked({I(7), I(7)});  // s2
   const PairUniverse u = Universe();
-  EquiJoinVersionSpace vs(&u, &left_, &right_);
-  vs.AddPositive(PairExample{0, 0});  // agrees on a0=b0, a1=b1
+  // A join's version space is the one-edge chain's; a pair is the path
+  // {left row, right row}.
+  const JoinChain chain = JoinChain::ForJoin(u, &left_, &right_);
+  ChainVersionSpace vs(&chain);
+  vs.AddPositive(ChainExample{{0, 0}});  // agrees on a0=b0, a1=b1
   // (r1, s1) also agrees on both: forced positive.
-  EXPECT_EQ(vs.Classify(PairExample{1, 1}),
-            EquiJoinVersionSpace::PairStatus::kForcedPositive);
+  EXPECT_EQ(vs.Classify(ChainExample{{1, 1}}),
+            ChainVersionSpace::PathStatus::kForcedPositive);
   // (r0, s2) agrees on nothing: forced negative.
-  EXPECT_EQ(vs.Classify(PairExample{0, 2}),
-            EquiJoinVersionSpace::PairStatus::kForcedNegative);
+  EXPECT_EQ(vs.Classify(ChainExample{{0, 2}}),
+            ChainVersionSpace::PathStatus::kForcedNegative);
   // (r0, s1) agrees on a0=b0 only: informative (θ could be {a0=b0} or both).
-  EXPECT_EQ(vs.Classify(PairExample{0, 1}),
-            EquiJoinVersionSpace::PairStatus::kInformative);
+  EXPECT_EQ(vs.Classify(ChainExample{{0, 1}}),
+            ChainVersionSpace::PathStatus::kInformative);
 }
 
 TEST_F(RlearnFixture, SemijoinConsistentSimple) {
