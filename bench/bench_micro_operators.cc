@@ -26,6 +26,7 @@
 #include "schema/dms.h"
 #include "service/session_service.h"
 #include "service/wire.h"
+#include "session/registry.h"
 #include "session/session.h"
 #include "twig/twig_eval.h"
 #include "twig/twig_parser.h"
@@ -738,6 +739,41 @@ BENCHMARK(BM_TwigFirstQuestion_XMark)
     ->Arg(40)
     ->Arg(80)
     ->Unit(benchmark::kMillisecond);
+
+// Opening a built-in scenario session: ScenarioRegistry::Create plus the
+// first NextQuestion — what `open` and the first `ask` cost a served
+// session. The registry builds each scenario's prototype on its first
+// Create, outside the timed loop; each iteration clones it.
+// `allocs_per_call` counts global operator-new calls per open.
+void BM_ScenarioCreate(benchmark::State& state, const char* scenario) {
+  session::RegisterBuiltinScenarios();
+  const session::ScenarioRegistry* registry =
+      session::ScenarioRegistry::Global();
+  if (!registry->Create(scenario).ok()) {
+    state.SkipWithError("unknown scenario");
+    return;
+  }
+  const uint64_t allocs_before = common::AllocProbeNewCount();
+  for (auto _ : state) {
+    auto created = registry->Create(scenario);
+    benchmark::DoNotOptimize(created.value()->NextQuestion());
+  }
+  const uint64_t calls = static_cast<uint64_t>(state.iterations());
+  state.counters["allocs_per_call"] =
+      static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
+      static_cast<double>(calls == 0 ? 1 : calls);
+}
+BENCHMARK_CAPTURE(BM_ScenarioCreate, twig, "twig");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, twig-ambiguity, "twig-ambiguity");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, twig-random, "twig-random");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, join, "join");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, join-random, "join-random");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, join-lattice, "join-lattice");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, chain, "chain");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, chain-random, "chain-random");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, path, "path");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, path-random, "path-random");
+BENCHMARK_CAPTURE(BM_ScenarioCreate, path-workload, "path-workload");
 
 // Service-surface overhead: one full built-in scenario session per
 // iteration driven through SessionService (string handles, budget checks,

@@ -78,15 +78,18 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
       strategy_(options.strategy),
       hypothesis_(ConcatPattern::FromWord(graph::PathWord(*g, seed))),
       max_positive_weight_(graph::PathWeight(*g, seed)) {
+  auto pool = std::make_shared<Pool>();
+  std::vector<Candidate>& candidates = pool->candidates;
+  std::vector<WordClass>& word_classes = pool->word_classes;
   // Intern each label word once; class ids follow first appearance.
   std::map<std::vector<SymbolId>, uint32_t> class_of_word;
   for (Path& p : graph::EnumeratePaths(*g, options.max_path_edges,
                                        options.max_candidates)) {
     std::vector<SymbolId> word = graph::PathWord(*g, p);
     const auto [it, inserted] = class_of_word.try_emplace(
-        word, static_cast<uint32_t>(word_classes_.size()));
-    if (inserted) word_classes_.push_back(WordClass{std::move(word)});
-    candidates_.push_back(Candidate{std::move(p), it->second});
+        word, static_cast<uint32_t>(word_classes.size()));
+    if (inserted) word_classes.push_back(WordClass{std::move(word)});
+    candidates.push_back(Candidate{std::move(p), it->second});
   }
 
   // Pre-mark workload matches.
@@ -96,7 +99,7 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
     for (const auto& regex : options.workload) {
       nfas.push_back(automata::Nfa::FromRegex(*regex));
     }
-    for (WordClass& word_class : word_classes_) {
+    for (WordClass& word_class : word_classes) {
       for (const automata::Nfa& nfa : nfas) {
         if (nfa.Accepts(word_class.word)) {
           word_class.workload_hit = true;
@@ -106,21 +109,21 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
     }
   }
 
-  // Questions point into candidates_ and word_classes_; element pointers
-  // stay valid for the engine's lifetime, including after it is moved into
-  // a LearningSession (vector moves keep the heap buffer).
+  // Questions point into the pool, which no copy or move of the engine
+  // relocates.
   std::vector<Question> questions;
   std::vector<uint32_t> class_of;
-  questions.reserve(candidates_.size());
-  class_of.reserve(candidates_.size());
-  for (size_t k = 0; k < candidates_.size(); ++k) {
-    const uint32_t c = candidates_[k].word_class;
+  questions.reserve(candidates.size());
+  class_of.reserve(candidates.size());
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    const uint32_t c = candidates[k].word_class;
     questions.push_back(
-        Question{k, &candidates_[k].path, &word_classes_[c].word});
+        Question{k, &candidates[k].path, &word_classes[c].word});
     class_of.push_back(c);
   }
   frontier_.AddClassed(std::move(questions), std::move(class_of),
-                       word_classes_.size());
+                       word_classes.size());
+  pool_ = std::move(pool);
 }
 
 std::optional<PathEngine::Question> PathEngine::SelectQuestion(
@@ -147,7 +150,7 @@ std::optional<PathEngine::Question> PathEngine::SelectQuestion(
           session::Greedy<PathScore>(
               PathScore{0, kCostSentinel},
               [this](size_t c) -> std::optional<PathScore> {
-                return PathScore{word_classes_[c].workload_hit ? 1 : 0,
+                return PathScore{pool_->word_classes[c].workload_hit ? 1 : 0,
                                  -CostOf(c)};
               }),
           rng);
@@ -160,7 +163,8 @@ std::optional<PathEngine::Question> PathEngine::SelectQuestion(
 const std::optional<PathEngine::GenMemo>& PathEngine::GenMemoOf(size_t c) {
   return frontier_.MemoOf(c, [this](size_t j) -> GenMemo {
     GenMemo memo;
-    memo.extended = hypothesis_.Generalize(word_classes_[j].word, &memo.cost);
+    memo.extended =
+        hypothesis_.Generalize(pool_->word_classes[j].word, &memo.cost);
     return memo;
   });
 }
@@ -184,7 +188,7 @@ void PathEngine::Observe(const Question& item, bool positive,
     hypothesis_ = std::move(grown);
     max_positive_weight_ = std::max(
         max_positive_weight_,
-        graph::PathWeight(*g_, candidates_[item.index].path));
+        graph::PathWeight(*g_, pool_->candidates[item.index].path));
     // Every memoized generalization was computed against the old
     // hypothesis — but an identity generalization (mid-batch word already
     // covered) leaves the memos exact, so only a real change invalidates.
@@ -221,7 +225,7 @@ void PathEngine::OnPositive(const Question& /*item*/) {
 }
 
 void PathEngine::OnNegative(const Question& item) {
-  prop_.RecordNegative(candidates_[item.index].word_class);
+  prop_.RecordNegative(pool_->candidates[item.index].word_class);
 }
 
 void PathEngine::Propagate(session::SessionStats* stats) {
@@ -267,9 +271,10 @@ void PathEngine::FullPropagate(session::SessionStats* stats) {
   // generalized pattern of each survivor is memoized — the same slot
   // scoring reads — so negative-answer deltas and greedy selection never
   // re-run Generalize until the next change.
-  for (size_t c = 0; c < word_classes_.size(); ++c) {
+  const std::vector<WordClass>& word_classes = pool_->word_classes;
+  for (size_t c = 0; c < word_classes.size(); ++c) {
     if (frontier_.ClassOpenCount(c) == 0) continue;
-    if (hypothesis_.Accepts(word_classes_[c].word)) {
+    if (hypothesis_.Accepts(word_classes[c].word)) {
       stats->forced_positive += frontier_.MarkForcedClass(c, true);
       continue;
     }
@@ -289,11 +294,12 @@ void PathEngine::ApplyNegativeDeltas(session::SessionStats* stats) {
   // The hypothesis is unchanged: no new forced positives, and each open
   // class's memoized generalization is still valid — only the new
   // negative words need accept tests against it.
-  for (size_t c = 0; c < word_classes_.size(); ++c) {
+  const std::vector<WordClass>& word_classes = pool_->word_classes;
+  for (size_t c = 0; c < word_classes.size(); ++c) {
     if (frontier_.ClassOpenCount(c) == 0) continue;
     const std::optional<GenMemo>& memo = GenMemoOf(c);
     for (size_t neg : deltas) {
-      if (memo->extended.Accepts(word_classes_[neg].word)) {
+      if (memo->extended.Accepts(word_classes[neg].word)) {
         stats->forced_negative += frontier_.MarkForcedClass(c, false);
         break;  // memo slot was just released by MarkForcedClass
       }
@@ -360,7 +366,7 @@ common::Status PathEngine::RestoreSnapshot(session::SnapshotReader* reader) {
   if (!s.ok()) return s;
   std::vector<std::vector<common::SymbolId>> negatives;
   negatives.reserve(static_cast<size_t>(
-      std::min<uint64_t>(num_negatives, candidates_.size())));
+      std::min<uint64_t>(num_negatives, pool_->candidates.size())));
   for (uint64_t i = 0; i < num_negatives; ++i) {
     uint64_t length = 0;
     s = reader->ReadU64(&length);

@@ -10,6 +10,7 @@
 #define QLEARN_GLEARN_INTERACTIVE_PATH_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -86,9 +87,10 @@ struct InteractivePathResult {
 };
 
 /// Session engine for path-query learning. Questions reference candidate
-/// paths owned by the engine (the pointers stay valid for the engine's
-/// lifetime, including after it is moved into a LearningSession). The
-/// caller must seed the engine with one known-positive path.
+/// paths in the engine's candidate pool, which is immutable once built and
+/// shared by every copy of the engine (the pointers stay valid for as long
+/// as any copy lives). The caller must seed the engine with one
+/// known-positive path.
 ///
 /// Every decision the engine makes about a candidate — generalization,
 /// cost, workload match, forced labels — depends only on its label word,
@@ -118,14 +120,6 @@ class PathEngine {
   /// positive (the engine does not re-ask it).
   PathEngine(const graph::Graph* g, const graph::Path& seed,
              const InteractivePathOptions& options = {});
-
-  /// Movable but not copyable: frontier Questions point into the engine's
-  /// own candidate storage (moves transfer the buffer, copies would alias
-  /// the source's and dangle once it dies).
-  PathEngine(const PathEngine&) = delete;
-  PathEngine& operator=(const PathEngine&) = delete;
-  PathEngine(PathEngine&&) = default;
-  PathEngine& operator=(PathEngine&&) = default;
 
   std::optional<Item> SelectQuestion(common::Rng* rng);
   void MarkAsked(const Item& item);
@@ -169,7 +163,7 @@ class PathEngine {
   /// pattern, weight bound, accumulated negative words, frontier states) to
   /// `writer`. Call only between answered turns (queued deltas flushed).
   /// Follows the chain engine's "QLCE" pattern; the candidate pool and its
-  /// word classes are rebuilt deterministically by the constructor, not
+  /// word classes are built deterministically by the constructor, not
   /// serialized.
   void SerializeSnapshot(session::SnapshotWriter* writer) const;
   /// Restores an image produced by SerializeSnapshot into an engine built
@@ -180,13 +174,19 @@ class PathEngine {
  private:
   struct Candidate {
     graph::Path path;
-    uint32_t word_class = 0;  ///< index into word_classes_
+    uint32_t word_class = 0;  ///< index into Pool::word_classes
   };
   /// One distinct label word: the frontier class of every candidate that
   /// spells it.
   struct WordClass {
     std::vector<common::SymbolId> word;
     bool workload_hit = false;
+  };
+  /// The candidate pool: fixed by the constructor, shared by every copy of
+  /// the engine. Questions point into it.
+  struct Pool {
+    std::vector<Candidate> candidates;  // states live in frontier_
+    std::vector<WordClass> word_classes;  // class id == frontier class id
   };
 
   /// Greedy scores are (workload-hit, -generalization-cost) pairs compared
@@ -207,7 +207,7 @@ class PathEngine {
   using PropagationT = session::PropagationIndex<size_t>;
 
   const std::vector<common::SymbolId>& WordOf(size_t k) const {
-    return word_classes_[candidates_[k].word_class].word;
+    return pool_->word_classes[pool_->candidates[k].word_class].word;
   }
   /// Memoized generalization of class `c`'s word into the current
   /// hypothesis (recomputed only after a hypothesis change).
@@ -230,8 +230,7 @@ class PathEngine {
 
   const graph::Graph* g_;
   PathStrategy strategy_;
-  std::vector<Candidate> candidates_;  // model data; states live in frontier_
-  std::vector<WordClass> word_classes_;  // class id == frontier class id
+  std::shared_ptr<const Pool> pool_;
   FrontierT frontier_;
   ConcatPattern hypothesis_;
   double max_positive_weight_ = 0;

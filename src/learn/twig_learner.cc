@@ -586,14 +586,27 @@ struct DocumentGeneralizer::Memo {
 
 DocumentGeneralizer::DocumentGeneralizer(const xml::XmlTree& doc,
                                          const TwigLearnerOptions& options)
-    : document_(DocumentQuery(doc, &query_node_)), options_(options) {}
+    : options_(options) {
+  auto document = std::make_shared<DocumentTwig>();
+  document->query = DocumentQuery(doc, &document->query_node);
+  document_ = std::move(document);
+}
 
 DocumentGeneralizer::~DocumentGeneralizer() = default;
 
+DocumentGeneralizer::DocumentGeneralizer(const DocumentGeneralizer& other)
+    : document_(other.document_), options_(other.options_) {}
+
+DocumentGeneralizer& DocumentGeneralizer::operator=(
+    const DocumentGeneralizer& other) {
+  Release();
+  document_ = other.document_;
+  options_ = other.options_;
+  return *this;
+}
+
 DocumentGeneralizer::DocumentGeneralizer(DocumentGeneralizer&& other) noexcept
-    : query_node_(std::move(other.query_node_)),
-      document_(std::move(other.document_)),
-      options_(other.options_) {
+    : document_(std::move(other.document_)), options_(other.options_) {
   other.Release();
 }
 
@@ -602,14 +615,13 @@ DocumentGeneralizer& DocumentGeneralizer::operator=(
   Release();
   other.Release();
   document_ = std::move(other.document_);
-  query_node_ = std::move(other.query_node_);
   options_ = other.options_;
   return *this;
 }
 
 void DocumentGeneralizer::Reset(const TwigQuery& hypothesis) {
   memo_.reset();  // free the old table before allocating the new one
-  memo_ = std::make_unique<Memo>(hypothesis, document_, options_);
+  memo_ = std::make_unique<Memo>(hypothesis, document_->query, options_);
 }
 
 void DocumentGeneralizer::Release() { memo_.reset(); }
@@ -619,7 +631,7 @@ Result<TwigQuery> DocumentGeneralizer::Generalize(xml::NodeId node) {
   if (memo_->filters.q1().selection() == twig::kInvalidQNode) {
     return Status::InvalidArgument("GeneralizePair needs selection nodes");
   }
-  PathTo(document_, query_node_[node], &memo_->node_path);
+  PathTo(document_->query, document_->query_node[node], &memo_->node_path);
   return GeneralizePaths(&memo_->filters, memo_->hypothesis_path,
                          memo_->node_path, options_);
 }

@@ -95,13 +95,17 @@ common::Result<twig::TwigQuery> GeneralizePair(
 /// Lifetime: the memo's slot table is |hypothesis| x |document| entries,
 /// so a caller that idles between bursts of calls should Release it.
 /// Reset binds `hypothesis` by reference until the next Reset or Release;
-/// the hypothesis must not change in between. Moving a generalizer drops
-/// its memo.
+/// the hypothesis must not change in between. The document twig never
+/// changes after construction, so copies share it. Copying or moving a
+/// generalizer drops its memo (the memo is bound to a hypothesis the copy
+/// does not own).
 class DocumentGeneralizer {
  public:
   DocumentGeneralizer(const xml::XmlTree& doc,
                       const TwigLearnerOptions& options);
   ~DocumentGeneralizer();
+  DocumentGeneralizer(const DocumentGeneralizer& other);
+  DocumentGeneralizer& operator=(const DocumentGeneralizer& other);
   DocumentGeneralizer(DocumentGeneralizer&& other) noexcept;
   DocumentGeneralizer& operator=(DocumentGeneralizer&& other) noexcept;
 
@@ -115,9 +119,14 @@ class DocumentGeneralizer {
 
  private:
   struct Memo;
+  /// ExampleToQuery's tree with the selection unset, and where each
+  /// document node landed in it.
+  struct DocumentTwig {
+    std::vector<twig::QNodeId> query_node;  // document node -> query node
+    twig::TwigQuery query;
+  };
 
-  std::vector<twig::QNodeId> query_node_;  // document node -> query node
-  twig::TwigQuery document_;  // ExampleToQuery's tree, selection unset
+  std::shared_ptr<const DocumentTwig> document_;
   TwigLearnerOptions options_;
   std::unique_ptr<Memo> memo_;
 };

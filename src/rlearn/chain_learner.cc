@@ -301,17 +301,40 @@ EquiJoinConsistency CheckEquiJoinConsistency(
     const relational::Relation& right,
     const std::vector<PairExample>& positives,
     const std::vector<PairExample>& negatives) {
-  const JoinChain chain = JoinChain::ForJoin(universe, &left, &right);
-  auto paths = [](const std::vector<PairExample>& pairs) {
+  // The one-edge chain over only the rows the examples name: interning
+  // both whole relations would cost far more than the examples themselves.
+  // Each named row is copied once into a sub-relation, in order of first
+  // mention, and the examples are renumbered onto the copies.
+  constexpr size_t kUnnamed = static_cast<size_t>(-1);
+  relational::Relation named_left(left.schema());
+  relational::Relation named_right(right.schema());
+  std::vector<size_t> left_slot(left.size(), kUnnamed);
+  std::vector<size_t> right_slot(right.size(), kUnnamed);
+  auto slot_of = [](const relational::Relation& from, size_t row,
+                    std::vector<size_t>* slots, relational::Relation* to) {
+    size_t& slot = (*slots)[row];
+    if (slot == kUnnamed) {
+      slot = to->size();
+      to->InsertUnchecked(from.row(row));
+    }
+    return slot;
+  };
+  auto paths = [&](const std::vector<PairExample>& pairs) {
     std::vector<ChainExample> out;
     out.reserve(pairs.size());
     for (const PairExample& p : pairs) {
-      out.push_back(ChainExample{{p.left_row, p.right_row}});
+      out.push_back(ChainExample{
+          {slot_of(left, p.left_row, &left_slot, &named_left),
+           slot_of(right, p.right_row, &right_slot, &named_right)}});
     }
     return out;
   };
+  const std::vector<ChainExample> positive_paths = paths(positives);
+  const std::vector<ChainExample> negative_paths = paths(negatives);
+  const JoinChain chain =
+      JoinChain::ForJoin(universe, &named_left, &named_right);
   const ChainConsistency chained =
-      CheckChainConsistency(chain, paths(positives), paths(negatives));
+      CheckChainConsistency(chain, positive_paths, negative_paths);
   EquiJoinConsistency out;
   out.consistent = chained.consistent;
   if (out.consistent) out.most_specific = chained.most_specific.front();

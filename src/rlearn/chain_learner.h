@@ -208,7 +208,8 @@ struct EquiJoinConsistency {
 /// One-shot consistency check for a labeled sample of tuple pairs: the
 /// paper's Section-3 tractability claim. With θ* = ⋂_{positives} Eq(r,s),
 /// a consistent hypothesis exists iff θ* is non-empty and no negative
-/// satisfies θ* — CheckChainConsistency over the one-edge chain.
+/// satisfies θ* — CheckChainConsistency over the one-edge chain of just
+/// the rows the examples name.
 EquiJoinConsistency CheckEquiJoinConsistency(
     const PairUniverse& universe, const relational::Relation& left,
     const relational::Relation& right, const std::vector<PairExample>& positives,

@@ -10,7 +10,7 @@ JoinEngine::JoinEngine(const PairUniverse* universe,
                        const relational::Relation* left,
                        const relational::Relation* right,
                        const InteractiveJoinOptions& options)
-    : chain_(std::make_unique<JoinChain>(
+    : chain_(std::make_shared<const JoinChain>(
           JoinChain::ForJoin(*universe, left, right))),
       // Every pair is a candidate: the cap is the whole grid.
       engine_(chain_.get(),

@@ -180,8 +180,9 @@ class JoinEngine {
     return path_;
   }
 
-  /// Heap-held so the engine's pointer to it survives moves of JoinEngine.
-  std::unique_ptr<JoinChain> chain_;
+  /// Immutable once built and shared by every copy of the engine, so the
+  /// chain engine's pointer to it survives moves and copies of JoinEngine.
+  std::shared_ptr<const JoinChain> chain_;
   ChainEngine engine_;
   ChainExample path_;
 };

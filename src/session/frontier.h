@@ -19,6 +19,9 @@
 //                         are then decided once per class
 //                         (MarkForcedClass). The member lists are one CSR
 //                         array, built by a count pass and a fill pass.
+//                         The class index never changes after it is
+//                         built, so copies of a frontier share it (a
+//                         cloned session reads its prototype's).
 //                         Add(item) is the identity mapping: each
 //                         candidate is its own class, with no per-class
 //                         tables at all;
@@ -67,6 +70,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -165,7 +169,7 @@ class Frontier {
   /// Appends a candidate (state kUnknown) as its own class and returns its
   /// index.
   size_t Add(Item item) {
-    assert(class_of_.empty() && "identity Add on a class-keyed frontier");
+    assert(classes_ == nullptr && "identity Add on a class-keyed frontier");
     memos_.emplace_back();
     memo_epoch_.push_back(0);
     const size_t k = Append(std::move(item));
@@ -190,30 +194,34 @@ class Frontier {
     states_.assign(n, CandidateState::kUnknown);
     asked_.assign(n, false);
     open_count_ = n;
-    class_of_ = std::move(class_of);
     memos_.resize(num_classes);
     memo_epoch_.assign(num_classes, 0);
 
-    member_begin_.assign(num_classes + 1, 0);
-    for (uint32_t c : class_of_) {
+    ClassIndex index;
+    index.class_of = std::move(class_of);
+    std::vector<uint32_t>& begin = index.member_begin;
+    begin.assign(num_classes + 1, 0);
+    for (uint32_t c : index.class_of) {
       assert(c < num_classes);
-      ++member_begin_[c + 1];
+      ++begin[c + 1];
     }
     class_open_.resize(num_classes);
-    open_words_.assign(WordsFor(num_classes), 0);
-    active_words_.assign(WordsFor(num_classes), 0);
     for (size_t c = 0; c < num_classes; ++c) {
-      class_open_[c] = member_begin_[c + 1];
-      member_begin_[c + 1] += member_begin_[c];
+      class_open_[c] = begin[c + 1];
+      begin[c + 1] += begin[c];
     }
     class_active_ = class_open_;
-    for (size_t c = 0; c < num_classes; ++c) SyncWords(c);
-    members_.resize(n);
-    class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
+    index.members.resize(n);
+    class_cursor_.assign(begin.begin(), begin.end() - 1);
     for (size_t k = 0; k < n; ++k) {
-      members_[class_cursor_[class_of_[k]]++] = static_cast<uint32_t>(k);
+      index.members[class_cursor_[index.class_of[k]]++] =
+          static_cast<uint32_t>(k);
     }
-    class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
+    class_cursor_.assign(begin.begin(), begin.end() - 1);
+    classes_ = std::make_shared<const ClassIndex>(std::move(index));
+    open_words_.assign(WordsFor(num_classes), 0);
+    active_words_.assign(WordsFor(num_classes), 0);
+    for (size_t c = 0; c < num_classes; ++c) SyncWords(c);
   }
 
   size_t size() const { return items_.size(); }
@@ -234,14 +242,14 @@ class Frontier {
 
   /// Number of classes: the candidate count under the identity mapping.
   size_t num_classes() const {
-    return class_of_.empty() ? items_.size() : class_open_.size();
+    return classes_ == nullptr ? items_.size() : class_open_.size();
   }
   size_t ClassOf(size_t k) const {
-    return class_of_.empty() ? k : class_of_[k];
+    return classes_ == nullptr ? k : classes_->class_of[k];
   }
   /// Open members of class `c`.
   size_t ClassOpenCount(size_t c) const {
-    if (class_of_.empty()) return IsOpen(c) ? 1 : 0;
+    if (classes_ == nullptr) return IsOpen(c) ? 1 : 0;
     return class_open_[c];
   }
   /// Bit c set iff class `c` has an open (kUnknown) member: the seed of
@@ -254,13 +262,14 @@ class Frontier {
   /// Smallest open member of class `c`, or nullopt when the class is
   /// settled. Amortized O(1): the per-class cursor only moves forward.
   std::optional<size_t> FirstOpenMember(size_t c) {
-    if (class_of_.empty()) {
+    if (classes_ == nullptr) {
       return IsOpen(c) ? std::optional<size_t>(c) : std::nullopt;
     }
     if (class_open_[c] == 0) return std::nullopt;
+    const std::vector<uint32_t>& members = classes_->members;
     uint32_t& cursor = class_cursor_[c];
-    while (states_[members_[cursor]] != CandidateState::kUnknown) ++cursor;
-    return members_[cursor];
+    while (states_[members[cursor]] != CandidateState::kUnknown) ++cursor;
+    return members[cursor];
   }
 
   /// kUnknown -> kAsked: the candidate is in flight and leaves the open
@@ -322,14 +331,15 @@ class Frontier {
   /// their state) and returns how many it settled — the count the engine
   /// adds to SessionStats::forced_*.
   size_t MarkForcedClass(size_t c, bool positive) {
-    if (class_of_.empty()) return IsOpen(c) && MarkForced(c, positive);
+    if (classes_ == nullptr) return IsOpen(c) && MarkForced(c, positive);
     // One pass over the class's run from its cursor: every member before
     // the cursor is closed already.
     const size_t settled = class_open_[c];
     const CandidateState next = positive ? CandidateState::kForcedPositive
                                          : CandidateState::kForcedNegative;
+    const std::vector<uint32_t>& members = classes_->members;
     for (uint32_t i = class_cursor_[c], left = class_open_[c]; left > 0; ++i) {
-      CandidateState& state = states_[members_[i]];
+      CandidateState& state = states_[members[i]];
       if (state != CandidateState::kUnknown) continue;
       state = next;
       --left;
@@ -513,15 +523,17 @@ class Frontier {
     open_count_ = 0;
     std::fill(class_open_.begin(), class_open_.end(), 0);
     std::fill(class_active_.begin(), class_active_.end(), 0);
-    if (!class_of_.empty()) {
-      class_cursor_.assign(member_begin_.begin(), member_begin_.end() - 1);
+    if (classes_ != nullptr) {
+      const std::vector<uint32_t>& begin = classes_->member_begin;
+      class_cursor_.assign(begin.begin(), begin.end() - 1);
     }
     for (size_t k = 0; k < states_.size(); ++k) {
       const bool open = states_[k] == CandidateState::kUnknown;
       if (open) ++open_count_;
-      if (class_of_.empty()) continue;
-      class_open_[class_of_[k]] += open ? 1 : 0;
-      class_active_[class_of_[k]] += IsActiveState(states_[k]) ? 1 : 0;
+      if (classes_ == nullptr) continue;
+      const uint32_t c = classes_->class_of[k];
+      class_open_[c] += open ? 1 : 0;
+      class_active_[c] += IsActiveState(states_[k]) ? 1 : 0;
     }
     for (size_t c = 0; c < num_classes(); ++c) SyncWords(c);
     first_open_hint_ = 0;
@@ -531,6 +543,13 @@ class Frontier {
   }
 
  private:
+  /// The candidate-to-class mapping and its CSR member lists.
+  struct ClassIndex {
+    std::vector<uint32_t> class_of;
+    std::vector<uint32_t> member_begin;
+    std::vector<uint32_t> members;
+  };
+
   /// One greedy-heap entry per class: its score and its first open member
   /// when pushed (which also names the class).
   struct HeapEntry {
@@ -577,9 +596,10 @@ class Frontier {
     assert(states_[k] == CandidateState::kUnknown);
     states_[k] = next;
     --open_count_;
-    if (!class_of_.empty()) {
-      --class_open_[class_of_[k]];
-      if (!IsActiveState(next)) --class_active_[class_of_[k]];
+    if (classes_ != nullptr) {
+      const uint32_t c = classes_->class_of[k];
+      --class_open_[c];
+      if (!IsActiveState(next)) --class_active_[c];
     }
     SyncWords(ClassOf(k));
   }
@@ -588,13 +608,13 @@ class Frontier {
   void SettleAsked(size_t k, CandidateState next) {
     assert(states_[k] == CandidateState::kAsked && !IsActiveState(next));
     states_[k] = next;
-    if (!class_of_.empty()) --class_active_[class_of_[k]];
+    if (classes_ != nullptr) --class_active_[classes_->class_of[k]];
     SyncWords(ClassOf(k));
   }
 
   /// Members of class `c` in state kUnknown or kAsked.
   size_t ClassActiveCount(size_t c) const {
-    if (class_of_.empty()) return IsActiveState(states_[c]) ? 1 : 0;
+    if (classes_ == nullptr) return IsActiveState(states_[c]) ? 1 : 0;
     return class_active_[c];
   }
 
@@ -652,15 +672,15 @@ class Frontier {
   size_t open_count_ = 0;
   size_t first_open_hint_ = 0;
 
-  // Class tables; all empty under the identity mapping. Class c's members
-  // are members_[member_begin_[c] .. member_begin_[c + 1]), ascending;
-  // class_cursor_[c] is an index into members_ at or before its first open
+  // Class tables; null and empty under the identity mapping. The index is
+  // immutable once AddClassed builds it, so copies share it; the counts
+  // and cursors are per-frontier state. Class c's members are
+  // members[member_begin[c] .. member_begin[c + 1]), ascending;
+  // class_cursor_[c] is an index into members at or before its first open
   // member.
-  std::vector<uint32_t> class_of_;
+  std::shared_ptr<const ClassIndex> classes_;
   std::vector<uint32_t> class_open_;
   std::vector<uint32_t> class_active_;  ///< kUnknown + kAsked members
-  std::vector<uint32_t> member_begin_;
-  std::vector<uint32_t> members_;
   std::vector<uint32_t> class_cursor_;
 
   // Per-class score memoization. Epoch 0 is reserved as "never valid".

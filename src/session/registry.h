@@ -17,6 +17,14 @@
 // small synthetic dataset and a hidden goal query, so they can also
 // self-answer via OracleLabels() — useful for demos, smoke tests, and load
 // generation.
+//
+// A scenario's state after construction depends only on its name: the
+// dataset, the engine's candidate pool and class tables, and the first
+// propagation pass never read the session's seed or question budget. So
+// each registered scenario is built once per registry, on its first
+// Create, as an immutable prototype, and Create returns a clone of it that
+// carries the caller's SessionOptions. A clone shares the prototype's
+// dataset and candidate pool and copies only per-session state.
 #ifndef QLEARN_SESSION_REGISTRY_H_
 #define QLEARN_SESSION_REGISTRY_H_
 
@@ -76,10 +84,18 @@ class ScenarioSession {
   /// FailedPrecondition while questions are pending or after Finish — only
   /// quiescent sessions snapshot (see session::LearningSession).
   virtual common::Status SerializeSnapshot(std::string* out) const = 0;
-  /// Restores a SerializeSnapshot image into a freshly created session of
-  /// the same scenario. Malformed or mismatched images are rejected with
-  /// InvalidArgument; discard the session on error.
+  /// Restores a SerializeSnapshot image into a session of the same
+  /// scenario fresh from Create. Malformed or mismatched images are
+  /// rejected with InvalidArgument; discard the session on error.
   virtual common::Status RestoreSnapshot(std::string_view image) = 0;
+
+  /// A new session in this one's state that carries `options`' seed and
+  /// question budget, sharing this session's immutable dataset. Only a
+  /// fresh session (no question asked yet) can be cloned: that is how
+  /// Create opens a session from a scenario's prototype. Reads this
+  /// session only, so concurrent clones of one session are safe.
+  virtual std::unique_ptr<ScenarioSession> Clone(
+      const SessionOptions& options) const = 0;
 };
 
 struct ScenarioInfo {
@@ -90,6 +106,8 @@ struct ScenarioInfo {
 /// Process-wide, thread-safe scenario registry.
 class ScenarioRegistry {
  public:
+  /// Builds a scenario's prototype session. Called at most once per
+  /// registered scenario, with default SessionOptions.
   using Factory = std::function<common::Result<std::unique_ptr<ScenarioSession>>(
       const SessionOptions& options)>;
 
@@ -97,8 +115,11 @@ class ScenarioRegistry {
 
   /// Registers a scenario; fails on duplicate names.
   common::Status Register(ScenarioInfo info, Factory factory);
-  /// Instantiates a fresh session of the named scenario. Unknown names
-  /// return NotFound (the message lists the registered scenarios).
+  /// Opens a session of the named scenario: a clone of the scenario's
+  /// prototype (built by its factory on the first Create, once, even under
+  /// concurrent calls) carrying `options`. A factory error is returned by
+  /// every Create of that scenario. Unknown names return NotFound (the
+  /// message lists the registered scenarios).
   common::Result<std::unique_ptr<ScenarioSession>> Create(
       const std::string& name, const SessionOptions& options = {}) const;
   /// Looks up a scenario's info without instantiating it; NotFound on an
@@ -109,11 +130,24 @@ class ScenarioRegistry {
   std::vector<ScenarioInfo> List() const;
 
  private:
+  /// One registered scenario. `info` and `factory` are fixed at Register;
+  /// `prototype` (or `error`) is written once, under `built`.
+  struct Entry {
+    ScenarioInfo info;
+    Factory factory;
+    std::once_flag built;
+    std::shared_ptr<const ScenarioSession> prototype;
+    common::Status error;
+  };
+
+  /// The entry registered as `name`, or null. Entries are never removed,
+  /// so the pointer stays valid for the registry's lifetime.
+  Entry* Find(const std::string& name) const;
   /// NotFound status for `name`, listing the registered scenarios.
   common::Status NotFoundError(const std::string& name) const;
 
   mutable std::mutex mutex_;
-  std::vector<std::pair<ScenarioInfo, Factory>> entries_;
+  std::vector<std::unique_ptr<Entry>> entries_;
 };
 
 /// Registers the built-in "twig", "join", "chain", and "path" demo

@@ -30,8 +30,10 @@ using common::Result;
 using common::Status;
 
 /// ScenarioSession over a typed engine: the shared glue of every built-in
-/// scenario, whatever its engine. `context` keeps the scenario's dataset (documents,
-/// relations, graph, interner, goal) alive for the session's lifetime.
+/// scenario, whatever its engine. `context` keeps the scenario's dataset
+/// (documents, relations, graph, interner, goal) alive for the session's
+/// lifetime; clones share it, and nothing writes to it after the factory
+/// returns.
 template <typename Engine>
 class TypedScenarioSession : public ScenarioSession {
  public:
@@ -41,7 +43,7 @@ class TypedScenarioSession : public ScenarioSession {
   using HypothesisFn =
       std::function<std::string(const typename Engine::HypothesisT&)>;
 
-  TypedScenarioSession(std::shared_ptr<void> context,
+  TypedScenarioSession(std::shared_ptr<const void> context,
                        LearningSession<Engine> session, OracleFn oracle,
                        RenderFn render, HypothesisFn render_hypothesis)
       : context_(std::move(context)),
@@ -49,6 +51,12 @@ class TypedScenarioSession : public ScenarioSession {
         oracle_(std::move(oracle)),
         render_(std::move(render)),
         render_hypothesis_(std::move(render_hypothesis)) {}
+
+  std::unique_ptr<ScenarioSession> Clone(
+      const SessionOptions& options) const override {
+    return std::unique_ptr<ScenarioSession>(
+        new TypedScenarioSession(*this, options));
+  }
 
   std::optional<std::string> NextQuestion() override {
     auto item = session_.NextQuestion();
@@ -107,7 +115,15 @@ class TypedScenarioSession : public ScenarioSession {
   }
 
  private:
-  std::shared_ptr<void> context_;
+  TypedScenarioSession(const TypedScenarioSession& prototype,
+                       const SessionOptions& options)
+      : context_(prototype.context_),
+        session_(prototype.session_, options),
+        oracle_(prototype.oracle_),
+        render_(prototype.render_),
+        render_hypothesis_(prototype.render_hypothesis_) {}
+
+  std::shared_ptr<const void> context_;
   LearningSession<Engine> session_;
   OracleFn oracle_;
   RenderFn render_;

@@ -163,6 +163,20 @@ class LearningSession {
     engine_.Propagate(&stats_);
   }
 
+  /// A copy of `prototype` that carries `options`' seed and question
+  /// budget: the same session as one constructed over a copy of the
+  /// prototype's engine with `options`, since construction consumes no
+  /// randomness and never reads the budget. `prototype` must be fresh (no
+  /// question asked yet). Instantiated only for copyable engines.
+  LearningSession(const LearningSession& prototype,
+                  const SessionOptions& options)
+      : LearningSession(prototype) {
+    assert(stats_.questions == 0 && pending_.empty() && !finished_ &&
+           "only a fresh session is a prototype");
+    rng_ = common::Rng(options.seed);
+    max_questions_ = options.max_questions;
+  }
+
   /// Selects the next informative item, or nullopt when the session is over
   /// (everything settled, budget exhausted, or the engine aborted). The
   /// returned item is pending until Answer() is called.

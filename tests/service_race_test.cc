@@ -12,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "service/session_service.h"
+#include "session/registry.h"
 
 namespace qlearn {
 namespace service {
@@ -34,6 +35,95 @@ bool IsExpectedRaceOutcome(const Status& status) {
     default:
       return false;
   }
+}
+
+TEST(ServiceRaceTest, EveryScenarioOpensFromSharedPrototypesConcurrently) {
+  // Every open and every rehydrate clones the scenario's prototype, which
+  // the registry builds once, on first use. Four threads open, ask, tell,
+  // park and close every built-in scenario on one service, each starting
+  // at a different scenario, so the prototypes are built and cloned from
+  // several threads at once. (This test runs first in the binary, before
+  // any other test has built a prototype.) Each thread must learn exactly
+  // what a session driven alone learns.
+  constexpr size_t kThreads = 4;
+  session::RegisterBuiltinScenarios();
+  const std::vector<session::ScenarioInfo> scenarios =
+      session::ScenarioRegistry::Global()->List();
+  SessionService service;
+  std::vector<std::vector<std::string>> results(
+      kThreads, std::vector<std::string>(scenarios.size()));
+  std::vector<std::string> failures(kThreads);
+  std::atomic<bool> start{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!start.load(std::memory_order_acquire)) {
+      }
+      for (size_t i = 0; i < scenarios.size(); ++i) {
+        const size_t s = (i + t * 3) % scenarios.size();
+        auto id = service.Open(scenarios[s].name, {});
+        if (!id.ok()) {
+          failures[t] = id.status().ToString();
+          return;
+        }
+        for (;;) {
+          auto batch = service.Ask(id.value(), 2);
+          if (!batch.ok()) {
+            failures[t] = batch.status().ToString();
+            return;
+          }
+          if (batch.value().empty()) break;
+          auto labels = service.OracleLabels(id.value());
+          Status outcome = labels.ok() ? service.Tell(id.value(), labels.value())
+                                       : labels.status();
+          if (outcome.ok()) outcome = service.Park(id.value());
+          if (!outcome.ok()) {
+            failures[t] = outcome.ToString();
+            return;
+          }
+        }
+        auto closed = service.Close(id.value());
+        if (!closed.ok()) {
+          failures[t] = closed.status().ToString();
+          return;
+        }
+        results[t][s] = closed.value().hypothesis.text + " after " +
+                        std::to_string(closed.value().stats.questions);
+      }
+    });
+  }
+  start.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], "") << "thread " << t;
+  }
+
+  // The same sessions, one at a time.
+  SessionService alone;
+  for (size_t s = 0; s < scenarios.size(); ++s) {
+    auto id = alone.Open(scenarios[s].name, {});
+    ASSERT_TRUE(id.ok());
+    for (;;) {
+      auto batch = alone.Ask(id.value(), 2);
+      ASSERT_TRUE(batch.ok());
+      if (batch.value().empty()) break;
+      ASSERT_TRUE(
+          alone.Tell(id.value(), alone.OracleLabels(id.value()).value()).ok());
+    }
+    auto closed = alone.Close(id.value());
+    ASSERT_TRUE(closed.ok());
+    const std::string expected = closed.value().hypothesis.text + " after " +
+                                 std::to_string(closed.value().stats.questions);
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(results[t][s], expected)
+          << scenarios[s].name << " on thread " << t;
+    }
+  }
+  const ServiceCounters counters = service.Counters();
+  EXPECT_EQ(counters.opens, kThreads * scenarios.size());
+  EXPECT_EQ(counters.rehydrates, counters.hibernates);
+  EXPECT_EQ(counters.hibernate_errors, 0u);
+  EXPECT_EQ(service.OpenCount(), 0u);
 }
 
 TEST(ServiceRaceTest, CloseRacesInFlightAskTellStatus) {

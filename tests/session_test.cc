@@ -620,6 +620,47 @@ TEST_F(PathSessionFixture, ForcedPathsAreNeverAsked) {
   }
 }
 
+TEST_F(PathSessionFixture, PrototypeCopyMatchesFreshSessionAndOutlivesIt) {
+  // A session copied from a fresh prototype with new options is the
+  // session constructed with those options. The copy's questions point
+  // into the candidate pool it shares with the prototype, so it must stay
+  // valid after the prototype is gone.
+  const graph::PathQuery goal = Goal("highway+");
+  glearn::GoalPathOracle oracle(goal, g_);
+  graph::Path seed;
+  seed.start = 0;
+  seed.edges = {0};
+  glearn::InteractivePathOptions options;
+  options.strategy = glearn::PathStrategy::kRandom;
+  SessionOptions session_options;
+  session_options.seed = 42;
+  session_options.max_questions = 3;
+
+  LearningSession<glearn::PathEngine> fresh(
+      glearn::PathEngine(&g_, seed, options), session_options);
+  std::optional<LearningSession<glearn::PathEngine>> copy;
+  {
+    const LearningSession<glearn::PathEngine> prototype(
+        glearn::PathEngine(&g_, seed, options));
+    copy.emplace(prototype, session_options);
+  }
+  while (auto question = fresh.NextQuestion()) {
+    const auto copied = copy->NextQuestion();
+    ASSERT_TRUE(copied.has_value());
+    EXPECT_EQ(copied->index, question->index);
+    EXPECT_EQ(*copied->word, *question->word);
+    const bool label = oracle.IsPositive(*question->path);
+    EXPECT_EQ(oracle.IsPositive(*copied->path), label);
+    fresh.Answer(label);
+    copy->Answer(label);
+  }
+  EXPECT_FALSE(copy->NextQuestion().has_value());
+  EXPECT_EQ(copy->stats().questions, 3u);
+  EXPECT_EQ(copy->stats().forced_positive, fresh.stats().forced_positive);
+  EXPECT_EQ(copy->stats().forced_negative, fresh.stats().forced_negative);
+  EXPECT_TRUE(copy->Finish() == fresh.Finish());
+}
+
 // ---------------------------------------------------------------------------
 // ScenarioRegistry.
 
@@ -749,6 +790,135 @@ TEST(ScenarioRegistryTest, BatchedScenarioSessionConverges) {
   session.Finish();
   EXPECT_EQ(session.stats().conflicts, 0u);
   EXPECT_GT(session.stats().questions, 0u);
+}
+
+/// What one registry session did, recorded one question at a time: the
+/// ids of every question, the snapshot image at every question boundary,
+/// and the final hypothesis.
+struct ClonedSessionTrace {
+  std::vector<std::vector<std::vector<uint64_t>>> ids;
+  std::vector<std::string> snapshots;
+  std::string hypothesis;
+};
+
+/// Snapshots `session`, then asks and answers one question with the
+/// built-in oracle, or finishes it. Returns false once it is finished.
+bool StepClonedSession(ScenarioSession* session, ClonedSessionTrace* trace) {
+  std::string image;
+  EXPECT_TRUE(session->SerializeSnapshot(&image).ok());
+  trace->snapshots.push_back(std::move(image));
+  if (!session->NextQuestion().has_value()) {
+    session->Finish();
+    trace->hypothesis = session->Hypothesis();
+    return false;
+  }
+  trace->ids.push_back(session->PendingIds());
+  session->Answer(session->OracleLabels()[0]);
+  return true;
+}
+
+TEST(ScenarioRegistryTest, ClonedSessionsInterleaveLikeSessionsDrivenAlone) {
+  // Create clones one prototype per scenario. Two clones driven in
+  // interleaved order must each do exactly what a clone with its seed does
+  // alone, and a clone taken after both finish must still ask the same
+  // first question: no session writes to the prototype or to another
+  // clone. The pair runs at different seeds and paces (the first asks two
+  // questions per question of the second), so neither clone ever holds the
+  // state the other holds at the same moment.
+  RegisterBuiltinScenarios();
+  ScenarioRegistry* registry = ScenarioRegistry::Global();
+  const std::vector<uint64_t> seeds = {1, 7, 42};
+  for (const ScenarioInfo& info : registry->List()) {
+    SCOPED_TRACE(info.name);
+    std::vector<ClonedSessionTrace> alone(seeds.size());
+    for (size_t i = 0; i < seeds.size(); ++i) {
+      SessionOptions options;
+      options.seed = seeds[i];
+      auto created = registry->Create(info.name, options);
+      ASSERT_TRUE(created.ok());
+      while (StepClonedSession(created.value().get(), &alone[i])) {
+      }
+      ASSERT_FALSE(alone[i].ids.empty());
+    }
+
+    for (size_t i = 0; i < seeds.size(); ++i) {
+      SCOPED_TRACE("seeds " + std::to_string(seeds[i]) + " and " +
+                   std::to_string(seeds[(i + 1) % seeds.size()]));
+      const size_t pair[2] = {i, (i + 1) % seeds.size()};
+      std::unique_ptr<ScenarioSession> sessions[2];
+      for (int s = 0; s < 2; ++s) {
+        SessionOptions options;
+        options.seed = seeds[pair[s]];
+        auto created = registry->Create(info.name, options);
+        ASSERT_TRUE(created.ok());
+        sessions[s] = std::move(created).value();
+      }
+      ClonedSessionTrace traces[2];
+      bool running[2] = {true, true};
+      while (running[0] || running[1]) {
+        for (int step = 0; step < 2 && running[0]; ++step) {
+          running[0] = StepClonedSession(sessions[0].get(), &traces[0]);
+        }
+        if (running[1]) {
+          running[1] = StepClonedSession(sessions[1].get(), &traces[1]);
+        }
+      }
+      for (int s = 0; s < 2; ++s) {
+        const ClonedSessionTrace& expected = alone[pair[s]];
+        EXPECT_EQ(traces[s].ids, expected.ids);
+        EXPECT_TRUE(traces[s].snapshots == expected.snapshots);
+        EXPECT_EQ(traces[s].hypothesis, expected.hypothesis);
+      }
+
+      SessionOptions options;
+      options.seed = seeds[i];
+      auto third = registry->Create(info.name, options);
+      ASSERT_TRUE(third.ok());
+      ASSERT_TRUE(third.value()->NextQuestion().has_value());
+      EXPECT_EQ(third.value()->PendingIds(), alone[i].ids.front());
+    }
+  }
+}
+
+TEST(ScenarioRegistryTest, FactoryBuildsOnePrototypePerScenario) {
+  // The factory runs once, on the first Create, with default options; every
+  // Create clones its result and carries the caller's options. A factory
+  // error comes back from every Create of that scenario.
+  ScenarioRegistry registry;
+  int builds = 0;
+  ASSERT_TRUE(registry
+                  .Register({"counted", "builds the chain scenario"},
+                            [&builds](const SessionOptions& options) {
+                              ++builds;
+                              EXPECT_EQ(options.seed, SessionDefaults::kSeed);
+                              return ScenarioRegistry::Global()->Create(
+                                  "chain", options);
+                            })
+                  .ok());
+  ASSERT_TRUE(registry
+                  .Register({"broken", "fails to build"},
+                            [&builds](const SessionOptions&) {
+                              ++builds;
+                              return common::Result<
+                                  std::unique_ptr<ScenarioSession>>(
+                                  common::Status::Internal("no dataset"));
+                            })
+                  .ok());
+  RegisterBuiltinScenarios();
+  SessionOptions budget;
+  budget.max_questions = 1;
+  for (int i = 0; i < 3; ++i) {
+    auto created = registry.Create("counted", budget);
+    ASSERT_TRUE(created.ok());
+    EXPECT_TRUE(created.value()->NextQuestion().has_value());
+    created.value()->Answer(created.value()->OracleLabels()[0]);
+    EXPECT_FALSE(created.value()->NextQuestion().has_value());
+
+    auto broken = registry.Create("broken");
+    ASSERT_FALSE(broken.ok());
+    EXPECT_EQ(broken.status().code(), common::StatusCode::kInternal);
+  }
+  EXPECT_EQ(builds, 2);
 }
 
 }  // namespace
