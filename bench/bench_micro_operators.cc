@@ -660,12 +660,12 @@ void RunGeneralizePairLoop(benchmark::State& state, const xml::XmlTree& doc,
   state.counters["doc_nodes"] = static_cast<double>(doc.NumNodes());
 }
 
-/// learn-large's people directory (qbench): range(0) persons of four shapes.
-void BM_GeneralizePair_Directory(benchmark::State& state) {
-  common::Interner interner;
+/// learn-large's people directory (qbench): `persons` persons of four
+/// shapes.
+xml::XmlTree DirectoryDoc(int64_t persons, common::Interner* interner) {
   common::Rng rng(1);
   std::string text = "<site><people>";
-  for (int i = 0; i < state.range(0); ++i) {
+  for (int64_t i = 0; i < persons; ++i) {
     switch (i == 0 ? 0 : rng.Index(4)) {
       case 0: text += "<person><name/><age/><phone/></person>"; break;
       case 1: text += "<person><name/></person>"; break;
@@ -674,7 +674,12 @@ void BM_GeneralizePair_Directory(benchmark::State& state) {
     }
   }
   text += "</people></site>";
-  const xml::XmlTree doc = xml::ParseXml(text, &interner).value();
+  return xml::ParseXml(text, interner).value();
+}
+
+void BM_GeneralizePair_Directory(benchmark::State& state) {
+  common::Interner interner;
+  const xml::XmlTree doc = DirectoryDoc(state.range(0), &interner);
   RunGeneralizePairLoop(
       state, doc,
       twig::ParseTwig("/site/people/person[age]/name", &interner).value());
@@ -739,6 +744,96 @@ BENCHMARK(BM_TwigFirstQuestion_XMark)
     ->Arg(40)
     ->Arg(80)
     ->Unit(benchmark::kMillisecond);
+
+// --- Engine first question ---
+//
+// Each engine at learn-large's instance sizes (qbench/src/learn.cc): the
+// engine's construction plus the session's first NextQuestion, the wait a
+// user feels before the first question. The instance is built outside the
+// timed loop; the chain engine shares one JoinChain, as learn-large does,
+// while the join engine interns its own. `allocs_per_call` counts global
+// operator-new calls per session; the recorded before/after rows live in
+// the engine_first_question section of BENCH_classify.json.
+template <typename Engine, typename MakeEngine>
+void RunFirstQuestionLoop(benchmark::State& state, MakeEngine&& make) {
+  const uint64_t allocs_before = common::AllocProbeNewCount();
+  for (auto _ : state) {
+    session::LearningSession<Engine> session(make());
+    benchmark::DoNotOptimize(session.NextQuestion());
+  }
+  const uint64_t calls = static_cast<uint64_t>(state.iterations());
+  state.counters["allocs_per_call"] =
+      static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
+      static_cast<double>(calls == 0 ? 1 : calls);
+}
+
+void BM_EngineFirstQuestion(benchmark::State& state, const char* engine) {
+  const std::string name = engine;
+  if (name == "twig") {
+    // 16 persons, ~55 nodes.
+    common::Interner interner;
+    const xml::XmlTree doc = DirectoryDoc(16, &interner);
+    const std::vector<xml::NodeId> answers = twig::Evaluate(
+        twig::ParseTwig("/site/people/person[age]/name", &interner).value(),
+        doc);
+    RunFirstQuestionLoop<learn::TwigEngine>(
+        state, [&] { return learn::TwigEngine(&doc, answers[0]); });
+  } else if (name == "join") {
+    // 200 x 200 rows of arity 4 over a domain of 6.
+    relational::JoinInstanceOptions options;
+    options.seed = 1;
+    options.left_rows = 200;
+    options.right_rows = 200;
+    options.left_arity = 4;
+    options.right_arity = 4;
+    options.domain_size = 6;
+    const relational::JoinInstance data =
+        relational::GenerateJoinInstance(options, 2);
+    const rlearn::PairUniverse universe =
+        rlearn::PairUniverse::AllCompatible(data.left.schema(),
+                                            data.right.schema())
+            .value();
+    RunFirstQuestionLoop<rlearn::JoinEngine>(state, [&] {
+      return rlearn::JoinEngine(&universe, &data.left, &data.right);
+    });
+  } else if (name == "chain") {
+    // Three relations of 24 rows: 13.8k candidate paths.
+    relational::ChainInstanceOptions options;
+    options.seed = 1;
+    options.num_relations = 3;
+    options.rows = 24;
+    const relational::ChainInstance data =
+        relational::GenerateChainInstance(options);
+    const rlearn::JoinChain chain =
+        rlearn::JoinChain::Create(data.pointers).value();
+    RunFirstQuestionLoop<rlearn::ChainEngine>(
+        state, [&] { return rlearn::ChainEngine(&chain); });
+  } else {
+    // An 8 x 8 road network, paths of up to 3 edges.
+    common::Interner interner;
+    graph::GeoOptions geo;
+    geo.seed = 1;
+    geo.grid_width = 8;
+    geo.grid_height = 8;
+    const graph::Graph g = graph::GenerateGeoGraph(geo, &interner);
+    graph::Path seed;
+    for (graph::EdgeId e = 0; e < g.NumEdges() && seed.empty(); ++e) {
+      if (interner.Name(g.edge(e).label) == "highway") {
+        seed.start = g.edge(e).src;
+        seed.edges = {e};
+      }
+    }
+    glearn::InteractivePathOptions options;
+    options.max_path_edges = 3;
+    options.max_candidates = 100000;
+    RunFirstQuestionLoop<glearn::PathEngine>(
+        state, [&] { return glearn::PathEngine(&g, seed, options); });
+  }
+}
+BENCHMARK_CAPTURE(BM_EngineFirstQuestion, twig, "twig");
+BENCHMARK_CAPTURE(BM_EngineFirstQuestion, join, "join");
+BENCHMARK_CAPTURE(BM_EngineFirstQuestion, chain, "chain");
+BENCHMARK_CAPTURE(BM_EngineFirstQuestion, path, "path");
 
 // Opening a built-in scenario session: ScenarioRegistry::Create plus the
 // first NextQuestion — what `open` and the first `ask` cost a served

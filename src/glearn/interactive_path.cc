@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -81,16 +80,44 @@ PathEngine::PathEngine(const graph::Graph* g, const Path& seed,
   auto pool = std::make_shared<Pool>();
   std::vector<Candidate>& candidates = pool->candidates;
   std::vector<WordClass>& word_classes = pool->word_classes;
-  // Intern each label word once; class ids follow first appearance.
-  std::map<std::vector<SymbolId>, uint32_t> class_of_word;
-  for (Path& p : graph::EnumeratePaths(*g, options.max_path_edges,
-                                       options.max_candidates)) {
-    std::vector<SymbolId> word = graph::PathWord(*g, p);
-    const auto [it, inserted] = class_of_word.try_emplace(
-        word, static_cast<uint32_t>(word_classes.size()));
-    if (inserted) word_classes.push_back(WordClass{std::move(word)});
-    candidates.push_back(Candidate{std::move(p), it->second});
-  }
+  // Label words are keyed on a trie walked alongside the enumeration: a
+  // path's word is its parent path's word plus its last edge's label, so
+  // its class is one child step from the class the DFS visited just
+  // before descending. Trie node 0 is the empty word and node c + 1 is
+  // class c; a node is created on its word's first appearance, so class
+  // ids follow first appearance.
+  constexpr uint32_t kNoNode = ~uint32_t{0};
+  std::vector<uint32_t> first_child{kNoNode};
+  std::vector<uint32_t> next_sibling{kNoNode};
+  std::vector<uint32_t> node_at{0};  // [d]: node of the path's first d edges
+  graph::ForEachPath(
+      *g, options.max_path_edges, options.max_candidates,
+      [&](const Path& path) {
+        const size_t depth = path.edges.size();
+        const uint32_t parent = node_at[depth - 1];
+        const SymbolId label = g->edge(path.edges.back()).label;
+        uint32_t node = first_child[parent];
+        while (node != kNoNode && word_classes[node - 1].word.back() != label) {
+          node = next_sibling[node];
+        }
+        if (node == kNoNode) {
+          node = static_cast<uint32_t>(first_child.size());
+          std::vector<SymbolId> word;
+          word.reserve(depth);
+          if (parent != 0) {
+            const std::vector<SymbolId>& prefix = word_classes[parent - 1].word;
+            word.assign(prefix.begin(), prefix.end());
+          }
+          word.push_back(label);
+          word_classes.push_back(WordClass{std::move(word)});
+          first_child.push_back(kNoNode);
+          next_sibling.push_back(first_child[parent]);
+          first_child[parent] = node;
+        }
+        if (node_at.size() <= depth) node_at.resize(depth + 1);
+        node_at[depth] = node;
+        candidates.push_back(Candidate{path, node - 1});
+      });
 
   // Pre-mark workload matches.
   if (!options.workload.empty()) {

@@ -143,6 +143,11 @@ class PathEngine {
   HypothesisT Finish(session::SessionStats* /*stats*/) { return hypothesis_; }
 
   size_t candidate_paths() const { return frontier_.size(); }
+  /// Candidate `k` of the pool, which follows graph::ForEachPath order.
+  const Question& candidate(size_t k) const { return frontier_.item(k); }
+  /// Candidate `k`'s word class; classes are numbered by the first
+  /// appearance of their word in pool order.
+  size_t word_class(size_t k) const { return frontier_.ClassOf(k); }
   /// Max weight among positive paths (a most-specific weight bound).
   double max_positive_weight() const { return max_positive_weight_; }
 

@@ -1,7 +1,6 @@
 #include "graph/path_query.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <queue>
 
@@ -139,33 +138,8 @@ bool PathQueryEvaluator::MatchesPath(const Path& path) const {
 std::vector<Path> EnumeratePaths(const Graph& graph, size_t max_edges,
                                  size_t limit) {
   std::vector<Path> out;
-  std::vector<bool> visited(graph.NumVertices(), false);
-  Path current;
-  std::vector<EdgeId> stack_edges;
-
-  std::function<void(VertexId)> dfs = [&](VertexId v) {
-    if (out.size() >= limit) return;
-    if (!current.edges.empty()) out.push_back(current);
-    if (current.edges.size() >= max_edges) return;
-    for (EdgeId eid : graph.OutEdges(v)) {
-      const Edge& e = graph.edge(eid);
-      if (visited[e.dst]) continue;
-      visited[e.dst] = true;
-      current.edges.push_back(eid);
-      dfs(e.dst);
-      current.edges.pop_back();
-      visited[e.dst] = false;
-      if (out.size() >= limit) return;
-    }
-  };
-
-  for (VertexId v = 0; v < graph.NumVertices() && out.size() < limit; ++v) {
-    current.start = v;
-    current.edges.clear();
-    std::fill(visited.begin(), visited.end(), false);
-    visited[v] = true;
-    dfs(v);
-  }
+  ForEachPath(graph, max_edges, limit,
+              [&out](const Path& path) { out.push_back(path); });
   return out;
 }
 

@@ -61,9 +61,49 @@ class PathQueryEvaluator {
   std::optional<double> max_weight_;
 };
 
-/// Enumerates simple-ish candidate paths from each vertex: all paths of at
-/// most `max_edges` edges without repeated vertices, up to `limit` total.
-/// Used to build the interactive sessions' question pools.
+/// Visits candidate paths: from each vertex in id order, every path of 1 to
+/// `max_edges` edges without repeated vertices, depth-first with out-edges
+/// in adjacency order, each path before its extensions. Stops after
+/// `limit` paths. `visit(const Path&)` sees the one path buffer, which
+/// changes after it returns. This is the order the interactive path
+/// sessions' question pools and their `limit` cap follow.
+template <typename Visit>
+void ForEachPath(const Graph& graph, size_t max_edges, size_t limit,
+                 Visit&& visit) {
+  if (max_edges == 0 || limit == 0) return;
+  std::vector<char> on_path(graph.NumVertices(), 0);
+  // next[d]: the next out-edge to try from the path's vertex at depth d.
+  std::vector<size_t> next;
+  Path path;
+  size_t visited = 0;
+  for (VertexId start = 0; start < graph.NumVertices(); ++start) {
+    path.start = start;
+    on_path[start] = 1;
+    next.assign(1, 0);
+    while (!next.empty()) {
+      const VertexId at =
+          path.edges.empty() ? start : graph.edge(path.edges.back()).dst;
+      const std::vector<EdgeId>& out = graph.OutEdges(at);
+      if (path.edges.size() < max_edges && next.back() < out.size()) {
+        const EdgeId e = out[next.back()++];
+        const VertexId dst = graph.edge(e).dst;
+        if (on_path[dst]) continue;
+        on_path[dst] = 1;
+        path.edges.push_back(e);
+        visit(static_cast<const Path&>(path));
+        if (++visited == limit) return;
+        next.push_back(0);
+      } else {
+        next.pop_back();
+        on_path[at] = 0;
+        if (!path.edges.empty()) path.edges.pop_back();
+      }
+    }
+  }
+}
+
+/// Every path ForEachPath visits, in its order. Used to build the
+/// interactive sessions' question pools.
 std::vector<Path> EnumeratePaths(const Graph& graph, size_t max_edges,
                                  size_t limit);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 
 #include "twig/twig_containment.h"
@@ -87,10 +88,9 @@ bool TwigEngine::EnsureRow(NodeId v) {
         return true;
       }
     }
-    twig::TwigEvaluator eval2(*h2, *doc_);
-    for (NodeId u = 0; u < doc_->NumNodes(); ++u) {
-      if (eval2.Selects(u)) row[u / 64] |= 1ULL << (u % 64);
-    }
+    const twig::TwigEvaluator eval2(*h2, *doc_);
+    const std::span<const uint64_t> selected = eval2.SelectedBits();
+    std::copy(selected.begin(), selected.end(), row);
     evaluated_.push_back(EvaluatedQuery{hash, std::move(*h2), v});
   }
   return store_.RowPresent(v);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -136,34 +137,23 @@ class FilterLggMemo {
   /// so patterns stay polynomial. Returns the kept filters.
   std::span<const int32_t> SelectFilters(size_t begin) {
     if (candidates_.size() - begin > 1) {
-      keyed_.clear();
+      // Dedup: one pass over an open-addressing set of the kept hashes.
+      const size_t mask = std::bit_ceil(2 * (candidates_.size() - begin)) - 1;
+      seen_.assign(mask + 1, kNone);
+      size_t end = begin;
       for (size_t i = begin; i < candidates_.size(); ++i) {
-        keyed_.push_back({pool_[candidates_[i]].hash, i});
-      }
-      std::sort(keyed_.begin(), keyed_.end());
-      for (size_t t = 1; t < keyed_.size(); ++t) {
-        if (keyed_[t].first == keyed_[t - 1].first) {
-          candidates_[keyed_[t].second] = kNone;
+        const int32_t f = candidates_[i];
+        const uint64_t hash = pool_[f].hash;
+        size_t slot = hash & mask;
+        while (seen_[slot] != kNone && pool_[seen_[slot]].hash != hash) {
+          slot = (slot + 1) & mask;
         }
+        if (seen_[slot] != kNone) continue;
+        seen_[slot] = f;
+        candidates_[end++] = f;
       }
-      candidates_.erase(
-          std::remove(candidates_.begin() + static_cast<ptrdiff_t>(begin),
-                      candidates_.end(), kNone),
-          candidates_.end());
-      // Largest first; equal sizes keep discovery order. The sorted order
-      // is gathered into keyed_ before candidates_ is overwritten.
-      keyed_.clear();
-      for (size_t i = begin; i < candidates_.size(); ++i) {
-        keyed_.push_back({~static_cast<uint64_t>(pool_[candidates_[i]].size),
-                          i});
-      }
-      std::sort(keyed_.begin(), keyed_.end());
-      for (auto& [key, pos] : keyed_) {
-        key = static_cast<uint64_t>(candidates_[pos]);
-      }
-      for (size_t t = 0; t < keyed_.size(); ++t) {
-        candidates_[begin + t] = static_cast<int32_t>(keyed_[t].first);
-      }
+      candidates_.resize(end);
+      SortLargestFirst(begin);
     }
     size_t kept = begin;
     size_t total = 1;
@@ -179,6 +169,39 @@ class FilterLggMemo {
   }
 
   void DropCandidates(size_t begin) { candidates_.resize(begin); }
+
+  /// Stable sort of the candidates from `begin` on by subtree size,
+  /// largest first: an insertion sort for the usual handful, one keyed
+  /// sort past that.
+  void SortLargestFirst(size_t begin) {
+    constexpr size_t kInsertionMax = 32;
+    if (candidates_.size() - begin <= kInsertionMax) {
+      for (size_t i = begin + 1; i < candidates_.size(); ++i) {
+        const int32_t f = candidates_[i];
+        size_t j = i;
+        for (; j > begin && pool_[candidates_[j - 1]].size < pool_[f].size;
+             --j) {
+          candidates_[j] = candidates_[j - 1];
+        }
+        candidates_[j] = f;
+      }
+      return;
+    }
+    // Keyed by (complemented size, position): equal sizes keep discovery
+    // order.
+    keyed_.clear();
+    for (size_t i = begin; i < candidates_.size(); ++i) {
+      keyed_.push_back({~static_cast<uint64_t>(pool_[candidates_[i]].size),
+                        i});
+    }
+    std::sort(keyed_.begin(), keyed_.end());
+    for (auto& [key, pos] : keyed_) {
+      key = static_cast<uint64_t>(candidates_[pos]);
+    }
+    for (size_t t = 0; t < keyed_.size(); ++t) {
+      candidates_[begin + t] = static_cast<int32_t>(keyed_[t].first);
+    }
+  }
 
   /// Appends the labels common to the proper descendants of x (in q1) and
   /// of y (in q2), ascending, as descendant-filter candidates ".//l".
@@ -307,6 +330,7 @@ class FilterLggMemo {
   // Scratch reused across pairs.
   std::vector<int32_t> candidates_;
   std::vector<std::pair<uint64_t, size_t>> keyed_;
+  std::vector<int32_t> seen_;  // SelectFilters' dedup set
   std::vector<QNodeId> order_;
   std::vector<SymbolId> merged_;
   LabelSets labels1_;

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <string_view>
 
 namespace qlearn {
 namespace rlearn {
@@ -17,21 +17,92 @@ using relational::ValueType;
 
 namespace {
 
-/// Hash consistent with Value::EqualsSql on non-NULL, non-NaN cells:
-/// -0.0 and 0.0 are equal there, so both hash as 0.0.
-struct SqlValueHash {
-  size_t operator()(const Value* v) const {
-    if (v->type() == ValueType::kDouble && v->AsDouble() == 0.0) {
-      return std::hash<double>{}(0.0);
+/// Interned ids of one cell type: an open-addressing table (linear probing,
+/// power-of-two capacity, at most half full) from a key to the id it was
+/// first given.
+template <typename Key, typename Hash>
+class IdDictionary {
+ public:
+  /// The id of `key`; a key seen for the first time takes `*next`, which
+  /// advances.
+  uint32_t Intern(const Key& key, uint32_t* next) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash{}(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.id == kEmpty) {
+        slot = {key, (*next)++};
+        ++size_;
+        return slot.id;
+      }
+      if (slot.key == key) return slot.id;
     }
-    return v->Hash();
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+  struct Slot {
+    Key key{};
+    uint32_t id = kEmpty;
+  };
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kEmpty) continue;
+      size_t i = Hash{}(slot.key) & mask;
+      while (slots_[i].id != kEmpty) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+/// splitmix64's finalizer: int and double bit patterns hash well on their
+/// low bits.
+struct WordHash {
+  size_t operator()(uint64_t x) const {
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return static_cast<size_t>(x ^ (x >> 31));
   }
 };
 
-struct SqlValueEqual {
-  bool operator()(const Value* a, const Value* b) const {
-    return a->EqualsSql(*b);
+/// Cell ids equal iff the cells are equal under Value::EqualsSql: one
+/// dictionary per type, so int 1 and double 1.0 never share an id.
+class CellInterner {
+ public:
+  uint32_t Intern(const Value& v) {
+    switch (v.type()) {
+      case ValueType::kInt:
+        return ints_.Intern(static_cast<uint64_t>(v.AsInt()), &next_);
+      case ValueType::kDouble: {
+        const double d = v.AsDouble();
+        // NaN equals nothing, not even itself.
+        if (std::isnan(d)) return next_++;
+        // -0.0 equals 0.0: both take the bits of 0.0.
+        return doubles_.Intern(std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d),
+                               &next_);
+      }
+      case ValueType::kString:
+        return strings_.Intern(v.AsString(), &next_);
+      case ValueType::kNull:
+        break;
+    }
+    return next_++;  // NULL equals nothing
   }
+  uint32_t size() const { return next_; }
+
+ private:
+  IdDictionary<uint64_t, WordHash> ints_;
+  IdDictionary<uint64_t, WordHash> doubles_;
+  // Keys view the relations' cells, which outlive the interning.
+  IdDictionary<std::string_view, std::hash<std::string_view>> strings_;
+  uint32_t next_ = 0;
 };
 
 }  // namespace
@@ -73,16 +144,35 @@ void JoinChain::InternCells() {
   // One id space for the whole chain: cells equal under EqualsSql share an
   // id. NULL equals nothing and NaN not even itself, so such a cell takes
   // a fresh id no other cell has.
-  std::unordered_map<const Value*, uint32_t, SqlValueHash, SqlValueEqual> ids;
-  uint32_t next = 0;
-  auto id_of = [&](const Value& v) {
-    if (v.is_null() ||
-        (v.type() == ValueType::kDouble && std::isnan(v.AsDouble()))) {
-      return next++;
+  CellInterner ids;
+  // One side of an edge: out[row * |U| + i] = the id of the row's cell in
+  // attribute attribute_of(i). Each attribute the pairs use is interned
+  // once per row into `column`; sides never share ids for a NULL or NaN
+  // cell, so a self-join's NULL does not meet itself.
+  std::vector<uint32_t> column;
+  std::vector<size_t> column_of;
+  auto intern_side = [&](const relational::Relation& relation,
+                         size_t num_pairs, auto attribute_of,
+                         std::vector<uint32_t>* out) {
+    constexpr size_t kUninterned = ~size_t{0};
+    const size_t rows = relation.size();
+    column_of.assign(relation.schema().arity(), kUninterned);
+    column.clear();
+    column.reserve(rows * column_of.size());
+    out->resize(rows * num_pairs);
+    for (size_t i = 0; i < num_pairs; ++i) {
+      const size_t a = attribute_of(i);
+      if (column_of[a] == kUninterned) {
+        column_of[a] = column.size();
+        for (size_t row = 0; row < rows; ++row) {
+          column.push_back(ids.Intern(relation.row(row)[a]));
+        }
+      }
+      const uint32_t* cells = column.data() + column_of[a];
+      for (size_t row = 0; row < rows; ++row) {
+        (*out)[row * num_pairs + i] = cells[row];
+      }
     }
-    const auto [it, inserted] = ids.try_emplace(&v, next);
-    if (inserted) ++next;
-    return it->second;
   };
   edge_ids_.resize(universes_.size());
   // Counting-sort scratch, indexed by id and reset after each pair.
@@ -92,21 +182,12 @@ void JoinChain::InternCells() {
     const relational::Relation& left = *relations_[e];
     const relational::Relation& right = *relations_[e + 1];
     EdgeIds& out = edge_ids_[e];
-    out.left.resize(left.size() * pairs.size());
-    out.right.resize(right.size() * pairs.size());
-    for (size_t row = 0; row < left.size(); ++row) {
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        out.left[row * pairs.size() + i] = id_of(left.row(row)[pairs[i].left]);
-      }
-    }
-    for (size_t row = 0; row < right.size(); ++row) {
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        out.right[row * pairs.size() + i] =
-            id_of(right.row(row)[pairs[i].right]);
-      }
-    }
-    run_end.resize(next, 0);
-    run_count.resize(next, 0);
+    intern_side(left, pairs.size(), [&](size_t i) { return pairs[i].left; },
+                &out.left);
+    intern_side(right, pairs.size(), [&](size_t i) { return pairs[i].right; },
+                &out.right);
+    run_end.resize(ids.size(), 0);
+    run_count.resize(ids.size(), 0);
     // Per pair, the right rows grouped by id (a counting sort over the ids
     // the pair's right cells use), and each left cell's run of equal ids.
     out.right_by_id.resize(pairs.size() * right.size());

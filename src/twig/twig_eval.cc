@@ -1,6 +1,7 @@
 #include "twig/twig_eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <set>
 
@@ -9,69 +10,102 @@ namespace twig {
 
 using xml::NodeId;
 
-TwigEvaluator::TwigEvaluator(const TwigQuery& query, const xml::XmlTree& doc)
-    : query_(query), doc_(doc) {
-  ComputeDown();
-  ComputeUp();
+namespace {
+
+bool TestBit(const uint64_t* row, NodeId v) {
+  return (row[v / 64] >> (v % 64)) & 1;
 }
 
-bool TwigEvaluator::LabelMatches(QNodeId q, NodeId v) const {
-  return query_.label(q) == kWildcard || query_.label(q) == doc_.label(v);
+void SetBit(uint64_t* row, NodeId v) {
+  row[v / 64] |= uint64_t{1} << (v % 64);
 }
 
-bool TwigEvaluator::ChildRequirement(QNodeId c, NodeId u) const {
-  if (query_.axis(c) == Axis::kChild) {
-    for (NodeId w : doc_.children(u)) {
-      if (down_[c][w]) return true;
+template <typename Fn>
+void ForEachBit(const uint64_t* row, size_t words, Fn&& fn) {
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t m = row[w]; m != 0; m &= m - 1) {
+      fn(static_cast<NodeId>(w * 64 + std::countr_zero(m)));
     }
-    return false;
   }
-  // Descendant: some node strictly below u.
-  return down_below_[c][u] != 0;
+}
+
+/// Sets the first `n` bits of `row` and clears the rest of its last word.
+void FillAll(uint64_t* row, size_t n) {
+  std::fill_n(row, (n + 63) / 64, ~uint64_t{0});
+  if (n % 64 != 0) row[n / 64] = (uint64_t{1} << (n % 64)) - 1;
+}
+
+void AndRow(uint64_t* row, const uint64_t* other, size_t words) {
+  for (size_t w = 0; w < words; ++w) row[w] &= other[w];
+}
+
+}  // namespace
+
+TwigEvaluator::TwigEvaluator(const TwigQuery& query, const xml::XmlTree& doc)
+    : query_(query),
+      doc_(doc),
+      m_(query.NumNodes()),
+      words_((doc.NumNodes() + 63) / 64),
+      // down and req per query node, the selection and two scratch rows.
+      rows_((2 * m_ + 3) * words_, 0) {
+  ComputeDown();
+  ComputeSelection();
+}
+
+void TwigEvaluator::LabelRow(QNodeId q, uint64_t* row) const {
+  const size_t n = doc_.NumNodes();
+  const common::SymbolId label = query_.label(q);
+  if (label == kWildcard) {
+    FillAll(row, n);
+    return;
+  }
+  for (size_t w = 0; w < words_; ++w) {
+    const size_t end = std::min(n, (w + 1) * 64);
+    uint64_t bits = 0;
+    for (size_t v = w * 64; v < end; ++v) {
+      bits |= static_cast<uint64_t>(doc_.label(static_cast<NodeId>(v)) ==
+                                    label)
+              << (v % 64);
+    }
+    row[w] = bits;
+  }
 }
 
 void TwigEvaluator::ComputeDown() {
-  const size_t m = query_.NumNodes();
-  const size_t n = doc_.NumNodes();
-  down_.assign(m, std::vector<char>(n, 0));
-  down_below_.assign(m, std::vector<char>(n, 0));
-
-  // Document nodes children-before-parent; query nodes children-before-parent
-  // (child ids are always larger than parent ids).
-  std::vector<NodeId> doc_order = doc_.PreOrder();
-  std::reverse(doc_order.begin(), doc_order.end());
-
-  for (QNodeId q = static_cast<QNodeId>(m); q-- > 1;) {
-    for (NodeId v : doc_order) {
-      // down_below first: depends on children of v for the same q.
-      char below = 0;
-      for (NodeId w : doc_.children(v)) {
-        if (down_[q][w] || down_below_[q][w]) {
-          below = 1;
-          break;
+  // Child query ids are always larger than their parent's, so descending
+  // ids visit every child before its parent.
+  for (QNodeId q = static_cast<QNodeId>(m_); q-- > 1;) {
+    uint64_t* down = Down(q);
+    LabelRow(q, down);
+    for (QNodeId c : query_.children(q)) AndRow(down, Req(c), words_);
+    uint64_t* req = Req(q);
+    if (query_.axis(q) == Axis::kChild) {
+      ForEachBit(down, words_, [&](NodeId v) {
+        const NodeId u = doc_.parent(v);
+        if (u != xml::kInvalidNode) SetBit(req, u);
+      });
+    } else {
+      // Every proper ancestor. A set bit's ancestors are already set, so
+      // each climb stops at the first one it meets: O(n) per row.
+      ForEachBit(down, words_, [&](NodeId v) {
+        for (NodeId u = doc_.parent(v);
+             u != xml::kInvalidNode && !TestBit(req, u); u = doc_.parent(u)) {
+          SetBit(req, u);
         }
-      }
-      down_below_[q][v] = below;
-      if (!LabelMatches(q, v)) continue;
-      bool ok = true;
-      for (QNodeId c : query_.children(q)) {
-        if (!ChildRequirement(c, v)) {
-          ok = false;
-          break;
-        }
-      }
-      down_[q][v] = ok ? 1 : 0;
+      });
     }
   }
 
-  // Overall match: all root children satisfied w.r.t. the virtual parent of
-  // the document root.
+  // Overall match: every root child embeds below the virtual parent of the
+  // document root, at the root itself for a child axis, anywhere for a
+  // descendant axis.
   matches_ = true;
   for (QNodeId c : query_.children(0)) {
-    const bool sat = query_.axis(c) == Axis::kChild
-                         ? down_[c][doc_.root()] != 0
-                         : (down_[c][doc_.root()] != 0 ||
-                            down_below_[c][doc_.root()] != 0);
+    const uint64_t* down = Down(c);
+    const bool sat =
+        query_.axis(c) == Axis::kChild
+            ? words_ > 0 && TestBit(down, doc_.root())
+            : std::any_of(down, down + words_, [](uint64_t w) { return w; });
     if (!sat) {
       matches_ = false;
       break;
@@ -79,90 +113,62 @@ void TwigEvaluator::ComputeDown() {
   }
 }
 
-void TwigEvaluator::ComputeUp() {
-  const size_t m = query_.NumNodes();
+void TwigEvaluator::ComputeSelection() {
+  const QNodeId s = query_.selection();
+  if (s == kInvalidQNode || s == 0 || !matches_) return;
+  uint64_t* const selection = Down(0) + 2 * m_ * words_;
+  uint64_t* const up = selection + words_;
+  uint64_t* const good = up + words_;
   const size_t n = doc_.NumNodes();
-  up_.assign(m, std::vector<char>(n, 0));
-  if (!matches_) return;  // no full embedding anywhere
 
-  const std::vector<NodeId> doc_pre = doc_.PreOrder();
-
-  for (QNodeId q : query_.PreOrder()) {
-    if (q == 0) continue;
-    const QNodeId p = query_.parent(q);
-    if (p == 0) {
-      // Context = the other root children must embed somewhere valid.
-      bool siblings_ok = true;
-      for (QNodeId c : query_.children(0)) {
-        if (c == q) continue;
-        const bool sat = query_.axis(c) == Axis::kChild
-                             ? down_[c][doc_.root()] != 0
-                             : (down_[c][doc_.root()] != 0 ||
-                                down_below_[c][doc_.root()] != 0);
-        if (!sat) {
-          siblings_ok = false;
-          break;
-        }
-      }
-      if (!siblings_ok) continue;
-      if (query_.axis(q) == Axis::kChild) {
-        up_[q][doc_.root()] = 1;
-      } else {
-        for (NodeId v = 0; v < n; ++v) up_[q][v] = 1;
-      }
-      continue;
+  // The ancestor of s at `depth` (1 = a root child).
+  auto ancestor_at = [&](uint32_t depth) {
+    QNodeId q = s;
+    for (uint32_t d = query_.depth(s); d > depth; --d) q = query_.parent(q);
+    return q;
+  };
+  // A root child's context is the other root children, all satisfied
+  // since the query matches.
+  QNodeId q = ancestor_at(1);
+  if (query_.axis(q) == Axis::kChild) {
+    SetBit(up, doc_.root());
+  } else {
+    FillAll(up, n);
+  }
+  for (uint32_t depth = 2; depth <= query_.depth(s); ++depth) {
+    const QNodeId p = q;
+    q = ancestor_at(depth);
+    // good: p maps to u with its context, and every sibling of q embeds
+    // under u.
+    LabelRow(p, good);
+    AndRow(good, up, words_);
+    for (QNodeId c : query_.children(p)) {
+      if (c != q) AndRow(good, Req(c), words_);
     }
-
-    // good[u]: parent p can map to u with its full context and all siblings
-    // of q satisfied under u.
-    std::vector<char> good(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      if (!up_[p][u] || !LabelMatches(p, u)) continue;
-      bool ok = true;
-      for (QNodeId c : query_.children(p)) {
-        if (c == q) continue;
-        if (!ChildRequirement(c, u)) {
-          ok = false;
-          break;
-        }
-      }
-      good[u] = ok ? 1 : 0;
-    }
-
+    std::fill_n(up, words_, 0);
     if (query_.axis(q) == Axis::kChild) {
+      ForEachBit(good, words_, [&](NodeId u) {
+        for (NodeId w : doc_.children(u)) SetBit(up, w);
+      });
+    } else {
+      // Proper descendants of good nodes. A node's id is larger than its
+      // parent's, so ascending ids visit parents first.
       for (NodeId v = 0; v < n; ++v) {
         const NodeId u = doc_.parent(v);
-        if (u != xml::kInvalidNode && good[u]) up_[q][v] = 1;
+        if (u != xml::kInvalidNode && (TestBit(good, u) || TestBit(up, u))) {
+          SetBit(up, v);
+        }
       }
-    } else {
-      // anc_good[v]: some proper ancestor u of v has good[u].
-      std::vector<char> anc_good(n, 0);
-      for (NodeId v : doc_pre) {
-        const NodeId u = doc_.parent(v);
-        if (u == xml::kInvalidNode) continue;
-        anc_good[v] = static_cast<char>(good[u] || anc_good[u]);
-      }
-      for (NodeId v = 0; v < n; ++v) up_[q][v] = anc_good[v];
     }
   }
+  const uint64_t* down = Down(s);
+  for (size_t w = 0; w < words_; ++w) selection[w] = down[w] & up[w];
 }
-
-bool TwigEvaluator::Matches() const { return matches_; }
 
 std::vector<NodeId> TwigEvaluator::SelectedNodes() const {
   std::vector<NodeId> out;
-  const QNodeId s = query_.selection();
-  if (s == kInvalidQNode || !matches_) return out;
-  for (NodeId v = 0; v < doc_.NumNodes(); ++v) {
-    if (down_[s][v] && up_[s][v]) out.push_back(v);
-  }
+  ForEachBit(Selection(), words_, [&](NodeId v) { out.push_back(v); });
   return out;
-}
-
-bool TwigEvaluator::Selects(NodeId node) const {
-  const QNodeId s = query_.selection();
-  if (s == kInvalidQNode || !matches_) return false;
-  return down_[s][node] && up_[s][node];
 }
 
 std::vector<std::vector<NodeId>> TwigEvaluator::MarkedTuples(
@@ -205,7 +211,7 @@ std::vector<std::vector<NodeId>> TwigEvaluator::MarkedTuples(
       }
     }
     for (NodeId v : candidates) {
-      if (!down_[q][v]) continue;
+      if (!DownBit(q, v)) continue;
       assignment[q] = v;
       if (assign(idx + 1)) return true;
     }

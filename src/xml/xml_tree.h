@@ -21,7 +21,9 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 
 /// A rooted, node-labeled tree stored in struct-of-arrays form. Child order
 /// is preserved for serialization but carries no semantics for queries or
-/// schemas (both are order-oblivious per DESIGN.md §2).
+/// schemas (both are order-oblivious per DESIGN.md §2). Ids are assigned in
+/// insertion order, so a node's id is always larger than its parent's
+/// (ids need not be in pre-order).
 class XmlTree {
  public:
   XmlTree() = default;

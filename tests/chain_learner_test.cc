@@ -42,9 +42,10 @@ class ChainFixture : public ::testing::Test {
     products_ = std::move(rels[2]);
   }
 
-  static void Ins(Relation* r, std::vector<int64_t> vals) {
+  static void Ins(Relation* r, const std::vector<int64_t>& vals) {
     relational::Tuple t;
-    for (int64_t v : vals) t.push_back(Value(v));
+    t.reserve(vals.size());
+    for (int64_t v : vals) t.emplace_back(v);
     ASSERT_TRUE(r->Insert(std::move(t)).ok());
   }
 
@@ -545,6 +546,56 @@ TEST(InternedAgreement, MatchesPairUniverseAgreeMaskOnRandomRelations) {
         EXPECT_EQ(join.AgreeOn(0, {l, r}), want)
             << "seed " << seed << " rows " << l << "," << r;
         EXPECT_EQ(row_masks[r], want)
+            << "seed " << seed << " rows " << l << "," << r;
+      }
+    }
+  }
+}
+
+TEST(InternedAgreement, MatchesAgreeMaskOnWideValueDomains) {
+  // Besides the corner cells, many distinct ints, doubles (each int's
+  // double twin among them) and strings, so every typed dictionary grows
+  // several times and probes across collisions.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    common::Rng rng(seed);
+    auto cell = [&rng]() -> Value {
+      const int64_t k = static_cast<int64_t>(rng.Index(81)) - 40;
+      switch (rng.Index(4)) {
+        case 0:
+          return RandomCell(&rng);
+        case 1:
+          return Value(k);
+        case 2:
+          return Value(static_cast<double>(k) * 0.5);
+        default:
+          return Value("s" + std::to_string(k));
+      }
+    };
+    std::vector<Relation> rels;
+    for (const char* name : {"L", "R"}) {
+      std::vector<Attribute> attributes;
+      for (size_t a = 0; a < 4; ++a) {
+        attributes.push_back({"c" + std::to_string(a), ValueType::kDouble});
+      }
+      Relation relation(RelationSchema(name, std::move(attributes)));
+      for (size_t r = 0; r < 60; ++r) {
+        relational::Tuple t;
+        for (size_t a = 0; a < 4; ++a) t.push_back(cell());
+        relation.InsertUnchecked(std::move(t));
+      }
+      rels.push_back(std::move(relation));
+    }
+    auto universe = PairUniverse::AllCompatible(rels[0].schema(),
+                                                rels[1].schema());
+    ASSERT_TRUE(universe.ok());
+    const JoinChain join = JoinChain::ForJoin(universe.value(), &rels[0],
+                                              &rels[1]);
+    std::vector<PairMask> row_masks(rels[1].size());
+    for (size_t l = 0; l < rels[0].size(); ++l) {
+      join.AgreeRow(0, l, row_masks.data());
+      for (size_t r = 0; r < rels[1].size(); ++r) {
+        EXPECT_EQ(row_masks[r],
+                  universe.value().AgreeMask(rels[0].row(l), rels[1].row(r)))
             << "seed " << seed << " rows " << l << "," << r;
       }
     }

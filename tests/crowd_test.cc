@@ -51,9 +51,10 @@ class CrowdFixture : public ::testing::Test {
     ASSERT_NE(goal_, 0u);
   }
 
-  static void Ins(Relation* r, std::vector<int64_t> vals) {
+  static void Ins(Relation* r, const std::vector<int64_t>& vals) {
     relational::Tuple t;
-    for (int64_t v : vals) t.push_back(Value(v));
+    t.reserve(vals.size());
+    for (int64_t v : vals) t.emplace_back(v);
     ASSERT_TRUE(r->Insert(std::move(t)).ok());
   }
 

@@ -4,7 +4,9 @@
 // workload strategy.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "glearn/interactive_path.h"
 #include "glearn/rpni.h"
 #include "graph/geo_generator.h"
+#include "graph/path_query.h"
 #include "session/session.h"
 
 namespace qlearn {
@@ -314,6 +317,52 @@ TEST(GeoSessionTest, LearnsOnGeneratedNetwork) {
                              options.max_candidates)) {
     EXPECT_EQ(result.value().hypothesis.Accepts(graph::PathWord(g, p)),
               goal_eval.MatchesPath(p));
+  }
+}
+
+// --- Candidate pool ---
+//
+// The engine builds its pool in one DFS and keys word classes on a label
+// trie walked alongside it. The reference is EnumeratePaths plus PathWord,
+// numbering each word on its first appearance.
+
+TEST(PathEnginePool, MatchesEnumeratePathsAndFirstAppearanceClasses) {
+  for (int grid : {6, 8}) {
+    Interner interner;
+    graph::GeoOptions geo;
+    geo.seed = 40 + static_cast<uint64_t>(grid);
+    geo.grid_width = grid;
+    geo.grid_height = grid;
+    const graph::Graph g = GenerateGeoGraph(geo, &interner);
+    for (size_t max_edges : {size_t{3}, size_t{4}}) {
+      const std::vector<graph::Path> all =
+          graph::EnumeratePaths(g, max_edges, SIZE_MAX);
+      // A cap that cuts a DFS short: its last path has several edges.
+      size_t cut = all.size() / 2;
+      while (all[cut - 1].edges.size() < 2) ++cut;
+      for (size_t cap : {all.size(), cut}) {
+        const std::vector<graph::Path> paths =
+            graph::EnumeratePaths(g, max_edges, cap);
+        ASSERT_EQ(paths.size(), cap);
+        InteractivePathOptions options;
+        options.max_path_edges = max_edges;
+        options.max_candidates = cap;
+        const PathEngine engine(&g, paths.front(), options);
+        ASSERT_EQ(engine.candidate_paths(), paths.size());
+        std::map<std::vector<SymbolId>, size_t> class_of;
+        for (size_t k = 0; k < paths.size(); ++k) {
+          const std::vector<SymbolId> word = graph::PathWord(g, paths[k]);
+          const size_t expected_class =
+              class_of.try_emplace(word, class_of.size()).first->second;
+          const PathEngine::Question& question = engine.candidate(k);
+          ASSERT_EQ(question.index, k);
+          ASSERT_EQ(question.path->start, paths[k].start) << "path " << k;
+          ASSERT_EQ(question.path->edges, paths[k].edges) << "path " << k;
+          ASSERT_EQ(*question.word, word) << "path " << k;
+          ASSERT_EQ(engine.word_class(k), expected_class) << "path " << k;
+        }
+      }
+    }
   }
 }
 
