@@ -926,7 +926,7 @@ BENCHMARK(BM_WireAskEventRoundTrip)->Arg(1)->Arg(8)->Arg(64);
 // One AskTell iteration is one steady-state ask(k=1)/tell round trip against
 // a live "join" session, i.e. two request frames through HandleFrameInto with
 // a reused json::Arena and a recycled response buffer — the exact hot path
-// the server's inline dispatch mode executes. `allocs_per_frame` counts
+// the server's shard thread executes. `allocs_per_frame` counts
 // global operator-new calls (alloc_probe_hooks.cc is linked into this
 // binary) and is the headline number BENCH_protocol.json tracks: it must
 // hold at a small fixed constant.

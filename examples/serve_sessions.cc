@@ -1,9 +1,9 @@
-// The session service behind a real socket: a net::Server (single-reactor,
-// worker-pool, framed-TCP front end) serves a SessionService on an
-// ephemeral loopback port, and everything below goes through net::Client —
-// string handles, questions and answers as wire payloads, budgets enforced
-// server-side — exactly the path a remote crowd dispatcher or web UI would
-// take. Two sessions of different scenarios run interleaved over one
+// The session service behind a real socket: a net::Server (a framed-TCP
+// front end whose two reactor shards answer each request inline) serves a
+// SessionService on an ephemeral loopback port, and everything below goes
+// through net::Client — string handles, questions and answers as wire
+// payloads, budgets enforced server-side — exactly the path a remote crowd
+// dispatcher or web UI would take. Two sessions of different scenarios run interleaved over one
 // connection, the way two remote users multiplexed by a gateway would, and
 // every exchange is printed as the wire-format lines a transcript records.
 //
@@ -52,7 +52,7 @@ int main() {
   // The server owns the service; port 0 picks an ephemeral loopback port.
   SessionService service;
   ServerOptions server_options;
-  server_options.workers = 2;
+  server_options.reactors = 2;
   Server server(&service, server_options);
   if (!server.Start().ok()) {
     std::fprintf(stderr, "server start failed\n");

@@ -5,12 +5,14 @@
 // per second that is the dominant allocation source. A BufferPool keeps a
 // bounded free list of cleared strings so steady-state traffic reuses the
 // same capacity over and over: FrameReader takes reassembly buffers from
-// the pool, workers build response bodies in pooled buffers, and the
-// reactor returns each body to the pool once its last byte is flushed.
+// the pool, the shard's handler builds response bodies in pooled buffers,
+// and the reactor returns each body to the pool once its last byte is
+// flushed.
 //
-// Thread-safe (one pool is shared by a shard's reactor and its workers);
-// the lock is uncontended in practice and never held across an allocation
-// on the reuse path. Buffers that grew past `max_buffer_bytes` are dropped
+// Each reactor shard owns one pool, and every user of it runs on that
+// shard's thread, so the lock is never contended; it is kept so the pool
+// stays safe on its own, and it is never held across an allocation on
+// the reuse path. Buffers that grew past `max_buffer_bytes` are dropped
 // on release so one huge frame cannot pin its capacity forever, and the
 // free list is capped at `max_buffers` so an idle server shrinks back.
 #ifndef QLEARN_NET_BUFFER_POOL_H_

@@ -432,7 +432,6 @@ void Reactor::Stop() {
     if (shard->thread_.joinable()) shard->thread_.join();
   }
   for (auto& shard : shards_) {
-    shard->handler_->OnStop();
     {
       // Sockets dealt to this shard that it never got to adopt. Swept
       // after every thread is joined, so nothing races the handoff.

@@ -132,8 +132,7 @@ class Reactor {
  public:
   class Shard;
 
-  /// Per-shard protocol logic. Every call but OnStop runs on the shard
-  /// thread.
+  /// Per-shard protocol logic. Every call runs on the shard thread.
   class Handler {
    public:
     Handler() = default;
@@ -156,9 +155,6 @@ class Reactor {
     virtual void OnClose(Conn* /*conn*/, std::string_view /*reason*/) {}
     /// Once per loop iteration, after the ready sockets were served.
     virtual void AfterPoll() {}
-    /// Called by Stop() once the shard thread has exited; join anything
-    /// that may still Wake().
-    virtual void OnStop() {}
   };
 
   using HandlerFactory = std::function<std::unique_ptr<Handler>(Shard*)>;

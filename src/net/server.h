@@ -4,29 +4,22 @@
 // each request frame with HandleFrameInto against the shared
 // SessionService (thread-safe; distinct sessions run in parallel). The
 // reactor owns the sockets, sharding, framing, output queues and
-// backpressure; the handler picks where a request runs:
-//
-//   workers > 0   a fixed per-shard worker pool runs HandleFrameInto and
-//                 hands finished responses back over a completion queue
-//                 and the shard's wake pipe (one request per connection at
-//                 a time; good when learner work dominates)
-//   workers == 0  the shard thread dispatches inline — no handoff, no
-//                 context switch, pipelined requests are answered
-//                 back-to-back and flushed as one scatter-gather write
-//                 (lowest per-request cost)
+// backpressure. Every request runs inline on the shard thread that owns
+// its connection: no handoff and no context switch, and pipelined
+// requests are answered back-to-back and flushed as one scatter-gather
+// write. Parallelism comes from the shard count (`reactors`).
 //
 // The request path is allocation-free at steady state: frames are parsed
-// with an arena (service/json.h ParseInto), and reassembly and response
-// buffers recycle through the shard's BufferPool.
+// with the shard's arena (service/json.h ParseInto), and reassembly and
+// response buffers recycle through the shard's BufferPool.
 //
 // Per-connection protocol discipline: requests are answered strictly in
 // arrival order. Pipelined frames queue up to max_queued_frames, counting
-// unsent responses and the request a worker holds; past that the reactor
-// stops reading the socket, so backpressure is TCP flow control, not
-// memory growth. A malformed frame — zero-length, oversized, or
-// unparseable JSON — produces a structured error frame in the same
-// ordered stream and the connection stays usable; the connection is only
-// closed by the peer, by EOF, or by Stop().
+// unsent responses; past that the reactor stops reading the socket, so
+// backpressure is TCP flow control, not memory growth. A malformed frame
+// — zero-length, oversized, or unparseable JSON — produces a structured
+// error frame in the same ordered stream and the connection stays usable;
+// the connection is only closed by the peer, by EOF, or by Stop().
 #ifndef QLEARN_NET_SERVER_H_
 #define QLEARN_NET_SERVER_H_
 
@@ -42,9 +35,12 @@ namespace net {
 
 /// The reactor's listener and sizing fields (net/reactor.h), plus:
 struct ServerOptions : ReactorOptions {
-  /// Worker threads per shard; 0 dispatches inline on the shard thread
-  /// (see the mode comparison above).
-  size_t workers = 4;
+  /// Retired: requests always run inline on the shard thread. Start()
+  /// rejects any value but 0 with InvalidArgument. The field stays only
+  /// because the end-to-end benchmark (qbench/src/serve.cc) still sets it;
+  /// the benchmark change of ROADMAP item K deletes that line and then
+  /// this field.
+  size_t workers = 0;
 };
 
 /// Lifetime statistics of one server, for tests and the load harness.
@@ -59,7 +55,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the reactor and worker threads. Fails
+  /// Binds, listens, and starts the reactor's shard threads. Fails
   /// (InvalidArgument/Internal) without leaking resources; safe to retry.
   common::Status Start();
 
@@ -75,7 +71,7 @@ class Server {
 
  private:
   service::SessionService* const service_;
-  const size_t workers_;
+  const size_t workers_;  ///< the retired option, checked by Start()
   Reactor reactor_;
 };
 

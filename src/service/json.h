@@ -37,7 +37,7 @@ enum class Type { kBool, kUInt, kString, kArray, kObject };
 /// Slab allocator backing one request-scoped parse tree. Reset() recycles
 /// every slab without freeing, so a long-lived Arena reaches a steady state
 /// where parsing allocates nothing. Not thread-safe; one Arena per thread
-/// (the server gives each worker its own).
+/// (the server keeps one per reactor shard).
 class Arena {
  public:
   explicit Arena(size_t slab_bytes = 16 * 1024);

@@ -112,9 +112,7 @@ TEST(NetClientDeadlineTest, DeadlineDoesNotFireAgainstAResponsiveServer) {
   // A real server well inside the budget: deadline-armed calls behave
   // exactly like the blocking ones.
   service::SessionService service;
-  ServerOptions options;
-  options.workers = 0;
-  Server real(&service, options);
+  Server real(&service);
   ASSERT_TRUE(real.Start().ok());
   auto connected = Client::Connect("127.0.0.1", real.port(),
                                    kDefaultMaxFrameBytes,
@@ -135,9 +133,7 @@ TEST(NetClientOpenTest, WallBudgetsSurviveTheMicrosecondWire) {
   // "unlimited"), and negative or infinite budgets must open cleanly as
   // unlimited rather than hit an out-of-range cast.
   service::SessionService service;
-  ServerOptions options;
-  options.workers = 0;
-  Server server(&service, options);
+  Server server(&service);
   ASSERT_TRUE(server.Start().ok());
   auto connected = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();

@@ -501,12 +501,11 @@ enum class FrontEnd { kServer, kRouter };
 
 /// Every case runs against both front ends that share the reactor: a
 /// Server, and a Router in front of one. `front` configures whichever
-/// faces the client; `workers` configures the server.
+/// faces the client.
 class ServerRobustnessTest : public ::testing::TestWithParam<FrontEnd> {
  protected:
-  void StartFrontEnd(const ReactorOptions& front, size_t workers = 4) {
+  void StartFrontEnd(const ReactorOptions& front) {
     ServerOptions server_options;
-    server_options.workers = workers;
     if (GetParam() == FrontEnd::kServer) {
       static_cast<ReactorOptions&>(server_options) = front;
     }
@@ -558,7 +557,7 @@ class ServerRobustnessTest : public ::testing::TestWithParam<FrontEnd> {
 TEST_P(ServerRobustnessTest, ConnectionStaysUsableAfterEveryBadFrameClass) {
   ReactorOptions front;
   front.max_frame_bytes = 1 << 10;
-  StartFrontEnd(front, /*workers=*/2);
+  StartFrontEnd(front);
 
   RawConnection conn(port());
 
@@ -667,7 +666,7 @@ TEST_P(ServerRobustnessTest, InlineBurstPastTheQueueCapDrainsCompletely) {
   // waiting.
   ReactorOptions front;
   front.max_queued_frames = 4;
-  StartFrontEnd(front, /*workers=*/0);
+  StartFrontEnd(front);
   RawConnection conn(port());
 
   constexpr int kRequests = 200;
@@ -716,7 +715,7 @@ TEST_P(ServerRobustnessTest, PeerThatNeverReadsStallsInFlowControl) {
   // frames_received stops growing instead of responses piling up in
   // memory.
   ReactorOptions front;
-  StartFrontEnd(front, /*workers=*/0);
+  StartFrontEnd(front);
   RawConnection conn(port(), /*rcvbuf=*/4096);
   const std::string request = "{\"id\":\"s-1\",\"op\":\"status\"}";
   const std::string frame = Framed(request);

@@ -43,15 +43,9 @@ namespace {
 
 using common::StatusCode;
 
-/// One backend process stand-in: its own service and inline server.
+/// One backend process stand-in: its own service and server.
 struct Backend {
-  Backend() : server(&service, InlineOptions()) {}
-
-  static ServerOptions InlineOptions() {
-    ServerOptions options;
-    options.workers = 0;
-    return options;
-  }
+  Backend() : server(&service) {}
 
   BackendAddress address() const { return {"127.0.0.1", server.port()}; }
 

@@ -5,10 +5,9 @@
 // checked-in goldens — the wire format is canonical JSON, so byte equality
 // is semantic equality. The sequential replay, the multiplexed golden load
 // (kLoadConnections connections round-robining their sessions, with and
-// without an idle-park sweeper), and the concurrent-client hammer run under
-// every dispatch configuration (worker pool, inline dispatch, multiple
-// reactor shards), since the golden bytes must not depend on how the
-// server schedules work.
+// without an idle-park sweeper), and the concurrent-client hammer run at
+// one, two and three reactor shards, since the golden bytes must not
+// depend on how the server spreads connections over its shards.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -34,9 +33,7 @@ using common::StatusCode;
 class NetServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ServerOptions options;
-    options.workers = 4;
-    server_ = std::make_unique<Server>(&service_, options);
+    server_ = std::make_unique<Server>(&service_);
     ASSERT_TRUE(server_->Start().ok());
   }
   void TearDown() override { server_->Stop(); }
@@ -51,10 +48,9 @@ class NetServerTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
-/// A dispatch configuration the byte-identity suite runs under.
+/// A shard configuration the byte-identity suite runs under.
 struct ServerConfig {
   const char* name;
-  size_t workers;
   size_t reactors;
 };
 
@@ -72,7 +68,6 @@ class NetServerConfigTest : public ::testing::TestWithParam<ServerConfig> {
     server_.reset();  // stops the server in front of the old service
     service_ = std::make_unique<service::SessionService>(service_options);
     ServerOptions options;
-    options.workers = GetParam().workers;
     options.reactors = GetParam().reactors;
     server_ = std::make_unique<Server>(service_.get(), options);
     ASSERT_TRUE(server_->Start().ok());
@@ -226,22 +221,28 @@ TEST_P(NetServerConfigTest, ConcurrentClientsReplayUnderEveryDispatchMode) {
 
 INSTANTIATE_TEST_SUITE_P(
     DispatchModes, NetServerConfigTest,
-    ::testing::Values(ServerConfig{"worker_pool", 4, 1},
-                      ServerConfig{"inline_dispatch", 0, 1},
-                      ServerConfig{"sharded_workers", 2, 2},
-                      ServerConfig{"sharded_inline", 0, 3}),
+    ::testing::Values(ServerConfig{"one_reactor", 1},
+                      ServerConfig{"two_reactors", 2},
+                      ServerConfig{"three_reactors", 3}),
     [](const ::testing::TestParamInfo<ServerConfig>& info) {
       return std::string(info.param.name);
     });
 
-TEST(NetServerOptionsTest, ZeroReactorsIsRejectedZeroWorkersIsInline) {
+TEST(NetServerOptionsTest, ZeroReactorsIsRejected) {
   service::SessionService service;
   ServerOptions zero_reactors;
   zero_reactors.reactors = 0;
   Server bad(&service, zero_reactors);
   EXPECT_EQ(bad.Start().code(), StatusCode::kInvalidArgument);
 
-  // workers == 0 is a supported mode (inline dispatch), not an error.
+  // The retired workers option accepts only 0; any other value fails
+  // Start() before anything is bound, and a later server starts cleanly.
+  ServerOptions with_workers;
+  with_workers.workers = 1;
+  Server retired(&service, with_workers);
+  EXPECT_EQ(retired.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(retired.port(), 0u);
+
   ServerOptions inline_mode;
   inline_mode.workers = 0;
   Server good(&service, inline_mode);
@@ -283,7 +284,6 @@ TEST(NetServerOptionsTest, StatsAreSafeAgainstConcurrentRestartCycles) {
   // cumulative across them.
   service::SessionService service;
   ServerOptions options;
-  options.workers = 0;
   options.reactors = 2;
   Server server(&service, options);
   ASSERT_TRUE(server.Start().ok());

@@ -18,17 +18,20 @@
 // (e.g. a net::Client connected to it); sharding is invisible to them.
 //
 // Usage:
-//   shardctl [--backends=2] [--port=0] [--reactors=1] [--server_workers=0]
+//   shardctl [--backends=2] [--port=0] [--reactors=1]
 //
 // --port is the router's port (0 = ephemeral, printed on startup); backend
-// ports are always ephemeral and printed too.
+// ports are always ephemeral and printed too. --backends and --reactors
+// take 1..256. A value that is not a plain decimal number in range is a
+// usage error (exit 2).
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/status.h"
@@ -45,8 +48,10 @@ struct Options {
   size_t backends = 2;
   uint16_t port = 0;
   size_t reactors = 1;
-  size_t server_workers = 0;
 };
+
+constexpr char kUsage[] =
+    "usage: shardctl [--backends=2] [--port=0] [--reactors=1]\n";
 
 bool ParseFlag(const std::string& arg, const std::string& name,
                std::string* value) {
@@ -56,27 +61,42 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return true;
 }
 
+/// Parses `--name=value` as a decimal number in [min, max] into `out`: no
+/// sign, no surrounding or trailing characters. Prints a usage error and
+/// returns false otherwise.
+template <typename T>
+bool ParseNumber(const std::string& arg, const std::string& value,
+                 uint64_t min, uint64_t max, T* out) {
+  const char* const end = value.data() + value.size();
+  uint64_t parsed = 0;
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end || parsed < min || parsed > max) {
+    std::fprintf(stderr, "shardctl: %s: expected a number in [%llu, %llu]\n%s",
+                 arg.c_str(), static_cast<unsigned long long>(min),
+                 static_cast<unsigned long long>(max), kUsage);
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
 bool ParseOptions(int argc, char** argv, Options* options) {
+  constexpr uint64_t kMaxCount = 256;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
+    bool parsed = false;
     if (ParseFlag(arg, "backends", &value)) {
-      options->backends = std::stoul(value);
+      parsed = ParseNumber(arg, value, 1, kMaxCount, &options->backends);
     } else if (ParseFlag(arg, "port", &value)) {
-      options->port = static_cast<uint16_t>(std::stoul(value));
+      parsed = ParseNumber(arg, value, 0, 65535, &options->port);
     } else if (ParseFlag(arg, "reactors", &value)) {
-      options->reactors = std::stoul(value);
-    } else if (ParseFlag(arg, "server_workers", &value)) {
-      options->server_workers = std::stoul(value);
+      parsed = ParseNumber(arg, value, 1, kMaxCount, &options->reactors);
     } else {
-      std::fprintf(stderr, "shardctl: unknown argument %s\n", arg.c_str());
-      return false;
+      std::fprintf(stderr, "shardctl: unknown argument %s\n%s", arg.c_str(),
+                   kUsage);
     }
-  }
-  if (options->backends == 0 || options->reactors == 0) {
-    std::fprintf(stderr,
-                 "shardctl: --backends and --reactors must be > 0\n");
-    return false;
+    if (!parsed) return false;
   }
   return true;
 }
@@ -87,16 +107,12 @@ struct BackendProc {
 };
 
 struct Fleet {
-  Options options;
   std::vector<std::unique_ptr<BackendProc>> backends;
   std::unique_ptr<net::Router> router;
 
   bool AddBackend() {
     auto backend = std::make_unique<BackendProc>();
-    net::ServerOptions server_options;
-    server_options.workers = options.server_workers;
-    backend->server =
-        std::make_unique<net::Server>(&backend->service, server_options);
+    backend->server = std::make_unique<net::Server>(&backend->service);
     const common::Status started = backend->server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "shardctl: backend: %s\n",
@@ -149,7 +165,6 @@ void PrintStats(const Fleet& fleet) {
 
 int Run(const Options& options) {
   Fleet fleet;
-  fleet.options = options;
   for (size_t i = 0; i < options.backends; ++i) {
     if (!fleet.AddBackend()) return 2;
   }
