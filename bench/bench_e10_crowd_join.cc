@@ -102,12 +102,11 @@ int main() {
   std::printf("(b) replication vs accuracy at 15%% worker error "
               "(40x40 learning sessions, mean of 10 seeds)\n");
   common::TablePrinter tb({"replication", "mean questions", "mean cost",
-                           "mean errors", "mean dropped"});
+                           "mean errors"});
   for (int replication : {1, 3, 5, 9}) {
     double questions = 0;
     double cost = 0;
     double errors = 0;
-    double dropped = 0;
     const int kSeeds = 10;
     for (int seed = 0; seed < kSeeds; ++seed) {
       Instance ins = MakeInstance(40, 901);
@@ -123,14 +122,12 @@ int main() {
       questions += static_cast<double>(r.value().questions);
       cost += r.value().total_cost;
       errors += static_cast<double>(r.value().accuracy_errors);
-      dropped += static_cast<double>(r.value().dropped_answers);
     }
-    char qb[32], cb[32], eb[32], db[32];
+    char qb[32], cb[32], eb[32];
     std::snprintf(qb, sizeof(qb), "%.1f", questions / kSeeds);
     std::snprintf(cb, sizeof(cb), "$%.3f", cost / kSeeds);
     std::snprintf(eb, sizeof(eb), "%.1f", errors / kSeeds);
-    std::snprintf(db, sizeof(db), "%.1f", dropped / kSeeds);
-    tb.AddRow({std::to_string(replication), qb, cb, eb, db});
+    tb.AddRow({std::to_string(replication), qb, cb, eb});
   }
   std::printf("%s\n", tb.ToString().c_str());
 

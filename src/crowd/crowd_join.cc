@@ -1,19 +1,12 @@
 #include "crowd/crowd_join.h"
 
-#include <algorithm>
-#include <bit>
-#include <cstdlib>
 #include <vector>
-
-#include "rlearn/mask_scoring.h"
 
 namespace qlearn {
 namespace crowd {
 
 using common::Result;
 using common::Status;
-using rlearn::ChainExample;
-using rlearn::ChainVersionSpace;
 using rlearn::MaskSatisfied;
 using rlearn::PairExample;
 using rlearn::PairMask;
@@ -35,6 +28,22 @@ std::vector<size_t> AgreeCounts(const rlearn::PairUniverse& universe,
     }
   }
   return counts;
+}
+
+Status ValidateOptions(const rlearn::JoinOracle* truth,
+                       const CrowdJoinOptions& options) {
+  if (truth == nullptr) {
+    return Status::InvalidArgument("ground-truth oracle must not be null");
+  }
+  // Written so that a NaN rate fails too.
+  if (!(options.worker_error_rate >= 0 && options.worker_error_rate < 0.5)) {
+    return Status::InvalidArgument(
+        "worker_error_rate must be in [0, 0.5) for majority voting to help");
+  }
+  if (options.replication < 1) {
+    return Status::InvalidArgument("replication must be at least 1");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -84,168 +93,36 @@ std::optional<size_t> PilotSelectedFeature(
   return best;
 }
 
-namespace {
-
-/// One kept crowd answer.
-struct Answer {
-  PairExample pair;
-  bool positive;
-};
-
-/// Rebuilds a version space over the one-edge chain from the kept answers.
-ChainVersionSpace BuildSpace(const rlearn::JoinChain& chain,
-                             const std::vector<Answer>& answers) {
-  ChainVersionSpace vs(&chain);
-  for (const Answer& a : answers) {
-    const ChainExample path{{a.pair.left_row, a.pair.right_row}};
-    if (a.positive) {
-      vs.AddPositive(path);
-    } else {
-      vs.AddNegative(path);
-    }
-  }
-  return vs;
-}
-
-Status ValidateOptions(const rlearn::JoinOracle* truth,
-                       const CrowdJoinOptions& options) {
-  if (truth == nullptr) {
-    return Status::InvalidArgument("ground-truth oracle must not be null");
-  }
-  if (options.worker_error_rate < 0 || options.worker_error_rate >= 0.5) {
-    return Status::InvalidArgument(
-        "worker_error_rate must be in [0, 0.5) for majority voting to help");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<CrowdJoinResult> RunCrowdJoinSession(
     const rlearn::PairUniverse& universe, const relational::Relation& left,
     const relational::Relation& right, rlearn::JoinOracle* truth,
     const CrowdJoinOptions& options) {
   QLEARN_RETURN_IF_ERROR(ValidateOptions(truth, options));
+  if (options.feature_filtering) {
+    return Status::InvalidArgument(
+        "feature filtering applies to the brute-force session only");
+  }
+  if (universe.size() == 0) {
+    return Status::InvalidArgument("empty candidate pair universe");
+  }
   CrowdJoinResult result;
   NoisyMajorityOracle crowd(truth, options.worker_error_rate,
                             options.replication, options.seed);
-  common::Rng rng(options.seed ^ 0xc0ffee);
-
-  // Candidate pairs, optionally pruned by the pilot-calibrated filter.
-  std::vector<PairExample> candidates;
-  if (options.feature_filtering) {
-    size_t pilot_questions = 0;
-    result.feature_pair = PilotSelectedFeature(
-        universe, left, right, &crowd, options, &result.ledger,
-        &pilot_questions);
-    result.questions += pilot_questions;
-  }
-  if (result.feature_pair) {
-    // One feature-extraction HIT per record on each side: workers read off
-    // the attribute the filter needs.
-    result.ledger.feature_hits += left.size() + right.size();
-    const PairMask feature_bit = 1ULL << *result.feature_pair;
-    for (size_t l = 0; l < left.size(); ++l) {
-      for (size_t r = 0; r < right.size(); ++r) {
-        if (universe.AgreeMask(left.row(l), right.row(r)) & feature_bit) {
-          candidates.push_back(PairExample{l, r});
-        } else {
-          ++result.filtered_out;
-        }
-      }
-    }
-  } else {
-    for (size_t l = 0; l < left.size(); ++l) {
-      for (size_t r = 0; r < right.size(); ++r) {
-        candidates.push_back(PairExample{l, r});
-      }
-    }
-  }
-  std::vector<bool> settled(candidates.size(), false);
-
-  // The join as a one-edge chain: its version space classifies a pair from
-  // the pair's agreement mask, held in a buffer reused across the sweep.
-  const rlearn::JoinChain chain = rlearn::JoinChain::ForJoin(universe, &left,
-                                                             &right);
-  std::vector<Answer> answers;
-  ChainVersionSpace vs = BuildSpace(chain, answers);
-  std::vector<PairMask> agree(1);
-
-  while (result.questions < options.max_questions) {
-    std::vector<size_t> informative;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (settled[i]) continue;
-      agree[0] = universe.AgreeMask(left.row(candidates[i].left_row),
-                                    right.row(candidates[i].right_row));
-      switch (vs.ClassifyAgreements(agree)) {
-        case ChainVersionSpace::PathStatus::kForcedPositive:
-          settled[i] = true;
-          ++result.forced_positive;
-          break;
-        case ChainVersionSpace::PathStatus::kForcedNegative:
-          settled[i] = true;
-          ++result.forced_negative;
-          break;
-        case ChainVersionSpace::PathStatus::kInformative:
-          informative.push_back(i);
-          break;
-      }
-    }
-    if (informative.empty()) break;
-
-    size_t chosen = informative[0];
-    if (options.strategy == rlearn::JoinStrategy::kRandom) {
-      chosen = informative[rng.Uniform(informative.size())];
-    } else {
-      // Split-half scoring against the surviving hypothesis pairs.
-      const PairMask theta = vs.most_specific().front();
-      long best_score = -1;
-      for (size_t i : informative) {
-        const PairMask kept_pairs =
-            theta & universe.AgreeMask(left.row(candidates[i].left_row),
-                                       right.row(candidates[i].right_row));
-        const int total = std::popcount(theta);
-        const int kept = std::popcount(kept_pairs);
-        const long score = rlearn::SplitHalfScore(total, kept);
-        if (score > best_score) {
-          best_score = score;
-          chosen = i;
-        }
-      }
-    }
-
-    const PairExample& q = candidates[chosen];
-    bool answer = crowd.Ask(left.row(q.left_row), right.row(q.right_row),
-                            &result.ledger);
-    ++result.questions;
-    settled[chosen] = true;
-
-    // Tentatively keep the answer; on conflict, escalate with a bigger
-    // majority, then drop it — the paper's "ignore some annotations".
-    Answer kept{q, answer};
-    answers.push_back(kept);
-    vs = BuildSpace(chain, answers);
-    int escalations_left = options.max_escalations;
-    while (!vs.Consistent() && escalations_left-- > 0) {
-      ++result.escalations;
-      answers.pop_back();
-      kept.positive = crowd.AskReplicated(
-          left.row(q.left_row), right.row(q.right_row),
-          options.escalation_replication, &result.ledger);
-      answers.push_back(kept);
-      vs = BuildSpace(chain, answers);
-    }
-    if (!vs.Consistent()) {
-      answers.pop_back();
-      ++result.dropped_answers;
-      vs = BuildSpace(chain, answers);
-    }
-  }
-
-  result.learned = vs.most_specific().front();
+  // Split-half selection draws no randomness, so the session's own seed
+  // never matters; the crowd's noise is seeded above.
+  session::LearningSession<rlearn::JoinEngine> session(
+      rlearn::JoinEngine(&universe, &left, &right));
+  result.learned = session.Run([&](const PairExample& pair) {
+    return crowd.Ask(left.row(pair.left_row), right.row(pair.right_row),
+                     &result.ledger);
+  });
+  const session::SessionStats& stats = session.stats();
+  result.questions = stats.questions;
+  result.forced_positive = stats.forced_positive;
+  result.forced_negative = stats.forced_negative;
   result.total_cost = result.ledger.Total(options.cost);
 
-  // Ground-truth audit over every pair (including filtered ones).
+  // Ground-truth audit over every pair.
   for (size_t l = 0; l < left.size(); ++l) {
     for (size_t r = 0; r < right.size(); ++r) {
       const bool predicted = MaskSatisfied(

@@ -1,17 +1,14 @@
 // Crowdsourced join learning (the paper's Section-3 crowd application):
-// the interactive equi-join protocol where every question is a paid HIT,
-// workers are unreliable, and Marcus et al.'s *feature filtering* can trade
-// cheap per-record feature HITs for expensive pairwise-comparison HITs.
+// the interactive equi-join protocol where every question is a paid HIT.
 //
-// The simulator runs the same version-space protocol as
-// rlearn::RunInteractiveJoinSession, with three crowd-specific twists:
+// The learning session is session::LearningSession<rlearn::JoinEngine>, the
+// engine behind rlearn::RunInteractiveJoinSession, with two crowd twists:
 //  * answers come from a noisy majority-vote oracle and cost money;
-//  * a conflicting answer (one that empties the version space) is escalated
-//    with a larger replication, and dropped if still conflicting — the
-//    paper's "some annotations might be ignored" relaxation;
-//  * with feature filtering on, the most selective attribute pair is
-//    "extracted" for every record first, and candidate pairs disagreeing on
-//    it are skipped as assumed negatives (never asked).
+//  * the label-everything baseline (Marcus et al.'s join task) can first
+//    spend cheap per-record feature HITs on a pilot-calibrated *feature
+//    filter*, skipping candidate pairs that disagree on the feature as
+//    assumed negatives. Only the baseline filters: the learner already
+//    infers those labels for free.
 #ifndef QLEARN_CROWD_CROWD_JOIN_H_
 #define QLEARN_CROWD_CROWD_JOIN_H_
 
@@ -30,47 +27,35 @@ namespace crowd {
 struct CrowdJoinOptions {
   /// Per-answer flip probability of a single worker.
   double worker_error_rate = 0.05;
-  /// Answers bought per question (majority vote).
+  /// Answers bought per question (majority vote); at least 1.
   int replication = 3;
-  /// Escalation replication used when an answer conflicts with the space.
-  int escalation_replication = 7;
-  /// Maximum times one question is escalated before its answer is dropped.
-  int max_escalations = 2;
-  /// Spend feature HITs to prune candidate pairs first. The feature is
-  /// calibrated on a paid pilot sample (see PilotSelectedFeature); without a
-  /// pilot positive the filter is skipped.
+  /// Brute baseline only: spend feature HITs to prune candidate pairs
+  /// first. The feature is calibrated on a paid pilot sample (see
+  /// PilotSelectedFeature); without a pilot positive the filter is skipped.
   bool feature_filtering = false;
   /// Pair HITs spent probing for pilot positives before choosing a feature.
   size_t pilot_budget = 12;
   HitCost cost;
-  rlearn::JoinStrategy strategy = rlearn::JoinStrategy::kSplitHalf;
   uint64_t seed = 23;
-  /// Safety valve on crowd questions (not individual HITs).
-  size_t max_questions = 100000;
 };
 
 struct CrowdJoinResult {
-  /// Most specific hypothesis consistent with the kept answers.
+  /// Most specific hypothesis consistent with the answers.
   rlearn::PairMask learned = 0;
   CostLedger ledger;
   double total_cost = 0;
   size_t questions = 0;
   size_t forced_positive = 0;
   size_t forced_negative = 0;
-  /// Candidate pairs skipped by the feature filter (assumed negative).
-  size_t filtered_out = 0;
-  /// Questions whose answers were escalated / dropped after conflicts.
-  size_t escalations = 0;
-  size_t dropped_answers = 0;
   /// Ground-truth disagreements of the learned join over all pairs
   /// (0 when the crowd noise did not corrupt the outcome).
   size_t accuracy_errors = 0;
-  /// The feature (universe pair index) used by the filter, if any.
-  std::optional<size_t> feature_pair;
 };
 
-/// Runs a crowdsourced join-learning session over all |left|x|right| pairs.
-/// `truth` is the ground-truth oracle (also used to score accuracy_errors).
+/// Runs a crowdsourced join-learning session over all |left|x|right| pairs:
+/// split-half questions, each answered by a NoisyMajorityOracle over `truth`
+/// (also used to score accuracy_errors). Rejects `feature_filtering` and an
+/// empty universe with InvalidArgument.
 common::Result<CrowdJoinResult> RunCrowdJoinSession(
     const rlearn::PairUniverse& universe, const relational::Relation& left,
     const relational::Relation& right, rlearn::JoinOracle* truth,

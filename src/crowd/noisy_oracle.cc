@@ -6,21 +6,14 @@ namespace crowd {
 bool NoisyMajorityOracle::Ask(const relational::Tuple& left,
                               const relational::Tuple& right,
                               CostLedger* ledger) {
-  return AskReplicated(left, right, replication_, ledger);
-}
-
-bool NoisyMajorityOracle::AskReplicated(const relational::Tuple& left,
-                                        const relational::Tuple& right,
-                                        int replication, CostLedger* ledger) {
-  if (replication < 1) replication = 1;
   const bool truth = truth_->IsPositive(left, right);
   int yes = 0;
-  for (int i = 0; i < replication; ++i) {
+  for (int i = 0; i < replication_; ++i) {
     const bool answer = rng_.Bernoulli(error_rate_) ? !truth : truth;
     if (answer) ++yes;
   }
-  ledger->pair_hits += static_cast<size_t>(replication);
-  return yes * 2 > replication;  // ties resolve to "no match"
+  ledger->pair_hits += static_cast<size_t>(replication_);
+  return yes * 2 > replication_;  // ties resolve to "no match"
 }
 
 }  // namespace crowd

@@ -32,12 +32,6 @@ class NoisyMajorityOracle {
   bool Ask(const relational::Tuple& left, const relational::Tuple& right,
            CostLedger* ledger);
 
-  /// Same question with a one-off replication override (used when a session
-  /// escalates a conflicting answer).
-  bool AskReplicated(const relational::Tuple& left,
-                     const relational::Tuple& right, int replication,
-                     CostLedger* ledger);
-
   int replication() const { return replication_; }
 
  private:

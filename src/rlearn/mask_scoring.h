@@ -1,6 +1,7 @@
 // Shared popcount-based mask scorers for the relational question-selection
-// strategies. The relational engine (ChainEngine, which also serves joins)
-// and crowd_join score with them; this header is the one definition.
+// strategies. The relational engine (ChainEngine, which also serves joins
+// and the crowd join session) scores with them; this header is the one
+// definition.
 //
 // All scores are functions of (total, kept) where total = |θ*| is the
 // surviving hypothesis-pair count and kept = |θ* ∧ agree| is how many of

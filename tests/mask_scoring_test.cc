@@ -1,5 +1,5 @@
 // Unit tests for the shared split-half / lattice-probe scorers
-// (rlearn/mask_scoring.h) deduplicated out of the join, chain, and crowd
+// (rlearn/mask_scoring.h) deduplicated out of the join and chain
 // question-selection loops.
 #include "rlearn/mask_scoring.h"
 
