@@ -4,7 +4,10 @@
 // overhead (unified driver vs legacy one-shot wrapper), the session-service
 // serving overhead, and wire-format throughput.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -745,6 +748,14 @@ BENCHMARK(BM_TwigFirstQuestion_XMark)
     ->Arg(80)
     ->Unit(benchmark::kMillisecond);
 
+/// Minor page faults of this process so far (RUSAGE_SELF: every thread of
+/// the process, which here is the benchmark thread alone).
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
 // --- Engine first question ---
 //
 // Each engine at learn-large's instance sizes (qbench/src/learn.cc): the
@@ -752,19 +763,25 @@ BENCHMARK(BM_TwigFirstQuestion_XMark)
 // user feels before the first question. The instance is built outside the
 // timed loop; the chain engine shares one JoinChain, as learn-large does,
 // while the join engine interns its own. `allocs_per_call` counts global
-// operator-new calls per session; the recorded before/after rows live in
-// the engine_first_question section of BENCH_classify.json.
+// operator-new calls per session and `faults_per_call` this process's
+// minor page faults (getrusage) per session; the recorded before/after
+// rows live in the engine_first_question and relational_classes sections
+// of BENCH_classify.json.
 template <typename Engine, typename MakeEngine>
 void RunFirstQuestionLoop(benchmark::State& state, MakeEngine&& make) {
   const uint64_t allocs_before = common::AllocProbeNewCount();
+  const long faults_before = MinorFaults();
   for (auto _ : state) {
     session::LearningSession<Engine> session(make());
     benchmark::DoNotOptimize(session.NextQuestion());
   }
-  const uint64_t calls = static_cast<uint64_t>(state.iterations());
+  const double calls =
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1));
   state.counters["allocs_per_call"] =
       static_cast<double>(common::AllocProbeNewCount() - allocs_before) /
-      static_cast<double>(calls == 0 ? 1 : calls);
+      calls;
+  state.counters["faults_per_call"] =
+      static_cast<double>(MinorFaults() - faults_before) / calls;
 }
 
 void BM_EngineFirstQuestion(benchmark::State& state, const char* engine) {
@@ -796,12 +813,14 @@ void BM_EngineFirstQuestion(benchmark::State& state, const char* engine) {
     RunFirstQuestionLoop<rlearn::JoinEngine>(state, [&] {
       return rlearn::JoinEngine(&universe, &data.left, &data.right);
     });
-  } else if (name == "chain") {
-    // Three relations of 24 rows: 13.8k candidate paths.
+  } else if (name == "chain" || name == "chain_capped") {
+    // Three relations of 24 rows: 13.8k candidate paths. chain_capped:
+    // three relations of 2,000 rows, of whose 8e9 paths the default cap
+    // keeps the first 20,000 (ten runs over the last relation).
     relational::ChainInstanceOptions options;
     options.seed = 1;
     options.num_relations = 3;
-    options.rows = 24;
+    options.rows = name == "chain" ? 24 : 2000;
     const relational::ChainInstance data =
         relational::GenerateChainInstance(options);
     const rlearn::JoinChain chain =
@@ -833,6 +852,7 @@ void BM_EngineFirstQuestion(benchmark::State& state, const char* engine) {
 BENCHMARK_CAPTURE(BM_EngineFirstQuestion, twig, "twig");
 BENCHMARK_CAPTURE(BM_EngineFirstQuestion, join, "join");
 BENCHMARK_CAPTURE(BM_EngineFirstQuestion, chain, "chain");
+BENCHMARK_CAPTURE(BM_EngineFirstQuestion, chain_capped, "chain_capped");
 BENCHMARK_CAPTURE(BM_EngineFirstQuestion, path, "path");
 
 // Opening a built-in scenario session: ScenarioRegistry::Create plus the

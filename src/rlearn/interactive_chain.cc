@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "rlearn/mask_scoring.h"
 
@@ -35,63 +36,218 @@ size_t CandidateCount(const JoinChain& chain, size_t cap) {
   return std::min(count, cap);
 }
 
-/// Interns per-edge mask tuples into dense class ids, in order of first
-/// appearance: one open-addressing hash table of class ids over the
-/// distinct tuples, which are kept edge-strided (class c's tuple starts at
-/// c * edges).
-class MaskTupleInterner {
+/// Interns 64-bit keys into dense ids in order of first appearance: an
+/// open-addressing table of 4-byte ids, at most half full, over the
+/// distinct keys, which are kept in id order. The table doubles when it
+/// would pass half full and the key list is reserved to match, so a
+/// distinct key costs 8 bytes plus 8 to 16 bytes of table, and a growth
+/// frees one table and one key list. (Wider slots or a sparser table
+/// cost a join's first question extra page faults.)
+class WordInterner {
  public:
-  explicit MaskTupleInterner(size_t edges)
-      : edges_(edges), slots_(64, kEmpty), slot_mask_(63) {}
+  WordInterner() { Resize(kMinSlotsLog2); }
 
-  uint32_t Intern(const PairMask* tuple) {
-    if (2 * (count_ + 1) > slots_.size()) Grow();
-    size_t slot = SlotOf(tuple);
-    for (uint32_t c; (c = slots_[slot]) != kEmpty;
-         slot = (slot + 1) & slot_mask_) {
-      const PairMask* key = masks_.data() + c * edges_;
-      if (key[0] == tuple[0] &&
-          std::equal(tuple + 1, tuple + edges_, key + 1)) {
-        return c;
-      }
+  uint32_t Intern(uint64_t key) {
+    if (2 * (keys_.size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t slot = SlotOf(key);
+    for (uint32_t id; (id = slots_[slot]) != kEmpty;
+         slot = (slot + 1) & mask) {
+      if (keys_[id] == key) return id;
     }
-    const uint32_t c = static_cast<uint32_t>(count_++);
-    masks_.insert(masks_.end(), tuple, tuple + edges_);
-    slots_[slot] = c;
-    return c;
+    const uint32_t id = static_cast<uint32_t>(keys_.size());
+    keys_.push_back(key);
+    slots_[slot] = id;
+    return id;
   }
 
-  size_t size() const { return count_; }
-  /// Class c's mask on edge e is masks()[c * edges + e].
-  const std::vector<PairMask>& masks() const { return masks_; }
+  size_t size() const { return keys_.size(); }
+  uint64_t key(uint32_t id) const { return keys_[id]; }
 
  private:
   static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  static constexpr int kMinSlotsLog2 = 6;
 
-  size_t SlotOf(const PairMask* tuple) const {
-    uint64_t h = tuple[0];
-    for (size_t e = 1; e < edges_; ++e) {
-      h = h * 0x9E3779B97F4A7C15ULL + tuple[e];
-    }
-    h *= 0xBF58476D1CE4E5B9ULL;
-    return static_cast<size_t>(h ^ (h >> 29)) & slot_mask_;
+  /// Fibonacci hashing: the top bits of key * 2^64/φ.
+  size_t SlotOf(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  /// Empties the table to 2^slots_log2 slots; keys stay.
+  void Resize(int slots_log2) {
+    shift_ = 64 - slots_log2;
+    slots_.assign(size_t{1} << slots_log2, kEmpty);
+    keys_.reserve(slots_.size() / 2);
   }
 
   void Grow() {
-    slots_.assign(slots_.size() * 2, kEmpty);
-    slot_mask_ = slots_.size() - 1;
-    for (size_t c = 0; c < count_; ++c) {
-      size_t slot = SlotOf(masks_.data() + c * edges_);
-      while (slots_[slot] != kEmpty) slot = (slot + 1) & slot_mask_;
-      slots_[slot] = static_cast<uint32_t>(c);
+    Resize(65 - shift_);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t id = 0; id < keys_.size(); ++id) {
+      size_t slot = SlotOf(keys_[id]);
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = id;
     }
   }
 
-  size_t edges_;
-  size_t count_ = 0;
   std::vector<uint32_t> slots_;
-  size_t slot_mask_;
-  std::vector<PairMask> masks_;
+  int shift_ = 64;
+  std::vector<uint64_t> keys_;
+};
+
+/// Two 32-bit ids packed into one interner key.
+uint64_t PairKey(uint64_t high, uint64_t low) {
+  assert(high <= std::numeric_limits<uint32_t>::max() &&
+         low <= std::numeric_limits<uint32_t>::max());
+  return high << 32 | low;
+}
+
+/// One edge's agreement masks as dense ids, a left row at a time: the
+/// first Row(l) runs AgreeRow for row l of the edge's left relation and
+/// interns its masks against every right row; later calls reread them.
+class EdgeMaskIds {
+ public:
+  EdgeMaskIds(const JoinChain& chain, size_t edge)
+      : chain_(&chain),
+        edge_(edge),
+        start_(chain.relation(edge).size(), kUnreached),
+        agree_(chain.relation(edge + 1).size()) {}
+
+  /// Ids of left row `left`'s masks, indexed by right row; valid until
+  /// the next Row call.
+  const uint32_t* Row(size_t left) {
+    size_t& start = start_[left];
+    if (start == kUnreached) {
+      start = ids_.size();
+      chain_->AgreeRow(edge_, left, agree_.data());
+      for (PairMask m : agree_) ids_.push_back(masks_.Intern(m));
+    }
+    return ids_.data() + start;
+  }
+
+  PairMask mask(uint32_t id) const { return masks_.key(id); }
+
+ private:
+  static constexpr size_t kUnreached = std::numeric_limits<size_t>::max();
+
+  const JoinChain* chain_;
+  size_t edge_;
+  WordInterner masks_;
+  std::vector<size_t> start_;  // per left row: offset in ids_, or kUnreached
+  std::vector<uint32_t> ids_;
+  std::vector<PairMask> agree_;  // AgreeRow scratch
+};
+
+/// The mask classes of the first n paths of the row-major product: paths
+/// with equal per-edge mask tuples share a class, and class ids follow
+/// first appearance along the walk. With one edge, the edge's mask ids
+/// are the classes. With more, the tuple of edges 0..e is the pair (tuple
+/// of edges 0..e-1, edge e's mask id), interned level by level, so a path
+/// costs one lookup per edge that moved rather than a hash of its whole
+/// tuple.
+class MaskClasses {
+ public:
+  MaskClasses(const JoinChain& chain, size_t n) : chain_(&chain) {
+    class_of_.resize(n);
+    if (chain.num_edges() == 1) {
+      BuildOneEdge();
+    } else {
+      BuildFolded();
+    }
+  }
+
+  size_t count() const { return classes_.size(); }
+  /// Class of each path; leaves the builder without it.
+  std::vector<uint32_t> TakeClassOf() { return std::move(class_of_); }
+
+  /// Writes class c's mask on each edge e to masks[e], unfolding its key.
+  void MasksOf(uint32_t c, PairMask* masks) const {
+    uint64_t key = classes_.key(c);
+    if (edge_ids_.empty()) {
+      masks[0] = key;
+      return;
+    }
+    const size_t edges = edge_ids_.size();
+    masks[edges - 1] = edge_ids_[edges - 1].mask(static_cast<uint32_t>(key));
+    for (size_t e = edges - 1; e-- > 1;) {
+      key = folds_[e - 1].key(static_cast<uint32_t>(key >> 32));
+      masks[e] = edge_ids_[e].mask(static_cast<uint32_t>(key));
+    }
+    masks[0] = edge_ids_[0].mask(static_cast<uint32_t>(key >> 32));
+  }
+
+ private:
+  /// One edge: each left row's masks are interned straight into classes,
+  /// up to the cap.
+  void BuildOneEdge() {
+    const size_t n = class_of_.size();
+    std::vector<PairMask> agree(chain_->relation(1).size());
+    for (size_t left = 0, k = 0; k < n; ++left) {
+      chain_->AgreeRow(0, left, agree.data());
+      const size_t len = std::min(agree.size(), n - k);
+      for (size_t r = 0; r < len; ++r) {
+        class_of_[k++] = classes_.Intern(agree[r]);
+      }
+    }
+  }
+
+  /// Two or more edges. A path's class depends only on its prefix tuple
+  /// (every edge but the last) and the row where the last edge starts, so
+  /// the run of classes over the last relation is built once per such
+  /// pair and copied whenever the pair repeats.
+  void BuildFolded() {
+    const size_t n = class_of_.size();
+    const size_t edges = chain_->num_edges();
+    const size_t last = edges;  // the last relation's position
+    const size_t width = chain_->relation(last).size();
+    edge_ids_.reserve(edges);
+    for (size_t e = 0; e < edges; ++e) edge_ids_.emplace_back(*chain_, e);
+    folds_.resize(edges - 2);
+    WordInterner runs;              // (prefix tuple id, second-to-last row)
+    std::vector<size_t> run_start;  // per run: its first path
+    std::vector<uint32_t> prefix(edges - 1);  // prefix[e]: tuple of 0..e
+    std::vector<size_t> rows(last, 0);
+    size_t moved = 0;  // lowest row position changed since the last run
+    for (size_t k = 0; k < n;) {
+      // Moving row i changes edges i - 1 and i.
+      for (size_t e = moved == 0 ? 0 : moved - 1; e + 1 < edges; ++e) {
+        const uint32_t id = edge_ids_[e].Row(rows[e])[rows[e + 1]];
+        prefix[e] =
+            e == 0 ? id : folds_[e - 1].Intern(PairKey(prefix[e - 1], id));
+      }
+      const uint32_t p = prefix[edges - 2];
+      const size_t len = std::min(width, n - k);
+      const size_t runs_before = runs.size();
+      const uint32_t run = runs.Intern(PairKey(p, rows[last - 1]));
+      if (run == runs_before) {
+        run_start.push_back(k);
+        const uint32_t* ids = edge_ids_[edges - 1].Row(rows[last - 1]);
+        for (size_t r = 0; r < len; ++r) {
+          class_of_[k + r] = classes_.Intern(PairKey(p, ids[r]));
+        }
+      } else {
+        // Only the final run can be cut short, so a repeat copies a whole
+        // run.
+        std::copy_n(class_of_.begin() + run_start[run], len,
+                    class_of_.begin() + k);
+      }
+      k += len;
+      for (moved = last; moved > 0;) {
+        --moved;
+        if (++rows[moved] < chain_->relation(moved).size()) break;
+        rows[moved] = 0;
+      }
+    }
+  }
+
+  const JoinChain* chain_;
+  std::vector<uint32_t> class_of_;
+  /// Keys: a mask (one edge), else (prefix tuple id, last edge's mask id).
+  WordInterner classes_;
+  std::vector<EdgeMaskIds> edge_ids_;  // per edge; empty for one edge
+  /// folds_[e - 1] interns the tuples of edges 0..e, for 0 < e < edges - 1;
+  /// the tuple of edge 0 alone is its mask id.
+  std::vector<WordInterner> folds_;
 };
 
 }  // namespace
@@ -109,51 +265,22 @@ ChainEngine::ChainEngine(const JoinChain* chain,
     plane_base_.push_back(planes);
     planes += chain->universe(e).size();
   }
-  // Walk the row-major product and key each path by its per-edge mask
-  // tuple: paths with equal tuples are classified and scored alike, so they
-  // share one frontier class. An odometer moves the rows of every relation
-  // but the last; the inner loop runs over the last relation's rows.
-  // row_masks[e] holds the masks of edge e's current left row against
-  // every right row, refreshed only when that left row moves.
-  MaskTupleInterner classes(edges);
-  std::vector<uint32_t> class_of;
-  class_of.reserve(n);
-  std::vector<std::vector<PairMask>> row_masks(edges);
-  for (size_t e = 0; e < edges; ++e) {
-    row_masks[e].resize(chain->relation(e + 1).size());
-  }
-  const size_t last = edges;  // the last relation's position
-  std::vector<size_t> rows(last, 0);
-  std::vector<PairMask> agree(edges);
-  size_t moved = 0;  // lowest row position changed since the last prefix
-  for (size_t k = 0; k < n;) {
-    for (size_t e = moved; e < edges; ++e) {
-      chain->AgreeRow(e, rows[e], row_masks[e].data());
-    }
-    for (size_t e = 0; e + 1 < edges; ++e) {
-      agree[e] = row_masks[e][rows[e + 1]];
-    }
-    for (PairMask m : row_masks[last - 1]) {
-      if (k == n) break;
-      agree[last - 1] = m;
-      class_of.push_back(classes.Intern(agree.data()));
-      ++k;
-    }
-    for (moved = last; moved > 0;) {
-      --moved;
-      if (++rows[moved] < chain->relation(moved).size()) break;
-      rows[moved] = 0;
-    }
-  }
-  frontier_.AddClassed(std::vector<std::monostate>(n), std::move(class_of),
-                       classes.size());
+  // Paths with equal per-edge mask tuples are classified and scored
+  // alike, so they share one frontier class. The builder's tables live
+  // until the planes are filled; freeing them before the frontier
+  // allocates its arrays measured more page faults per join.
+  MaskClasses classes(*chain, n);
+  frontier_.AddClassed(std::vector<std::monostate>(n), classes.TakeClassOf(),
+                       classes.count());
   // Per-edge agreement masks go bit-transposed into the store, one slot
   // per class: plane plane_base_[e]+b = the classes agreeing on bit b of
   // edge e.
-  store_.Reset(planes, classes.size());
-  for (size_t c = 0; c < classes.size(); ++c) {
+  store_.Reset(planes, classes.count());
+  std::vector<PairMask> masks(edges);
+  for (uint32_t c = 0; c < classes.count(); ++c) {
+    classes.MasksOf(c, masks.data());
     for (size_t e = 0; e < edges; ++e) {
-      for (PairMask m = classes.masks()[c * edges + e]; m != 0; m &= m - 1) {
+      for (PairMask m = masks[e]; m != 0; m &= m - 1) {
         store_.SetPlaneBit(
             plane_base_[e] + static_cast<size_t>(std::countr_zero(m)), c);
       }
@@ -488,6 +615,22 @@ common::Status ChainEngine::RestoreSnapshot(session::SnapshotReader* reader) {
     s = reader->ReadU64(&m);
     if (!s.ok()) return s;
     negatives.push_back(m);
+  }
+  // A mask bit beyond an edge's universe names no pair and no plane: the
+  // sweeps would read planes past the store.
+  for (uint64_t e = 0; e < edges; ++e) {
+    const size_t width = chain_->universe(e).size();
+    const PairMask stray = width >= 64 ? 0 : ~PairMask{0} << width;
+    bool clean = ((theta[e] | last[e]) & stray) == 0;
+    for (uint64_t i = 0; i < num_negatives && clean; ++i) {
+      clean = (negatives[i * edges + e] & stray) == 0;
+    }
+    if (!clean) {
+      return Status::InvalidArgument(
+          "chain-engine snapshot has a mask with bits outside edge " +
+          std::to_string(e) + "'s " + std::to_string(width) +
+          "-pair universe");
+    }
   }
   s = frontier_.RestoreState(reader);
   if (!s.ok()) return s;

@@ -102,6 +102,12 @@ struct InteractiveChainResult {
 /// settles a whole class with Frontier::MarkForcedClass, and a greedy pick
 /// is the first open member of the best class. Open states, random picks,
 /// question ids and forced counts stay per path.
+///
+/// The classes are computed edge by edge (see the constructor), since a
+/// chain's edges have far fewer row pairs than the chain has paths. Class
+/// ids follow first appearance along the row-major walk, so they (and
+/// with them every question sequence and snapshot image) do not depend
+/// on how they are computed.
 class ChainEngine {
  public:
   using Item = ChainExample;
@@ -114,10 +120,17 @@ class ChainEngine {
     return std::vector<uint64_t>(item.rows.begin(), item.rows.end());
   }
 
-  /// Enumerates the candidate paths, computes each one's per-edge mask
-  /// tuple once (from the chain's interned cells), interns the tuples into
-  /// dense class ids by first appearance, and fills the store planes once
-  /// per class.
+  /// Builds the mask classes of the first max_candidates paths of the
+  /// row-major product and fills the store planes once per class:
+  ///  - each edge's masks are interned into per-edge ids one left row at a
+  ///    time (one JoinChain::AgreeRow), the first time the capped walk
+  ///    reaches that row; for a join (one edge) these ids are the classes;
+  ///  - with more edges, the tuple of edges 0..e is interned as the pair
+  ///    (tuple of edges 0..e-1, edge e's id), one 64-bit key;
+  ///  - a path's class depends only on its prefix tuple (all edges but the
+  ///    last) and its second-to-last row, so the classes over the last
+  ///    relation's rows are interned once per such pair and copied when
+  ///    the pair repeats.
   explicit ChainEngine(const JoinChain* chain,
                        const InteractiveChainOptions& options = {});
 

@@ -415,6 +415,22 @@ TEST(HibernationFaults, RelationalClassCountMismatchIsInvalidArgument) {
   ExpectRefusedAndStillParked(f, std::move(body), "mask classes");
 }
 
+TEST(HibernationFaults, RelationalMaskBitOutsideUniverseIsInvalidArgument) {
+  // The join scenario's edge has a 4-pair universe. An image whose θ*
+  // sets bit 63 would send the next popcount sweep to plane 63 of a
+  // 4-plane store; rehydrate refuses it instead.
+  FaultFixture f;
+  std::string body = f.image.substr(0, f.image.size() - 8);
+  const size_t magic = body.find("QLCE");
+  ASSERT_NE(magic, std::string::npos);
+  // magic, version, strategy and aborted bytes, edge, class and plane
+  // counts; θ*'s top byte is the last of its 8.
+  const size_t theta = magic + 4 + 4 + 1 + 1 + 3 * 8;
+  ASSERT_LT(theta + 8, body.size());
+  body[theta + 7] = static_cast<char>(body[theta + 7] | 0x80);
+  ExpectRefusedAndStillParked(f, std::move(body), "outside edge 0");
+}
+
 TEST(HibernationFaults, OldTwigEngineVersionIsInvalidArgument) {
   // A version-1 twig engine image ("QLTE", ending in a candidate-store
   // segment) is refused rather than misread.
